@@ -17,7 +17,6 @@ from .exactalg import (
     QPoly,
     char_poly,
     min_poly,
-    modulus_compare,
     modulus_equals,
     roots_with_multiplicity,
     spectral_projector,
@@ -28,7 +27,6 @@ from .cones import (
     Membership,
     PolyhedralCone,
     build_cone,
-    distance_point_to_cone,
     enumerate_faces,
     is_extremal_face,
     membership,
@@ -37,7 +35,6 @@ from .cones import (
 )
 from .dynamics import (
     ConeMap,
-    DegreeLedger,
     PolarizationCertificate,
     PolarizationResult,
     PolarizationStatus,
@@ -49,13 +46,10 @@ from .dynamics import (
     product_formula_check,
     q_from_degree,
     restricted_degree,
-    verify_intertwining,
     verify_invariance,
 )
 from .nslattice import (
-    DivisorClassVector,
     EndoAction,
-    RamificationBudget,
     SymClass,
     elliptic_product_report,
     intersect,
@@ -63,7 +57,6 @@ from .nslattice import (
     is_nef,
     pullback_action,
     quotient_image_selfintersection,
-    ramification_budget,
 )
 from .singularities import (
     AgeReport,

@@ -3,8 +3,7 @@
 A cone is built from generators by the double description method, which
 yields its facet normals; pointedness is enforced (a cone containing a line
 is rejected) and generator sets that span a proper subspace are handled by
-working inside their rational span. Everything except the diagnostic
-Euclidean distance estimate is exact.
+working inside their rational span. All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ from .errors import (
     EmptyInputError,
     ForeignFaceError,
     InternalCheckError,
-    NonConvergenceError,
     NotInConeError,
 )
 from .exactalg import (
@@ -32,9 +30,9 @@ from .exactalg import (
     is_zero_vector,
     primitive_vector,
     vec_add,
+    vec_scale,
     vector,
 )
-from .exactalg.qpoly import _frac
 
 Vector = tuple[Fraction, ...]
 
@@ -97,16 +95,12 @@ def _dual_extreme_rays(constraints: Sequence[Vector], dim: int) -> list[Vector]:
                 common = zsets[rp] & zsets[rn]
                 if any(r != rp and r != rn and common <= zsets[r] for r in rays):
                     continue
-                cand = primitive_vector(vec_add(vec_scale_ray(rn, vp), vec_scale_ray(rp, -vn)))
+                cand = primitive_vector(vec_add(vec_scale(rn, vp), vec_scale(rp, -vn)))
                 if cand not in seen:
                     seen.add(cand)
                     new.append(cand)
         rays = pos + zero + new
     return sorted(set(rays))
-
-
-def vec_scale_ray(r: Vector, c: Fraction) -> Vector:
-    return tuple(x * c for x in r)
 
 
 # -- cone types --------------------------------------------------------------------
@@ -405,78 +399,8 @@ def _active_facets_at_all(c: PolyhedralCone, points: Sequence[Vector]) -> tuple[
 def _random_cone_point(c: PolyhedralCone, rng: random.Random) -> Vector:
     acc = tuple(Fraction(0) for _ in range(c.ambient_dim))
     for g in c.generators:
-        acc = vec_add(acc, vec_scale_ray(g, Fraction(rng.randrange(0, 4))))
+        acc = vec_add(acc, vec_scale(g, Fraction(rng.randrange(0, 4))))
     return acc
-
-
-# -- diagnostic distance ------------------------------------------------------------------
-
-
-def distance_point_to_cone(c: PolyhedralCone, x: Sequence, tol: float,
-                           max_iterations: int = 200_000) -> float:
-    """Euclidean distance from x to the cone, within absolute tolerance tol.
-
-    Dykstra's alternating projections on the facet half-spaces and the span
-    subspace. Float based and diagnostic only; never feeds a certified
-    verdict.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = [float(_frac(v)) for v in x]
-    if len(x) != c.ambient_dim:
-        raise DimensionMismatchError("point dimension mismatch")
-
-    normals = [[float(v) for v in n] for n in c.facet_normals]
-    # orthonormal basis of the span for the subspace projection
-    basis: list[list[float]] = []
-    for b in c.span_basis:
-        vb = [float(v) for v in b]
-        for e in basis:
-            s = sum(p * q for p, q in zip(vb, e))
-            vb = [p - s * q for p, q in zip(vb, e)]
-        norm = sum(p * p for p in vb) ** 0.5
-        if norm > 1e-12:
-            basis.append([p / norm for p in vb])
-
-    sets: list[Callable[[list[float]], list[float]]] = []
-
-    def project_span(p: list[float]) -> list[float]:
-        out = [0.0] * len(p)
-        for e in basis:
-            s = sum(a * b for a, b in zip(p, e))
-            out = [o + s * b for o, b in zip(out, e)]
-        return out
-
-    sets.append(project_span)
-    for n in normals:
-        nn = sum(v * v for v in n)
-
-        def project_halfspace(p: list[float], n=n, nn=nn) -> list[float]:
-            s = sum(a * b for a, b in zip(p, n))
-            if s >= 0:
-                return p
-            return [a - (s / nn) * b for a, b in zip(p, n)]
-
-        sets.append(project_halfspace)
-
-    y = list(x)
-    corrections = [[0.0] * len(x) for _ in sets]
-    last = None
-    iterations = 0
-    while iterations < max_iterations:
-        moved = 0.0
-        for k, proj in enumerate(sets):
-            iterations += 1
-            shifted = [a + b for a, b in zip(y, corrections[k])]
-            ynew = proj(shifted)
-            corrections[k] = [a - b for a, b in zip(shifted, ynew)]
-            moved = max(moved, max(abs(a - b) for a, b in zip(y, ynew)))
-            y = ynew
-        dist = sum((a - b) ** 2 for a, b in zip(x, y)) ** 0.5
-        if last is not None and abs(dist - last) < tol / 4 and moved < tol / 4:
-            return dist
-        last = dist
-    raise NonConvergenceError(best_bound=last if last is not None else float("inf"))
 
 
 # -- the positive semidefinite oracle ------------------------------------------------------

@@ -28,7 +28,6 @@ from .errors import (
     IrrationalCandidateOnlyError,
     NoIntegerRootError,
     NotPowerBoundedError,
-    RankDeficientError,
     ShapeMismatchError,
     SingularMatrixError,
 )
@@ -423,15 +422,6 @@ def abelian_invariant_check(q: int, dim_x: int, dim_z: int) -> AbelianInvariantV
             else AbelianInvariantVerdict.CONTRADICTION)
 
 
-def verify_intertwining(m_x: QMatrix, p: QMatrix, m_y: QMatrix) -> bool:
-    """Whether m_x p = p m_y exactly for an injection p of the smaller space."""
-    if p.rows != m_x.rows or p.cols != m_y.rows or not m_x.is_square or not m_y.is_square:
-        raise ShapeMismatchError("incompatible shapes for intertwining")
-    if p.rank() < p.cols:
-        raise RankDeficientError("p must have full column rank")
-    return m_x * p == p * m_y
-
-
 def product_endo_degree(a: QMatrix) -> int:
     """Topological degree of the torus-product endomorphism given by an
     integer matrix: det(a) squared."""
@@ -443,19 +433,3 @@ def product_endo_degree(a: QMatrix) -> int:
     if d == 0:
         raise SingularMatrixError("endomorphism matrix must be invertible")
     return int(d * d)
-
-
-@dataclass(frozen=True)
-class DegreeLedger:
-    """The exact bookkeeping deg_f = q^dim_x for a polarized map."""
-
-    dim_x: int
-    deg_f: int
-    q: int
-
-    def __post_init__(self):
-        if self.dim_x < 0 or self.deg_f < 1 or self.q < 1:
-            raise ValueError("invalid degree data")
-        if self.q ** self.dim_x != self.deg_f:
-            raise ValueError(f"degree {self.deg_f} is not q^dim = "
-                             f"{self.q}^{self.dim_x}")

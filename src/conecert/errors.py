@@ -65,12 +65,6 @@ class ForeignFaceError(ConecertError):
     pass
 
 
-class NonConvergenceError(ConecertError):
-    def __init__(self, best_bound: float):
-        super().__init__(f"projection did not converge; best distance bound {best_bound!r}")
-        self.best_bound = best_bound
-
-
 # -- dynamics -----------------------------------------------------------------
 
 class InvarianceNotVerifiedError(ConecertError):
@@ -98,10 +92,6 @@ class NoIntegerRootError(ConecertError):
     pass
 
 
-class RankDeficientError(ConecertError):
-    pass
-
-
 class ShapeMismatchError(ConecertError):
     pass
 
@@ -109,10 +99,6 @@ class ShapeMismatchError(ConecertError):
 # -- lattice / singularities ---------------------------------------------------
 
 class SingularEndomorphismError(ConecertError):
-    pass
-
-
-class AmbientMismatchError(ConecertError):
     pass
 
 

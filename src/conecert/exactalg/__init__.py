@@ -18,7 +18,6 @@ from .qmatrix import (
 from .algnum import (
     AlgebraicNumber,
     factor_rational,
-    modulus_compare,
     modulus_equals,
     roots_with_multiplicity,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "roots_with_multiplicity",
     "factor_rational",
     "modulus_equals",
-    "modulus_compare",
     "lagrange_interpolate",
     "vector",
     "vec_add",

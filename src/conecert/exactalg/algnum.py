@@ -290,18 +290,3 @@ def modulus_equals(a: AlgebraicNumber, q) -> bool:
             # |a|^2 is a root of `reduced` inside [lo, hi]; the only one left is q^2
             return True
         a = a.refine()
-
-
-def modulus_compare(a: AlgebraicNumber, q) -> int:
-    """Sign of |a| - q for rational q >= 0: -1, 0, or 1. Certified."""
-    q = _frac(q)
-    if modulus_equals(a, q):
-        return 0
-    qsq = q * q
-    while True:
-        lo, hi = a.modulus_squared_interval()
-        if qsq < lo:
-            return 1
-        if qsq > hi:
-            return -1
-        a = a.refine()

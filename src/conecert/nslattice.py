@@ -8,10 +8,8 @@ form is det-polarized so that a projection fibre squares to zero and the two
 fibre classes meet once. Nef and ample coincide with positive semidefinite
 and positive definite.
 
-The module also carries the class-level ramification bookkeeping for scaling
-endomorphisms (R_f = (q-1) D + Delta and the induced bound on the number of
-totally invariant prime divisors) and the self-intersection argument that a
-fibre class cannot map to an ample class on a quotient surface.
+The module also carries the self-intersection argument that a fibre class
+cannot map to an ample class on a quotient surface.
 """
 from __future__ import annotations
 
@@ -26,11 +24,11 @@ from .dynamics import (
     PolarizationResult,
     PolarizationStatus,
     decide_polarization,
+    integer_nth_root,
     product_endo_degree,
     q_from_degree,
 )
 from .errors import (
-    AmbientMismatchError,
     InternalCheckError,
     IrrationalCandidateOnlyError,
     SingularEndomorphismError,
@@ -41,7 +39,6 @@ from .exactalg import (
     QPoly,
     char_poly,
     roots_with_multiplicity,
-    vec_add,
     vec_scale,
     vector,
 )
@@ -204,7 +201,6 @@ def _certified_spectral_radius(eigs) -> tuple[Optional[Fraction], float]:
 
 
 def _integer_sqrt(v: int) -> Optional[int]:
-    from .dynamics import integer_nth_root
     if v == 0:
         return 0
     return integer_nth_root(v, 2)
@@ -324,81 +320,3 @@ def quotient_image_selfintersection(e0_sq: int, pull_coeff_positive: bool) -> Qu
     sign = 1 if e0_sq > 0 else -1
     return QuotientImageResult(image_sq=sign, ample_possible=sign > 0,
                                verdict=QuotientVerdict.NO_CONTRADICTION)
-
-
-# -- ramification bookkeeping ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DivisorClassVector:
-    """A divisor class in an abstract ambient of Picard rank rho."""
-
-    coordinates: Vector
-    rho: int
-
-    @staticmethod
-    def of(coords: Sequence) -> "DivisorClassVector":
-        v = vector(coords)
-        if not v:
-            raise ValueError("ambient rank must be positive")
-        return DivisorClassVector(coordinates=v, rho=len(v))
-
-    def __add__(self, other: "DivisorClassVector") -> "DivisorClassVector":
-        if self.rho != other.rho:
-            raise AmbientMismatchError("class vectors live in different ambients")
-        return DivisorClassVector(vec_add(self.coordinates, other.coordinates), self.rho)
-
-    def scale(self, c) -> "DivisorClassVector":
-        return DivisorClassVector(vec_scale(self.coordinates, _frac(c)), self.rho)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coordinates)
-
-
-class BudgetVerdict(enum.Enum):
-    CALABI_YAU_CANDIDATE = "calabi_yau_candidate"
-    EFFECTIVE_ANTICANONICAL_PART = "effective_anticanonical_part"
-    INCONSISTENT_WITH_BOUND = "inconsistent_with_bound"
-
-
-@dataclass(frozen=True)
-class RamificationBudget:
-    """Class-level ramification ledger for a scaling endomorphism.
-
-    delta_class is pinned by -(K + D) = Delta / (q - 1); when it vanishes
-    the pair (X, D) has numerically trivial log canonical class. The count
-    s of totally invariant prime divisors must stay within dim + rho.
-    """
-
-    q: int
-    k_class: DivisorClassVector
-    d_class: DivisorClassVector
-    delta_class: DivisorClassVector
-    s: int
-    dim_x: int
-    rho: int
-    bound_ok: bool
-    verdict: BudgetVerdict
-
-
-def ramification_budget(q: int, k: DivisorClassVector, d: DivisorClassVector,
-                        s: int, dim_x: int, rho: int) -> RamificationBudget:
-    """Assemble the exact ramification ledger; see RamificationBudget."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if s < 0 or dim_x < 1 or rho < 1:
-        raise ValueError("invalid counts")
-    if k.rho != d.rho:
-        raise AmbientMismatchError("K and D live in different ambients")
-    delta = (k + d).scale(-(q - 1))
-    bound_ok = s <= dim_x + rho
-    if not bound_ok:
-        verdict = BudgetVerdict.INCONSISTENT_WITH_BOUND
-    elif delta.is_zero:
-        verdict = BudgetVerdict.CALABI_YAU_CANDIDATE
-    else:
-        verdict = BudgetVerdict.EFFECTIVE_ANTICANONICAL_PART
-    return RamificationBudget(q=q, k_class=k, d_class=d, delta_class=delta,
-                              s=s, dim_x=dim_x, rho=rho, bound_ok=bound_ok,
-                              verdict=verdict)

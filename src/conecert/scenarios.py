@@ -1,16 +1,21 @@
 """Scenario documents: schema validation, built-in scenarios, dispatch.
 
-A scenario is a UTF-8 JSON document {schema_version, kind, payload}. Matrix
-and vector entries are integers or "p/q" strings; decimal floats are
-rejected by the schema so exact values survive the round trip. The
-`builtin` registry carries the three bundled demonstration scenarios: the
-product-of-elliptic-curves pullback (ex1), the quotient-surface
-self-intersection contradiction stacked on it (ex2), and the cyclic
-quotient of projective space times a torus power (ex-xu).
+A scenario is a UTF-8 JSON document {schema_version, kind, payload}, checked
+against the package data file `scenario.schema.json`. Matrix and vector
+entries are integers or "p/q" strings; decimal floats are rejected by the
+schema so exact values survive the round trip. Data the schema cannot rule
+out (ragged rows, a zero denominator, a non-integer endomorphism entry) is
+rejected while parsing, with ScenarioError. The `builtin` registry carries
+the three bundled demonstration scenarios: the product-of-elliptic-curves
+pullback (ex1), the quotient-surface self-intersection contradiction stacked
+on it (ex2), and the cyclic quotient of projective space times a torus power
+(ex-xu).
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from importlib import resources
 from typing import Any, Optional
 
 import jsonschema
@@ -36,96 +41,8 @@ from .report import (
 )
 from .singularities import product_quotient_report
 
-_ENTRY = {"oneOf": [{"type": "integer"},
-                    {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}]}
-_VECTOR = {"type": "array", "items": _ENTRY, "minItems": 1}
-_MATRIX = {"type": "array", "items": _VECTOR, "minItems": 1}
-
-SCENARIO_SCHEMA: dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "conecert scenario",
-    "type": "object",
-    "required": ["schema_version", "kind", "payload"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "name": {"type": "string"},
-        "kind": {"enum": ["cone_dynamics", "ns_example", "age_check", "degree_check"]},
-        "payload": {"type": "object"},
-    },
-    "allOf": [
-        {
-            "if": {"properties": {"kind": {"const": "cone_dynamics"}}},
-            "then": {"properties": {"payload": {
-                "type": "object",
-                "required": ["matrix", "cone"],
-                "additionalProperties": False,
-                "properties": {
-                    "matrix": _MATRIX,
-                    "q_hint": _ENTRY,
-                    "cone": {"oneOf": [
-                        {"type": "object",
-                         "required": ["type", "generators"],
-                         "additionalProperties": False,
-                         "properties": {"type": {"const": "polyhedral"},
-                                        "generators": _MATRIX}},
-                        {"type": "object",
-                         "required": ["type", "size"],
-                         "additionalProperties": False,
-                         "properties": {"type": {"const": "psd"},
-                                        "size": {"type": "integer", "minimum": 1}}},
-                    ]},
-                }}}},
-        },
-        {
-            "if": {"properties": {"kind": {"const": "ns_example"}}},
-            "then": {"properties": {"payload": {
-                "type": "object",
-                "required": ["endomorphism"],
-                "additionalProperties": False,
-                "properties": {
-                    "endomorphism": _MATRIX,
-                    "quotient_check": {
-                        "type": "object",
-                        "required": ["fibre_self_intersection", "pull_coeff_positive"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "fibre_self_intersection": {"type": "integer"},
-                            "pull_coeff_positive": {"type": "boolean"},
-                        },
-                    },
-                }}}},
-        },
-        {
-            "if": {"properties": {"kind": {"const": "age_check"}}},
-            "then": {"properties": {"payload": {
-                "type": "object",
-                "required": ["order", "projective_m", "scale_r", "abelian_weights"],
-                "additionalProperties": False,
-                "properties": {
-                    "order": {"type": "integer", "minimum": 1},
-                    "projective_m": {"type": "integer", "minimum": 1},
-                    "scale_r": {"type": "integer", "minimum": 2},
-                    "abelian_weights": {"type": "array",
-                                        "items": {"type": "integer"}},
-                }}}},
-        },
-        {
-            "if": {"properties": {"kind": {"const": "degree_check"}}},
-            "then": {"properties": {"payload": {
-                "type": "object",
-                "required": ["dim_x", "deg_f"],
-                "additionalProperties": False,
-                "properties": {
-                    "dim_x": {"type": "integer", "minimum": 1},
-                    "deg_f": {"type": "integer", "minimum": 1},
-                    "dim_y": {"type": "integer", "minimum": 0},
-                    "deg_g": {"type": "integer", "minimum": 1},
-                    "invariant_subvariety_dim": {"type": "integer", "minimum": 0},
-                }}}},
-        },
-    ],
-}
+SCENARIO_SCHEMA: dict[str, Any] = json.loads(
+    resources.files(__package__).joinpath("scenario.schema.json").read_text(encoding="utf-8"))
 
 
 def validate_scenario(doc: dict) -> None:
@@ -136,11 +53,17 @@ def validate_scenario(doc: dict) -> None:
 
 
 def _parse_entry(v) -> Fraction:
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ScenarioError(f"entry {v!r} has a zero denominator") from None
 
 
 def _parse_matrix(rows) -> QMatrix:
-    return QMatrix.from_rows([[_parse_entry(v) for v in row] for row in rows])
+    parsed = [[_parse_entry(v) for v in row] for row in rows]
+    if any(len(row) != len(parsed[0]) for row in parsed):
+        raise ScenarioError("matrix rows differ in length")
+    return QMatrix.from_rows(parsed)
 
 
 # -- built-in scenarios ---------------------------------------------------------------------
@@ -207,11 +130,12 @@ def _eigen_docs(cp: QPoly) -> list[dict]:
 
 def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> None:
     matrix = _parse_matrix(payload["matrix"])
+    hint = _parse_entry(payload["q_hint"]) if "q_hint" in payload else None
     cone_spec = payload["cone"]
     try:
         if cone_spec["type"] == "polyhedral":
             kwargs = {} if max_dim is None else {"max_dim": max_dim}
-            cone = build_cone([[Fraction(v) for v in g]
+            cone = build_cone([[_parse_entry(v) for v in g]
                                for g in cone_spec["generators"]], **kwargs)
         else:
             cone = psd_cone_oracle(cone_spec["size"])
@@ -219,9 +143,10 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
     except ConecertError as exc:
         raise ScenarioError(f"scenario setup failed: {exc}") from exc
 
-    report["data"]["char_poly"] = exact(char_poly(matrix))
-    report["data"]["char_poly_str"] = str(char_poly(matrix))
-    report["data"]["eigenvalues"] = _eigen_docs(char_poly(matrix))
+    cp = char_poly(matrix)
+    report["data"]["char_poly"] = exact(cp)
+    report["data"]["char_poly_str"] = str(cp)
+    report["data"]["eigenvalues"] = _eigen_docs(cp)
     if not cm.invariance_checked:
         report["verdicts"]["status"] = "invariance_failed"
         report["verdicts"]["reason"] = ("the map or its inverse moves the cone "
@@ -242,14 +167,15 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
         if flag in doc:
             report["verdicts"][flag] = doc.pop(flag)
     report["data"].update(doc)
-    if "q_hint" in payload and result.certificate is not None:
-        hint = Fraction(payload["q_hint"])
+    if hint is not None and result.certificate is not None:
         report["verdicts"]["q_matches_hint"] = result.certificate.q == hint
         report["data"]["q_hint"] = exact(hint)
 
 
 def _run_ns_example(payload: dict, report: dict, max_dim: Optional[int]) -> None:
-    endo = [[int(v) for v in row] for row in payload["endomorphism"]]
+    endo = _parse_matrix(payload["endomorphism"])
+    if not endo.is_integer:
+        raise ScenarioError("endomorphism entries must be integers")
     rep = elliptic_product_report(endo)
     report["verdicts"]["verdict"] = rep.verdict
     report["verdicts"]["polarized_above_one"] = rep.polarized_above_one

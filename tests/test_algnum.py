@@ -8,7 +8,6 @@ from conecert.errors import ZeroPolynomialError
 from conecert.exactalg import (
     AlgebraicNumber,
     QPoly,
-    modulus_compare,
     modulus_equals,
     roots_with_multiplicity,
 )
@@ -128,16 +127,12 @@ def test_modulus_gaussian_like():
     roots = roots_with_multiplicity(QPoly([2, -2, 1]))
     for r, _ in roots:
         assert not modulus_equals(r, 1)
-        assert modulus_compare(r, 1) == 1
-        assert modulus_compare(r, 2) == -1
 
 
 def test_modulus_real_irrational_is_never_rational():
     root = roots_with_multiplicity(QPoly([-2, 0, 1]))[1][0]
     assert not modulus_equals(root, 1)
     assert not modulus_equals(root, 2)
-    assert modulus_compare(root, 1) == 1
-    assert modulus_compare(root, 2) == -1
 
 
 def test_modulus_conjugation_stability():
@@ -158,8 +153,6 @@ def test_modulus_higher_degree_resultant_path():
     assert len(complexes) == 2
     for r in complexes:
         assert not modulus_equals(r, 1)
-        assert modulus_compare(r, 1) == -1
-        assert modulus_compare(r, Fraction(4, 5)) == 1
 
 
 def test_modulus_zero():

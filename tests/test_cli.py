@@ -4,7 +4,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conecert.errors import ConecertError
 from conecert.report import dumps_canonical, loads
 from conecert.scenarios import BUILTIN_SCENARIOS, SCENARIO_SCHEMA, run_scenario
 
@@ -193,6 +197,77 @@ def test_semantically_bad_scenario_exits_2(tmp_path):
     assert run_cli("analyze", str(path)).returncode == 2
 
 
+QUADRANT = {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("cone_dynamics", {"matrix": [[0, 2], [2]], "cone": QUADRANT}),
+    ("ns_example", {"endomorphism": [[1, -5], [1]]}),
+    ("cone_dynamics", {"matrix": [["1/0", 0], [0, 1]], "cone": QUADRANT}),
+    ("cone_dynamics", {"matrix": [[0, 2], [2, 0]], "q_hint": "3/0", "cone": QUADRANT}),
+    ("ns_example", {"endomorphism": [["1/2", -5], [1, 1]]}),
+], ids=["ragged-matrix", "ragged-endomorphism", "zero-denominator",
+        "zero-denominator-hint", "non-integer-endomorphism"])
+def test_schema_valid_bad_data_exits_2(tmp_path, kind, payload):
+    doc = {"schema_version": "1", "kind": kind, "payload": payload}
+    jsonschema.validate(doc, SCENARIO_SCHEMA)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("analyze", str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("scenario error:")
+
+
+def test_scenario_schema_is_valid_draft7():
+    jsonschema.Draft7Validator.check_schema(SCENARIO_SCHEMA)
+
+
+entries = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/2", "4/2", "1/0"])
+ragged = st.lists(st.lists(entries, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+def rows(n, m):
+    return st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n)
+
+
+def cone_dynamics_payload(n):
+    generators = st.integers(1, 4).flatmap(lambda k: rows(k, n))
+    cone = (st.fixed_dictionaries({"type": st.just("polyhedral"), "generators": generators})
+            | st.fixed_dictionaries({"type": st.just("psd"), "size": st.integers(1, 2)}))
+    return st.fixed_dictionaries({"matrix": rows(n, n) | ragged, "cone": cone},
+                                 optional={"q_hint": entries})
+
+
+payloads = {
+    "cone_dynamics": st.integers(1, 3).flatmap(cone_dynamics_payload),
+    "ns_example": st.fixed_dictionaries(
+        {"endomorphism": rows(2, 2) | ragged},
+        optional={"quotient_check": st.fixed_dictionaries(
+            {"fibre_self_intersection": st.integers(-2, 2),
+             "pull_coeff_positive": st.booleans()})}),
+    "age_check": st.integers(1, 6).flatmap(lambda m: st.fixed_dictionaries(
+        {"order": st.just(m), "projective_m": st.sampled_from([m, m + 1]),
+         "scale_r": st.integers(1, 4), "abelian_weights": st.lists(st.integers(-2, 6),
+                                                                   max_size=4)})),
+    "degree_check": st.fixed_dictionaries(
+        {"dim_x": st.integers(0, 4), "deg_f": st.integers(0, 100)},
+        optional={"dim_y": st.integers(0, 3), "deg_g": st.integers(0, 20),
+                  "invariant_subvariety_dim": st.integers(0, 4)}),
+}
+scenario_docs = st.sampled_from(sorted(payloads)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"schema_version": st.just("1"), "kind": st.just(kind), "payload": payloads[kind]}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_docs)
+def test_run_scenario_returns_or_raises_library_error(doc):
+    try:
+        run_scenario(doc)
+    except ConecertError:
+        pass
+
+
 def test_all_builtin_scenarios_validate_and_roundtrip():
     for name, doc in BUILTIN_SCENARIOS.items():
         jsonschema.validate(doc, SCENARIO_SCHEMA)
@@ -229,11 +304,6 @@ def test_selftest_exits_zero():
     result = run_cli("selftest", "--seed", "1")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "selftest passed" in result.stdout
-
-
-def test_scenario_schema_file_matches_code():
-    on_disk = json.loads((ROOT / "docs" / "scenario.schema.json").read_text())
-    assert on_disk == SCENARIO_SCHEMA
 
 
 def test_scripts_run(tmp_path):

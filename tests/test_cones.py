@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conecert.cones import (
     Membership,
     build_cone,
-    distance_point_to_cone,
     enumerate_faces,
     is_extremal_face,
     membership,
@@ -120,17 +119,6 @@ def test_faces_ordered_and_complete(octant):
     assert keys == sorted(keys)
     assert faces[0].generator_indices == ()          # apex
     assert faces[-1].is_improper                     # the cone itself
-
-
-def test_distance_examples(quadrant):
-    assert distance_point_to_cone(quadrant, [1, 1], 1e-9) == pytest.approx(0.0, abs=1e-6)
-    assert distance_point_to_cone(quadrant, [-1, 0], 1e-9) == pytest.approx(1.0, abs=1e-6)
-    assert distance_point_to_cone(quadrant, [-3, -4], 1e-9) == pytest.approx(5.0, abs=1e-6)
-
-
-def test_distance_to_lower_dimensional_cone():
-    ray = build_cone([[1, 0]])
-    assert distance_point_to_cone(ray, [0, 1], 1e-9) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_psd_oracle_membership():

@@ -6,7 +6,6 @@ from conecert.cones import build_cone, psd_cone_oracle
 from conecert.dynamics import (
     AbelianInvariantVerdict,
     ConeMap,
-    DegreeLedger,
     PolarizationStatus,
     abelian_invariant_check,
     decide_polarization,
@@ -16,7 +15,6 @@ from conecert.dynamics import (
     product_formula_check,
     q_from_degree,
     restricted_degree,
-    verify_intertwining,
     verify_invariance,
 )
 from conecert.errors import (
@@ -24,8 +22,6 @@ from conecert.errors import (
     IrrationalCandidateOnlyError,
     NoIntegerRootError,
     NotPowerBoundedError,
-    RankDeficientError,
-    ShapeMismatchError,
     SingularMatrixError,
 )
 from conecert.exactalg import QMatrix
@@ -182,28 +178,6 @@ def test_abelian_invariant():
     assert abelian_invariant_check(2, 3, 0) is AbelianInvariantVerdict.CONTRADICTION
 
 
-def test_verify_intertwining():
-    ident = QMatrix.identity(2)
-    assert verify_intertwining(ident, ident, ident)
-    m_y = QMatrix.from_rows([[7]])
-    m_x = QMatrix.from_rows([[7, 0], [0, 2]])
-    include_first = QMatrix.from_rows([[1], [0]])
-    assert verify_intertwining(m_x, include_first, m_y)
-    include_second = QMatrix.from_rows([[0], [1]])
-    assert not verify_intertwining(QMatrix.from_rows([[2, 0], [0, 3]]),
-                                   include_second, QMatrix.from_rows([[2]]))
-    with pytest.raises(RankDeficientError):
-        verify_intertwining(m_x, QMatrix.zeros(2, 1), m_y)
-    with pytest.raises(ShapeMismatchError):
-        verify_intertwining(m_x, QMatrix.zeros(3, 1), m_y)
-
-
 def test_product_endo_degree():
     assert product_endo_degree(QMatrix.from_rows([[1, -5], [1, 1]])) == 36
     assert product_endo_degree(QMatrix.from_rows([[2, 0], [0, 2]])) == 16
-
-
-def test_degree_ledger_invariant():
-    DegreeLedger(dim_x=2, deg_f=36, q=6)
-    with pytest.raises(ValueError):
-        DegreeLedger(dim_x=2, deg_f=37, q=6)

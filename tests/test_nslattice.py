@@ -1,17 +1,14 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.errors import AmbientMismatchError, SingularEndomorphismError
+from conecert.errors import SingularEndomorphismError
 from conecert.exactalg import QMatrix, QPoly
 from conecert.nslattice import (
     FIBRE_FIRST,
     FIBRE_SECOND,
-    BudgetVerdict,
-    DivisorClassVector,
     QuotientVerdict,
     SymClass,
     elliptic_product_report,
@@ -21,7 +18,6 @@ from conecert.nslattice import (
     pullback_action,
     pullback_class,
     quotient_image_selfintersection,
-    ramification_budget,
     self_intersection,
 )
 
@@ -143,30 +139,6 @@ def test_quotient_image_logic():
     assert res.verdict is QuotientVerdict.UNKNOWN and res.ample_possible
 
 
-def test_ramification_budget():
-    k = DivisorClassVector.of([-1, 0])
-    d = DivisorClassVector.of([1, 0])
-    budget = ramification_budget(2, k, d, s=1, dim_x=2, rho=2)
-    assert budget.delta_class.is_zero
-    assert budget.verdict is BudgetVerdict.CALABI_YAU_CANDIDATE
-    assert budget.bound_ok
-
-    budget = ramification_budget(3, k, DivisorClassVector.of([0, 0]),
-                                 s=2, dim_x=2, rho=2)
-    assert budget.delta_class.coordinates == (2, 0)
-    assert budget.verdict is BudgetVerdict.EFFECTIVE_ANTICANONICAL_PART
-
-    budget = ramification_budget(2, k, d, s=6, dim_x=2, rho=3)
-    assert not budget.bound_ok
-    assert budget.verdict is BudgetVerdict.INCONSISTENT_WITH_BOUND
-
-
-def test_ramification_budget_ambient_mismatch():
-    with pytest.raises(AmbientMismatchError):
-        ramification_budget(2, DivisorClassVector.of([1]),
-                            DivisorClassVector.of([1, 2]), s=0, dim_x=1, rho=1)
-
-
 def test_random_pullbacks_never_crash_and_match_degree():
     # whenever a random pullback is polarized, the scaling factor must be
     # the square root of the topological degree (q^2 = det(a)^2 on a surface)
@@ -189,16 +161,3 @@ def test_rotation_like_pullback_is_polarized():
     rep = elliptic_product_report([[0, -3], [3, 0]])
     assert rep.q == 9
     assert rep.polarized_above_one
-
-
-def test_delta_class_formula_seeded():
-    rng = random.Random(23)
-    for _ in range(40):
-        rho = rng.randrange(1, 4)
-        q = rng.randrange(2, 6)
-        k = DivisorClassVector.of([Fraction(rng.randrange(-4, 5)) for _ in range(rho)])
-        d = DivisorClassVector.of([Fraction(rng.randrange(-4, 5)) for _ in range(rho)])
-        budget = ramification_budget(q, k, d, s=0, dim_x=2, rho=rho)
-        expect = tuple(-(q - 1) * (x + y)
-                       for x, y in zip(k.coordinates, d.coordinates))
-        assert budget.delta_class.coordinates == expect
