@@ -127,7 +127,7 @@ def is_power_bounded(m: QMatrix, q) -> bool:
 
     Spectrally characterized: the minimal polynomial must be square free
     (the map is diagonalizable) and every eigenvalue must have modulus
-    exactly q, certified through the algebraic-number kernel.
+    exactly q, decided on the minimal polynomial by `modulus_equals`.
     """
     q = _frac(q)
     if q <= 0:
@@ -135,9 +135,7 @@ def is_power_bounded(m: QMatrix, q) -> bool:
     if m.det() == 0:
         raise SingularMatrixError("power boundedness needs an invertible map")
     mu = min_poly(m)
-    if not mu.is_square_free():
-        return False
-    return all(modulus_equals(root, q) for root, _ in roots_with_multiplicity(mu))
+    return mu.is_square_free() and modulus_equals(mu, q)
 
 
 # -- polarization decision ------------------------------------------------------------
@@ -184,9 +182,11 @@ class PolarizationResult:
         return self.status is PolarizationStatus.POLARIZED
 
 
-def _restrict_to_span(m: QMatrix, cone: PolyhedralCone) -> tuple[QMatrix, Optional[QPoly]]:
-    """Matrix of m on the cone's span, plus the transverse factor of char(m)."""
-    if cone.is_full_dimensional:
+def _effective_map(cm: ConeMap) -> tuple[QMatrix, Optional[QPoly]]:
+    """Matrix of the map on the cone's span, plus the transverse factor of its
+    characteristic polynomial (None when the span is the whole space)."""
+    m, cone = cm.matrix, cm.cone
+    if not isinstance(cone, PolyhedralCone) or cone.is_full_dimensional:
         return m, None
     emb = QMatrix.from_columns([vector(b) for b in cone.span_basis])
     cols = []
@@ -199,6 +199,32 @@ def _restrict_to_span(m: QMatrix, cone: PolyhedralCone) -> tuple[QMatrix, Option
     m_span = QMatrix.from_columns(cols)
     transverse = char_poly(m).exact_div(char_poly(m_span))
     return m_span, transverse
+
+
+def _interior_witness(cone: ConeLike, proj: QMatrix) -> Optional[Vector]:
+    """The primitive image of the interior sample under the q-eigenspace
+    projector if it is interior; oracle cones also try a bounded number of
+    perturbed samples."""
+    if isinstance(cone, PolyhedralCone):
+        emb = QMatrix.from_columns([vector(b) for b in cone.span_basis])
+        sample_local = emb.solve(cone.interior_sample())
+        candidate = emb.apply(proj.apply(sample_local))
+        if membership(cone, candidate) is Membership.INTERIOR:
+            return primitive_vector(candidate)
+        return None
+
+    sample = cone.interior_sample()
+    candidate = proj.apply(sample)
+    if cone.strictly_contains(candidate):
+        return primitive_vector(candidate)
+    dim = cone.dim
+    for k in range(1, WITNESS_RETRY_BUDGET + 1):
+        basis_vec = tuple(Fraction(1 if i == (k - 1) % dim else 0) for i in range(dim))
+        perturbed = vec_add(sample, vec_scale(basis_vec, Fraction(1, 2 ** k)))
+        candidate = proj.apply(perturbed)
+        if cone.strictly_contains(candidate):
+            return primitive_vector(candidate)
+    return None
 
 
 def interior_eigenvector(cm: ConeMap, q) -> Optional[Vector]:
@@ -215,112 +241,83 @@ def interior_eigenvector(cm: ConeMap, q) -> Optional[Vector]:
     q = _frac(q)
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
-
-    if isinstance(cm.cone, PolyhedralCone):
-        cone = cm.cone
-        m_span, _ = _restrict_to_span(cm.matrix, cone)
-        if not is_power_bounded(m_span, q):
-            raise NotPowerBoundedError(f"normalized iterates unbounded at q = {q}")
-        proj = spectral_projector(m_span, q)
-        emb = QMatrix.from_columns([vector(b) for b in cone.span_basis])
-        sample_local = emb.solve(cone.interior_sample())
-        candidate = emb.apply(proj.apply(sample_local))
-        if membership(cone, candidate) is Membership.INTERIOR:
-            return primitive_vector(candidate)
-        return None
-
-    oracle = cm.cone
-    if not is_power_bounded(cm.matrix, q):
+    m_eff, _ = _effective_map(cm)
+    if not is_power_bounded(m_eff, q):
         raise NotPowerBoundedError(f"normalized iterates unbounded at q = {q}")
-    proj = spectral_projector(cm.matrix, q)
-    sample = oracle.interior_sample()
-    candidate = proj.apply(sample)
-    if oracle.strictly_contains(candidate):
-        return primitive_vector(candidate)
-    dim = oracle.dim
-    for k in range(1, WITNESS_RETRY_BUDGET + 1):
-        basis_vec = tuple(Fraction(1 if i == (k - 1) % dim else 0) for i in range(dim))
-        perturbed = vec_add(sample, vec_scale(basis_vec, Fraction(1, 2 ** k)))
-        candidate = proj.apply(perturbed)
-        if oracle.strictly_contains(candidate):
-            return primitive_vector(candidate)
-    return None
+    return _interior_witness(cm.cone, spectral_projector(m_eff, q))
 
 
-def _positive_rational_eigenvalues(cp: QPoly) -> tuple[list[Fraction], Optional[QPoly]]:
-    """Positive rational roots ascending, plus a positive irrational real root's
-    minimal polynomial if one exists."""
-    rationals = []
-    irrational_witness = None
+def _det_root_candidate(cp: QPoly) -> Optional[Fraction]:
+    """The rational n-th root of |det| if it is a root of cp = char(m), else None."""
+    n = cp.degree
+    det = abs(cp.coeffs[0])
+    num = integer_nth_root(det.numerator, n)
+    den = integer_nth_root(det.denominator, n)
+    if num is None or den is None:
+        return None
+    q = Fraction(num, den)
+    return q if cp(q) == 0 else None
+
+
+def _positive_irrational_minpoly(cp: QPoly) -> Optional[QPoly]:
+    """Minimal polynomial of the first positive irrational real root of cp, if any."""
     for root, _ in roots_with_multiplicity(cp):
-        if root.is_rational:
-            if root.rational_value > 0:
-                rationals.append(root.rational_value)
-        elif root.is_real and irrational_witness is None:
+        if root.is_real and not root.is_rational:
             # an irrational root is never zero, so refinement separates its sign
             r = root
             while r.box[0] < 0 < r.box[1]:
                 r = r.refine()
             if r.box[0] >= 0:
-                irrational_witness = root.minpoly
-    return sorted(rationals), irrational_witness
+                return root.minpoly
+    return None
 
 
 def decide_polarization(cm: ConeMap) -> PolarizationResult:
     """Decide whether the cone map has an interior eigenvector, with certificate.
 
-    Candidate scaling factors are the positive rational eigenvalues of the
-    map (restricted to the cone's span), tried in ascending order; at most
-    one of them can make the map power bounded. When a positive real
-    eigenvalue exists but none of them is rational, the case is surfaced as
+    If the map M (restricted to the cone's span, of dimension n) divided by q
+    has bounded powers, every eigenvalue has modulus q, so |det M| = q^n. The
+    only candidate is therefore the rational n-th root of |det M|, and only
+    when it is an eigenvalue. When no q makes the map power bounded but a
+    positive irrational real eigenvalue exists, the case is surfaced as
     IrrationalCandidateOnly rather than silently dropped.
     """
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
 
     polyhedral = isinstance(cm.cone, PolyhedralCone)
-    if polyhedral:
-        m_eff, transverse = _restrict_to_span(cm.matrix, cm.cone)
-        cone_kind = "polyhedral"
-    else:
-        m_eff, transverse = cm.matrix, None
-        cone_kind = cm.cone.description
+    m_eff, transverse = _effective_map(cm)
+    cone_kind = "polyhedral" if polyhedral else cm.cone.description
 
     cp = char_poly(m_eff)
-    candidates, irrational = _positive_rational_eigenvalues(cp)
-
-    bounded_q = None
-    for q in candidates:
-        if is_power_bounded(m_eff, q):
-            bounded_q = q
-            break
-
-    if bounded_q is None:
+    q = _det_root_candidate(cp)
+    if q is None or not is_power_bounded(m_eff, q):
+        irrational = _positive_irrational_minpoly(cp)
         if irrational is not None:
             raise IrrationalCandidateOnlyError(irrational)
         return PolarizationResult(
             PolarizationStatus.NOT_POLARIZED,
             reason="no positive rational eigenvalue makes the map power bounded")
 
-    witness = interior_eigenvector(cm, bounded_q)
+    projector = spectral_projector(m_eff, q)
+    witness = _interior_witness(cm.cone, projector)
     if witness is None:
         if polyhedral:
             return PolarizationResult(
                 PolarizationStatus.NOT_POLARIZED,
-                reason=f"eigenspace of q = {bounded_q} misses the cone interior "
+                reason=f"eigenspace of q = {q} misses the cone interior "
                        f"(exact polyhedral check)")
         return PolarizationResult(
             PolarizationStatus.INCONCLUSIVE,
-            reason=f"power bounded at q = {bounded_q} but the witness search "
+            reason=f"power bounded at q = {q} but the witness search "
                    f"budget was exhausted")
 
-    projector = spectral_projector(m_eff, bounded_q)
-    q_is_integer = bounded_q.denominator == 1
+    q_is_integer = q.denominator == 1
     if cm.matrix.is_integer and not q_is_integer:  # pragma: no cover
         raise InternalCheckError(
             "integer pullback produced a non-integer scaling factor")
     cert = PolarizationCertificate(
-        q=bounded_q,
+        q=q,
         q_is_integer=q_is_integer,
         witness=witness,
         projector=projector,

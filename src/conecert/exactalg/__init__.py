@@ -1,6 +1,6 @@
 """Exact rational linear algebra and certified algebraic-number kernel."""
 
-from .qpoly import QPoly, lagrange_interpolate
+from .qpoly import QPoly
 from .qmatrix import (
     QMatrix,
     char_poly,
@@ -33,7 +33,6 @@ __all__ = [
     "roots_with_multiplicity",
     "factor_rational",
     "modulus_equals",
-    "lagrange_interpolate",
     "vector",
     "vec_add",
     "vec_sub",

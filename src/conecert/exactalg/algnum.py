@@ -1,14 +1,18 @@
-"""Algebraic numbers as (irreducible minimal polynomial, isolating rectangle).
+"""Algebraic numbers as (irreducible minimal polynomial, isolating rectangle),
+and the exact test that every root of a polynomial has modulus q.
 
-The representation is fully exact: rectangles have rational corners and every
-verdict (equality of moduli, sign separations) is certified by refinement
-plus exact zero tests. No float enters any decision path; floats appear only
-in the convenience `approx` accessor.
+The representation is fully exact: rectangles have rational corners and sign
+separations are certified by refinement plus exact sign evaluation. No float
+enters any decision path; floats appear only in the convenience `approx`
+accessor.
 
-Factoring over the rationals and the initial root isolation are delegated to
-sympy's dense-polynomial kernel, which returns exact rational data. Box
-refinement is done here by bisection: exact sign evaluation for real roots,
-exact rectangle root counting (Collins-Krandick, via sympy) for complex ones.
+`modulus_equals` works on the polynomial alone (Kronecker's trace-polynomial
+reduction and a Sturm count), so it needs neither root isolation nor sympy.
+Factoring over the rationals and the initial root isolation, used for the
+irrational-candidate refusal and for display, are delegated to sympy's
+dense-polynomial kernel, which returns exact rational data. Box refinement is
+done here by bisection: exact sign evaluation for real roots, exact rectangle
+root counting (Collins-Krandick, via sympy) for complex ones.
 """
 from __future__ import annotations
 
@@ -104,12 +108,6 @@ class AlgebraicNumber:
             raise ValueError("not a rational number")
         return -self.minpoly.coeffs[0] / self.minpoly.coeffs[1]
 
-    def conjugate(self) -> "AlgebraicNumber":
-        if self.is_real:
-            return self
-        a, b, c, d = self.box
-        return AlgebraicNumber(self.minpoly, (a, b, -d, -c), False)
-
     def approx(self) -> complex:
         a, b, c, d = self.box
         return complex((a + b) / 2, (c + d) / 2)
@@ -172,21 +170,6 @@ class AlgebraicNumber:
             return AlgebraicNumber(self.minpoly, first if n1 == 1 else second, False)
         raise AssertionError("no valid split found")  # pragma: no cover
 
-    # -- certified interval data ------------------------------------------------------
-
-    def modulus_squared_interval(self) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds for |self|^2 from the current box."""
-        def square_range(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-            if lo <= 0 <= hi:
-                return Fraction(0), max(lo * lo, hi * hi)
-            lo2, hi2 = lo * lo, hi * hi
-            return min(lo2, hi2), max(lo2, hi2)
-
-        a, b, c, d = self.box
-        rlo, rhi = square_range(a, b)
-        ilo, ihi = square_range(c, d)
-        return rlo + ilo, rhi + ihi
-
 
 def _count_in_box(dup: list, box) -> int:
     a, b, c, d = box
@@ -232,61 +215,36 @@ def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
     return out
 
 
-# -- modulus decisions --------------------------------------------------------------
+# -- modulus decision ---------------------------------------------------------------
 
 
-def _pair_product_poly(p: QPoly) -> QPoly:
-    """Polynomial in z whose roots are all pairwise products of roots of p.
+def modulus_equals(p: QPoly, q) -> bool:
+    """Decide exactly whether every root of the nonzero polynomial p has modulus q > 0.
 
-    Res_t(p(t), t^n p(z/t)), computed by evaluation and Lagrange interpolation;
-    the degree in z is at most n^2 and the t-degree never degenerates because
-    p(0) != 0 for irreducible p of degree >= 2.
-    """
-    from .qpoly import lagrange_interpolate
-
-    n = p.degree
-    samples = []
-    z = 0
-    while len(samples) < n * n + 1:
-        zq = Fraction(z)
-        # t^n p(z/t) at z = zq, highest-first construction
-        g = QPoly([p.coeffs[i] * zq ** i for i in range(n, -1, -1)])
-        samples.append((zq, QPoly.resultant(p, g)))
-        z = -z if z > 0 else -z + 1
-    return lagrange_interpolate(samples)
-
-
-def modulus_equals(a: AlgebraicNumber, q) -> bool:
-    """Decide exactly whether |a| = q for a rational q >= 0.
-
-    Rational and real-irrational inputs are immediate. For complex a the
-    candidate |a|^2 values are the roots of the pairwise-product resultant;
-    equality with q^2 is certified by an exact zero test there, followed by
-    box refinement until the remaining candidate roots are separated out.
+    Kronecker's reduction: take the square-free part and divide out t - q and
+    t + q. Every root of the rest r, of degree 2m, lies on |t| = q exactly
+    when r is q-reciprocal (a_{m-j} = q^{2j} a_{m+j}, so r(t) = t^m h(t + q^2/t))
+    and the trace polynomial h has m distinct real roots in (-2q, 2q): each
+    such root s gives the conjugate pair of t^2 - s t + q^2, of modulus q.
     """
     q = _frac(q)
-    if q < 0:
-        raise ValueError("modulus comparison requires q >= 0")
-    if a.is_rational:
-        return abs(a.rational_value) == q
-    if a.is_real:
-        # an irrational real number never has rational modulus
+    if q <= 0:
+        raise ValueError("modulus test requires q > 0")
+    r = p.square_free_part()
+    for root in (q, -q):
+        if r(root) == 0:
+            r = r.exact_div(QPoly.linear_root(root))
+    if r.degree % 2:
         return False
-    p = a.minpoly
-    qsq = q * q
-    if p.degree == 2:
-        # the two roots are complex conjugates, so |a|^2 is the root product
-        return p.coeffs[0] / p.coeffs[2] == qsq
-    cand = _pair_product_poly(p)
-    if cand(qsq) != 0:
+    m = r.degree // 2
+    a = r.coeffs
+    if any(a[m - j] != q ** (2 * j) * a[m + j] for j in range(1, m + 1)):
         return False
-    reduced = cand.square_free_part()
-    others = reduced.exact_div(QPoly.linear_root(qsq))
-    while True:
-        lo, hi = a.modulus_squared_interval()
-        if qsq < lo or qsq > hi:
-            return False
-        if others(lo) != 0 and others(hi) != 0 and others.count_real_roots(lo, hi) == 0:
-            # |a|^2 is a root of `reduced` inside [lo, hi]; the only one left is q^2
-            return True
-        a = a.refine()
+    # h = a_m + sum_j a_{m+j} D_j(s) with t^j + (q^2/t)^j = D_j(t + q^2/t)
+    s = QPoly.x()
+    h = QPoly.constant(a[m])
+    d_prev, d = QPoly.constant(2), s
+    for j in range(1, m + 1):
+        h = h + d.scale(a[m + j])
+        d_prev, d = d, s * d - d_prev.scale(q * q)
+    return h.count_real_roots(-2 * q, 2 * q) == m

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from ..errors import ZeroPolynomialError
 
@@ -317,18 +317,3 @@ class QPoly:
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
 
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> QPoly:
-    """The unique polynomial of degree < len(points) through the given points."""
-    out = QPoly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        num = QPoly.constant(yi)
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                num = num * QPoly.linear_root(xj)
-                den *= xi - xj
-        out = out + num.scale(1 / den)
-    return out

@@ -31,6 +31,7 @@ from .dynamics import (
 from .errors import (
     InternalCheckError,
     IrrationalCandidateOnlyError,
+    ShapeMismatchError,
     SingularEndomorphismError,
 )
 from .exactalg import (
@@ -136,7 +137,7 @@ def pullback_action(a) -> EndoAction:
     if not isinstance(a, QMatrix):
         a = QMatrix.from_rows(a)
     if not a.is_square or a.rows != 2:
-        raise SingularEndomorphismError("endomorphism matrix must be 2 x 2")
+        raise ShapeMismatchError("endomorphism matrix must be 2 x 2")
     if a.det() == 0:
         raise SingularEndomorphismError("endomorphism matrix must be invertible")
     basis = (FIBRE_FIRST, DIAGONAL_MIXED, FIBRE_SECOND)
@@ -160,7 +161,7 @@ class EllipticProductReport:
     eigenvalues: tuple[tuple[AlgebraicNumber, int], ...]
     real_eigenvalue_count: int
     spectral_radius: Optional[Fraction]      # None when not certified rational
-    spectral_radius_approx: float
+    spectral_radius_approx: Optional[float]  # only when spectral_radius is None
     polarization: PolarizationResult
     witness_class: Optional[SymClass]
     witness_is_ample: bool
@@ -171,33 +172,28 @@ class EllipticProductReport:
     verdict: str
 
 
-def _certified_spectral_radius(eigs) -> tuple[Optional[Fraction], float]:
-    """Exact spectral radius when certifiable as a rational number.
+def _certified_spectral_radius(eigs) -> Optional[Fraction]:
+    """Exact spectral radius when certifiable as a rational number, else None.
 
     Rational eigenvalues contribute |r| directly; roots of quadratic factors
     have rational modulus squared (the factor's root product); anything of
-    higher degree falls back to the float estimate.
+    higher degree is not certified.
     """
     moduli_sq: list[Fraction] = []
-    certified = True
-    approx = 0.0
     for root, _ in eigs:
-        approx = max(approx, abs(root.refine_below(Fraction(1, 1024)).approx()))
         if root.is_rational:
             moduli_sq.append(root.rational_value ** 2)
         elif root.degree == 2 and not root.is_real:
             p = root.minpoly
             moduli_sq.append(p.coeffs[0] / p.coeffs[2])
         else:
-            certified = False
-    if not certified or not moduli_sq:
-        return None, approx
+            return None
     top = max(moduli_sq)
     num = _integer_sqrt(top.numerator)
     den = _integer_sqrt(top.denominator)
     if num is None or den is None:
-        return None, approx
-    return Fraction(num, den), approx
+        return None
+    return Fraction(num, den)
 
 
 def _integer_sqrt(v: int) -> Optional[int]:
@@ -220,7 +216,11 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     eigs = tuple(roots_with_multiplicity(cp))
     real_count = sum(mult for root, mult in eigs if root.is_real)
 
-    radius, radius_approx = _certified_spectral_radius(eigs)
+    radius = _certified_spectral_radius(eigs)
+    radius_approx = None
+    if radius is None:
+        radius_approx = max(abs(root.refine_below(Fraction(1, 1024)).approx())
+                            for root, _ in eigs)
 
     witness_class = None
     witness_ample = False

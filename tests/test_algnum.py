@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from conecert.errors import ZeroPolynomialError
 from conecert.exactalg import (
-    AlgebraicNumber,
     QPoly,
     modulus_equals,
     roots_with_multiplicity,
@@ -109,53 +108,74 @@ def test_factor_product_reconstructs_input(coeffs):
 
 
 def test_modulus_equals_spectrum():
-    for root, _ in roots_with_multiplicity(SPECTRUM_POLY):
-        assert modulus_equals(root, 6)
-        assert not modulus_equals(root, 5)
-        assert not modulus_equals(root, Fraction(13, 2))
+    assert modulus_equals(SPECTRUM_POLY, 6)
+    assert not modulus_equals(SPECTRUM_POLY, 5)
+    assert not modulus_equals(SPECTRUM_POLY, Fraction(13, 2))
 
 
 def test_modulus_rational_cases():
-    two = AlgebraicNumber.from_rational(2)
-    assert modulus_equals(two, 2)
-    assert modulus_equals(AlgebraicNumber.from_rational(-2), 2)
-    assert not modulus_equals(two, Fraction(3, 2))
+    # rotations scaled by Pythagorean triples: 3 +- 4i and 5 +- 12i
+    assert modulus_equals(QPoly([25, -6, 1]), 5)
+    assert modulus_equals(QPoly([169, -10, 1]), 13)
+    assert modulus_equals(QPoly([9, 0, 4]), Fraction(3, 2))
+    assert modulus_equals(QPoly([-4, 0, 1]), 2)
+    assert modulus_equals(QPoly([-2, 1]) * QPoly([4, 0, 1]), 2)
 
 
 def test_modulus_gaussian_like():
     # roots of t^2 - 2t + 2 are 1 +- i, modulus sqrt 2
-    roots = roots_with_multiplicity(QPoly([2, -2, 1]))
-    for r, _ in roots:
-        assert not modulus_equals(r, 1)
+    assert not modulus_equals(QPoly([2, -2, 1]), 1)
 
 
 def test_modulus_real_irrational_is_never_rational():
-    root = roots_with_multiplicity(QPoly([-2, 0, 1]))[1][0]
-    assert not modulus_equals(root, 1)
-    assert not modulus_equals(root, 2)
+    assert not modulus_equals(QPoly([-2, 0, 1]), 1)
+    assert not modulus_equals(QPoly([-2, 0, 1]), 2)
+    # reciprocal, but its roots (3 +- sqrt 5) / 2 are real and off the circle
+    assert not modulus_equals(QPoly([1, -3, 1]), 1)
 
 
-def test_modulus_conjugation_stability():
-    for poly in (SPECTRUM_POLY, QPoly([2, -2, 1]), QPoly([-1, -1, 0, 1])):
-        for root, _ in roots_with_multiplicity(poly):
-            for q in (Fraction(1), Fraction(6), Fraction(3, 2)):
-                assert modulus_equals(root, q) == modulus_equals(root.conjugate(), q)
-
-
-def test_modulus_higher_degree_resultant_path():
-    # quartic with all roots of modulus 2: t^4 - 16
-    for root, _ in roots_with_multiplicity(QPoly([-16, 0, 0, 0, 1])):
-        assert modulus_equals(root, 2)
-        assert not modulus_equals(root, 3)
-    # irreducible cubic t^3 - t - 1: complex roots have modulus below 1
-    complexes = [r for r, _ in roots_with_multiplicity(QPoly([-1, -1, 0, 1]))
-                 if not r.is_real]
-    assert len(complexes) == 2
-    for r in complexes:
-        assert not modulus_equals(r, 1)
+def test_modulus_higher_degree():
+    # t^4 - 16 has roots +-2 and +-2i; t^3 - 8 has 2 and 2 e^{+-2 pi i / 3}
+    assert modulus_equals(QPoly([-16, 0, 0, 0, 1]), 2)
+    assert not modulus_equals(QPoly([-16, 0, 0, 0, 1]), 3)
+    assert modulus_equals(QPoly([-8, 0, 0, 1]), 2)
+    # irreducible cubic t^3 - t - 1: a real root near 1.32, complex roots below 1
+    assert not modulus_equals(QPoly([-1, -1, 0, 1]), 1)
 
 
 def test_modulus_zero():
-    zero = AlgebraicNumber.from_rational(0)
-    assert modulus_equals(zero, 0)
-    assert not modulus_equals(AlgebraicNumber.from_rational(1), 0)
+    with pytest.raises(ZeroPolynomialError):
+        modulus_equals(QPoly([]), 1)
+    for q in (0, -2):
+        with pytest.raises(ValueError):
+            modulus_equals(QPoly([-2, 1]), q)
+
+
+def _circle_factor(q, kind, k):
+    """A factor with every root on |t| = q (on=True), or one with a root off it."""
+    if kind == "line":
+        return QPoly.linear_root(q if k > 0 else -q), True
+    if kind == "pair":
+        # t^2 - s t + q^2 with |s| < 2q: conjugate roots of modulus q
+        return QPoly([q * q, -q * Fraction(k, 7), 1]), True
+    if kind == "off-line":
+        return QPoly.linear_root(q + Fraction(abs(k), 3)), False
+    # root product c = q^2 + k/2 != q^2; c = -q^2 would need the roots +-q,
+    # whose sum 0 is not -k/5
+    return QPoly([q * q + Fraction(k, 2), Fraction(k, 5), 1]), False
+
+
+factor_specs = st.tuples(
+    st.sampled_from(("line", "pair", "off-line", "off-pair")),
+    st.integers(-13, 13).filter(lambda k: k != 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3),
+       st.lists(factor_specs, min_size=1, max_size=4, unique=True))
+def test_modulus_of_products(q, specs):
+    p, all_on = QPoly.one(), True
+    for kind, k in specs:
+        factor, on = _circle_factor(q, kind, k)
+        p, all_on = p * factor, all_on and on
+    assert modulus_equals(p, q) == all_on

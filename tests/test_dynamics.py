@@ -49,6 +49,7 @@ def test_power_boundedness():
     assert not is_power_bounded(QMatrix.from_rows([[2, 0], [0, 1]]), 2)
     assert is_power_bounded(PULLBACK_3X3, 6)
     assert not is_power_bounded(PULLBACK_3X3, 5)
+    assert is_power_bounded(QMatrix.from_rows([[3, -4], [4, 3]]), 5)
 
 
 def test_power_boundedness_inverse_relation():
@@ -75,9 +76,10 @@ def test_interior_eigenvector_requires_invariance(quadrant):
 
 
 def test_decide_not_polarized(quadrant):
-    result = decide_polarization(ConeMap.create(QMatrix.from_rows([[2, 0], [0, 3]]),
-                                                quadrant))
-    assert result.status is PolarizationStatus.NOT_POLARIZED
+    # in diag(1, 4) the det root 2 is not an eigenvalue
+    for rows in ([[2, 0], [0, 3]], [[1, 0], [0, 4]]):
+        result = decide_polarization(ConeMap.create(QMatrix.from_rows(rows), quadrant))
+        assert result.status is PolarizationStatus.NOT_POLARIZED
 
 
 def test_decide_polarized_swap(quadrant):
@@ -114,10 +116,14 @@ def test_scaling_covariance():
 
 
 def test_irrational_candidate_surfaced(quadrant):
-    cm = ConeMap.create(QMatrix.from_rows([[0, 2], [1, 0]]), quadrant)
-    with pytest.raises(IrrationalCandidateOnlyError) as info:
-        decide_polarization(cm)
-    assert info.value.minpoly.coeffs == (-2, 0, 1)
+    orthant = build_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # the second map has eigenvalues +-sqrt 3 and 2, and is not bounded at 2
+    for rows, cone, minpoly in (([[0, 2], [1, 0]], quadrant, (-2, 0, 1)),
+                                ([[0, 3, 0], [1, 0, 0], [0, 0, 2]], orthant, (-3, 0, 1))):
+        cm = ConeMap.create(QMatrix.from_rows(rows), cone)
+        with pytest.raises(IrrationalCandidateOnlyError) as info:
+            decide_polarization(cm)
+        assert info.value.minpoly.coeffs == minpoly
 
 
 def test_span_restricted_cone_map():

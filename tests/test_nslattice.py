@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.errors import SingularEndomorphismError
+from conecert.errors import ShapeMismatchError, SingularEndomorphismError
 from conecert.exactalg import QMatrix, QPoly
 from conecert.nslattice import (
     FIBRE_FIRST,
@@ -73,6 +73,12 @@ def test_pullback_action_scalars():
 def test_pullback_rejects_singular():
     with pytest.raises(SingularEndomorphismError):
         pullback_action([[1, 1], [1, 1]])
+
+
+def test_pullback_rejects_non_2x2():
+    for rows in ([[2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2, 3], [4, 5, 6]]):
+        with pytest.raises(ShapeMismatchError):
+            pullback_action(rows)
 
 
 def test_determinant_cube_identity_seeded():

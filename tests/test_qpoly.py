@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert.errors import ZeroPolynomialError
-from conecert.exactalg import QPoly, lagrange_interpolate
+from conecert.exactalg import QPoly
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(small_fracs, min_size=0, max_size=6).map(QPoly)
@@ -111,8 +111,3 @@ def test_zero_polynomial_guards():
     with pytest.raises(ZeroPolynomialError):
         QPoly([]).square_free_part()
 
-
-def test_lagrange_interpolation():
-    pts = [(Fraction(0), Fraction(-216)), (Fraction(1), Fraction(-225)),
-           (Fraction(-1), Fraction(-203)), (Fraction(2), Fraction(-224))]
-    assert lagrange_interpolate(pts) == QPoly([-216, -12, 2, 1])
