@@ -4,13 +4,17 @@ A cone is built from generators by the double description method, which
 yields its facet normals; pointedness is enforced (a cone containing a line
 is rejected) and generator sets that span a proper subspace are handled by
 working inside their rational span. All arithmetic is exact.
+
+The double description works on primitive integer vectors and keeps each
+ray's zero set as an int bitmask, updated as each constraint is added, for
+the combinatorial adjacency test. `build_cone` still runs it a second time,
+on the facet normals, to check that they give back the generator rays.
 """
 from __future__ import annotations
 
 import enum
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -28,6 +32,7 @@ from .exactalg import (
     char_poly,
     dot,
     is_zero_vector,
+    primitive_ints,
     primitive_vector,
     vec_add,
     vec_scale,
@@ -52,55 +57,52 @@ class Membership(enum.Enum):
 def _dual_extreme_rays(constraints: Sequence[Vector], dim: int) -> list[Vector]:
     """Extreme rays of {y : <a, y> >= 0 for all a in constraints}.
 
-    Incremental double description with the combinatorial adjacency test.
-    Requires the constraint vectors to span the space, which makes the dual
-    cone pointed and every intermediate cone pointed as well.
+    Incremental double description over primitive integer vectors with the
+    combinatorial adjacency test on bitmask zero sets. Requires the
+    constraint vectors to span the space, which makes the dual cone pointed
+    and every intermediate cone pointed as well.
     """
-    # initial simplicial cone from a maximal independent constraint subset
-    basis_idx: list[int] = []
-    probe: list[Vector] = []
-    for i, a in enumerate(constraints):
-        cand = probe + [a]
-        if QMatrix.from_rows(cand).rank() == len(cand):
-            basis_idx.append(i)
-            probe = cand
-        if len(basis_idx) == dim:
-            break
+    # initial simplicial cone from the first maximal independent constraint subset
+    _, basis_idx = QMatrix.from_columns(list(constraints))._echelon()
     if len(basis_idx) < dim:
         raise InternalCheckError("constraints do not span the space")
-
+    cons = [primitive_ints(a) for a in constraints]
     binv = QMatrix.from_rows([constraints[i] for i in basis_idx]).inverse()
-    rays = [primitive_vector(binv.column(j)) for j in range(dim)]
-    processed = list(basis_idx)
+    rays = [primitive_ints(binv.column(j)) for j in range(dim)]
+    basis_bits = sum(1 << i for i in basis_idx)
+    # bit i of masks[k] is set when rays[k] is tight on processed constraint i
+    masks = [basis_bits & ~(1 << i) for i in basis_idx]
 
-    def zero_set(r: Vector) -> frozenset[int]:
-        return frozenset(i for i in processed if dot(constraints[i], r) == 0)
-
-    for i, a in enumerate(constraints):
-        if i in basis_idx:
+    for i, a in enumerate(cons):
+        if basis_bits >> i & 1:
             continue
-        processed.append(i)
-        vals = [dot(a, r) for r in rays]
-        pos = [r for r, v in zip(rays, vals) if v > 0]
-        zero = [r for r, v in zip(rays, vals) if v == 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
+        bit = 1 << i
+        vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
+        masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+        neg = [k for k, v in enumerate(vals) if v < 0]
         if not neg:
             continue
-        zsets = {r: zero_set(r) for r in rays}
-        new: list[Vector] = []
-        seen: set[Vector] = set(zero)
-        for rp in pos:
-            vp = dot(a, rp)
-            for rn, vn in neg:
-                common = zsets[rp] & zsets[rn]
-                if any(r != rp and r != rn and common <= zsets[r] for r in rays):
+        keep = [k for k, v in enumerate(vals) if v >= 0]
+        new_rays, new_masks = [], []
+        seen = {rays[k] for k in keep}
+        for p in (k for k in keep if vals[k] > 0):
+            vp, rp, mp = vals[p], rays[p], masks[p]
+            for n in neg:
+                common = mp & masks[n]
+                if common.bit_count() < dim - 2:
                     continue
-                cand = primitive_vector(vec_add(vec_scale(rn, vp), vec_scale(rp, -vn)))
+                if any(m & common == common and k != p and k != n
+                       for k, m in enumerate(masks)):
+                    continue
+                vn = vals[n]
+                cand = primitive_ints([vp * x - vn * y for x, y in zip(rays[n], rp)])
                 if cand not in seen:
                     seen.add(cand)
-                    new.append(cand)
-        rays = pos + zero + new
-    return sorted(set(rays))
+                    new_rays.append(cand)
+                    new_masks.append(common | bit)
+        rays = [rays[k] for k in keep] + new_rays
+        masks = [masks[k] for k in keep] + new_masks
+    return [tuple(Fraction(x) for x in r) for r in sorted(set(rays))]
 
 
 # -- cone types --------------------------------------------------------------------
@@ -119,6 +121,12 @@ class PolyhedralCone:
     facet_normals: tuple[Vector, ...]
     span_basis: tuple[Vector, ...]      # columns of the embedding, ambient coords
     extreme_ray_indices: tuple[int, ...]
+    _int_normals: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_int_normals",
+                           tuple(primitive_ints(n) for n in self.facet_normals))
 
     @property
     def dim(self) -> int:
@@ -136,10 +144,6 @@ class PolyhedralCone:
                 f"expected dimension {self.ambient_dim}, got {len(x)}")
         emb = QMatrix.from_columns(list(self.span_basis))
         return emb.solve(x)
-
-    def embed(self, xi: Sequence) -> Vector:
-        emb = QMatrix.from_columns(list(self.span_basis))
-        return emb.apply(xi)
 
     def interior_sample(self) -> Vector:
         """Sum of the primitive generators; a canonical relative-interior point."""
@@ -252,9 +256,12 @@ def build_cone(generators: Sequence[Sequence], *,
         except ValueError:
             raise InternalCheckError(
                 "double description round trip produced a foreign ray") from None
-    # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc
-    lift = emb * (emb.transpose() * emb).inverse()
-    normals = tuple(primitive_vector(lift.apply(n)) for n in normals_local)
+    # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc; a
+    # full-dimensional span has the identity as its reduced echelon basis
+    normals = tuple(normals_local)
+    if d < ambient:
+        lift = emb * (emb.transpose() * emb).inverse()
+        normals = tuple(primitive_vector(lift.apply(n)) for n in normals_local)
 
     cone = PolyhedralCone(
         ambient_dim=ambient,
@@ -271,11 +278,14 @@ def build_cone(generators: Sequence[Sequence], *,
 
 def membership(c: PolyhedralCone, x: Sequence) -> Membership:
     """Classify x against the cone; Interior means relative interior."""
-    xi = c.span_coordinates(x)
-    if xi is None:
-        return Membership.OUTSIDE
     x = vector(x)
-    products = [dot(n, x) for n in c.facet_normals]
+    if len(x) != c.ambient_dim:
+        raise DimensionMismatchError(
+            f"expected dimension {c.ambient_dim}, got {len(x)}")
+    if not c.is_full_dimensional and c.span_coordinates(x) is None:
+        return Membership.OUTSIDE
+    xi = primitive_ints(x)
+    products = [sum(a * b for a, b in zip(n, xi)) for n in c._int_normals]
     if any(p < 0 for p in products):
         return Membership.OUTSIDE
     if all(p > 0 for p in products):
@@ -284,10 +294,6 @@ def membership(c: PolyhedralCone, x: Sequence) -> Membership:
 
 
 # -- faces ------------------------------------------------------------------------------
-
-
-def _active_facets_at(c: PolyhedralCone, x: Vector) -> tuple[int, ...]:
-    return tuple(j for j, n in enumerate(c.facet_normals) if dot(n, x) == 0)
 
 
 def _generators_killed_by(c: PolyhedralCone, facets: Sequence[int]) -> tuple[int, ...]:
@@ -314,7 +320,7 @@ def minimal_extremal_face(c: PolyhedralCone, sub_generators: Sequence[Sequence])
     total = subs[0]
     for v in subs[1:]:
         total = vec_add(total, v)
-    active = _active_facets_at(c, total)
+    active = _active_facets_at_all(c, [total])
     gens = _generators_killed_by(c, active)
     return Face(parent=c, generator_indices=gens, active_facets=active)
 
@@ -322,22 +328,27 @@ def minimal_extremal_face(c: PolyhedralCone, sub_generators: Sequence[Sequence])
 def enumerate_faces(c: PolyhedralCone) -> list[Face]:
     """All faces (including the apex and the cone itself), deterministic order.
 
-    Enumerates generator subsets and closes each one under the active-facet
-    correspondence; faces are ordered by (dimension, generator index list).
+    Every proper face is an intersection of facets, so the faces' generator
+    sets are the closure of the facets' generator bitmasks under
+    intersection, plus the full generator set; a face's active facets are
+    those whose bitmask contains its own. Faces are ordered by (dimension,
+    generator index list).
     """
     n = len(c.generators)
     if n > 16:
         raise CapExceededError("face enumeration capped at 16 generators")
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sel = [j for j, nrm in enumerate(c.facet_normals)
-                   if all(dot(nrm, c.generators[i]) == 0 for i in subset)]
-            gens = _generators_killed_by(c, sel)
-            if gens not in found:
-                found[gens] = tuple(sel)
-    faces = [Face(parent=c, generator_indices=g, active_facets=a)
-             for g, a in found.items()]
+    gens = [primitive_ints(g) for g in c.generators]
+    facet_masks = [sum(1 << i for i, g in enumerate(gens)
+                       if sum(a * b for a, b in zip(nrm, g)) == 0)
+                   for nrm in c._int_normals]
+    closed = {(1 << n) - 1}
+    for fm in facet_masks:
+        closed |= {fm & s for s in closed}
+    faces = [Face(parent=c,
+                  generator_indices=tuple(i for i in range(n) if s >> i & 1),
+                  active_facets=tuple(j for j, fm in enumerate(facet_masks)
+                                      if fm & s == s))
+             for s in closed]
     faces.sort(key=lambda f: (f.dim, f.generator_indices))
     return faces
 

@@ -39,11 +39,11 @@ from .exactalg import (
     modulus_equals,
     primitive_vector,
     roots_with_multiplicity,
-    spectral_projector,
     vec_add,
     vec_scale,
     vector,
 )
+from .exactalg.qmatrix import _projector_from_min_poly
 from .exactalg.qpoly import _frac
 
 Vector = tuple[Fraction, ...]
@@ -129,13 +129,17 @@ def is_power_bounded(m: QMatrix, q) -> bool:
     (the map is diagonalizable) and every eigenvalue must have modulus
     exactly q, decided on the minimal polynomial by `modulus_equals`.
     """
-    q = _frac(q)
+    return _bounded_min_poly(m, _frac(q)) is not None
+
+
+def _bounded_min_poly(m: QMatrix, q: Fraction) -> Optional[QPoly]:
+    """The minimal polynomial of m if m / q is power bounded, else None."""
     if q <= 0:
         raise ValueError("q must be positive")
     if m.det() == 0:
         raise SingularMatrixError("power boundedness needs an invertible map")
     mu = min_poly(m)
-    return mu.is_square_free() and modulus_equals(mu, q)
+    return mu if mu.is_square_free() and modulus_equals(mu, q) else None
 
 
 # -- polarization decision ------------------------------------------------------------
@@ -242,9 +246,10 @@ def interior_eigenvector(cm: ConeMap, q) -> Optional[Vector]:
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
     m_eff, _ = _effective_map(cm)
-    if not is_power_bounded(m_eff, q):
+    mu = _bounded_min_poly(m_eff, q)
+    if mu is None:
         raise NotPowerBoundedError(f"normalized iterates unbounded at q = {q}")
-    return _interior_witness(cm.cone, spectral_projector(m_eff, q))
+    return _interior_witness(cm.cone, _projector_from_min_poly(m_eff, mu, q))
 
 
 def _det_root_candidate(cp: QPoly) -> Optional[Fraction]:
@@ -291,7 +296,8 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
 
     cp = char_poly(m_eff)
     q = _det_root_candidate(cp)
-    if q is None or not is_power_bounded(m_eff, q):
+    mu = None if q is None else _bounded_min_poly(m_eff, q)
+    if mu is None:
         irrational = _positive_irrational_minpoly(cp)
         if irrational is not None:
             raise IrrationalCandidateOnlyError(irrational)
@@ -299,7 +305,7 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
             PolarizationStatus.NOT_POLARIZED,
             reason="no positive rational eigenvalue makes the map power bounded")
 
-    projector = spectral_projector(m_eff, q)
+    projector = _projector_from_min_poly(m_eff, mu, q)
     witness = _interior_witness(cm.cone, projector)
     if witness is None:
         if polyhedral:

@@ -8,6 +8,7 @@ from .qmatrix import (
     evaluate_poly_at_matrix,
     is_zero_vector,
     min_poly,
+    primitive_ints,
     primitive_vector,
     spectral_projector,
     vec_add,
@@ -39,5 +40,6 @@ __all__ = [
     "vec_scale",
     "dot",
     "is_zero_vector",
+    "primitive_ints",
     "primitive_vector",
 ]

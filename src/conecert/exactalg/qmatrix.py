@@ -10,7 +10,7 @@ eigenvalue, h = 0 on the complementary factor).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from ..errors import (
@@ -48,21 +48,20 @@ def is_zero_vector(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
 
+def primitive_ints(u: Sequence[Scalar]) -> tuple[int, ...]:
+    """The positive multiple of u with coprime integer entries; zero stays zero."""
+    den = lcm(*(a.denominator for a in u))
+    ints = [a.numerator * (den // a.denominator) for a in u]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
 def primitive_vector(u: Vector) -> Vector:
     """Scale by a positive rational so entries are coprime integers.
 
     Preserves direction, so it is the canonical representative of a ray.
     """
-    den = 1
-    for a in u:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in u]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(Fraction(0) for _ in u)
-    return tuple(Fraction(v, g) for v in ints)
+    return tuple(Fraction(x) for x in primitive_ints(u))
 
 
 class QMatrix:
@@ -362,8 +361,11 @@ def spectral_projector(m: QMatrix, q: Scalar) -> QMatrix:
     at q and 0 at every other root of mu, so P^2 = P, mP = Pm = qP, and P
     restricted to the q-eigenspace is the identity.
     """
-    q = _frac(q)
-    mu = min_poly(m)
+    return _projector_from_min_poly(m, min_poly(m), _frac(q))
+
+
+def _projector_from_min_poly(m: QMatrix, mu: QPoly, q: Fraction) -> QMatrix:
+    """`spectral_projector` for a caller that already holds mu = min_poly(m)."""
     if mu(q) != 0:
         raise NotAnEigenvalueError(f"{q} is not an eigenvalue")
     g = mu.exact_div(QPoly.linear_root(q))

@@ -1,10 +1,14 @@
+import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conecert.cones import (
+    Face,
     Membership,
     build_cone,
     enumerate_faces,
@@ -19,7 +23,7 @@ from conecert.errors import (
     EmptyInputError,
     NotInConeError,
 )
-from conecert.exactalg import QMatrix
+from conecert.exactalg import QMatrix, dot, vector
 
 
 @pytest.fixture
@@ -62,10 +66,17 @@ def test_caps():
         build_cone([[1, i] for i in range(100)])
 
 
-def test_membership(quadrant):
+def test_membership(quadrant, square_cone):
     assert membership(quadrant, [1, 1]) is Membership.INTERIOR
     assert membership(quadrant, [1, 0]) is Membership.BOUNDARY
     assert membership(quadrant, [-1, 2]) is Membership.OUTSIDE
+    # rational points are cleared of denominators before the integer products
+    assert membership(quadrant, [Fraction(1, 2), Fraction(1, 3)]) is Membership.INTERIOR
+    assert membership(quadrant, ["2/3", 0]) is Membership.BOUNDARY
+    assert membership(quadrant, [Fraction(-1, 6), Fraction(5, 7)]) is Membership.OUTSIDE
+    assert membership(square_cone, ["1/3", "1/4", 1]) is Membership.INTERIOR
+    assert membership(square_cone, ["1/2", "1/2", 1]) is Membership.BOUNDARY
+    assert membership(square_cone, ["1/2", "1/2", "99/100"]) is Membership.OUTSIDE
 
 
 def test_membership_relative_to_span():
@@ -73,6 +84,16 @@ def test_membership_relative_to_span():
     assert membership(ray, [2, 4, 6]) is Membership.INTERIOR
     assert membership(ray, [1, 2, 4]) is Membership.OUTSIDE
     assert membership(ray, [-1, -2, -3]) is Membership.OUTSIDE
+    assert membership(ray, ["1/2", 1, "3/2"]) is Membership.INTERIOR
+    # a wedge in the plane z = x + y; (1, 1, 1) and (1, 1, 5/2) satisfy every
+    # facet inequality but lie off the span
+    wedge = build_cone([[1, 0, 1], [0, 1, 1]])
+    assert not wedge.is_full_dimensional
+    assert membership(wedge, [1, 1, 2]) is Membership.INTERIOR
+    assert membership(wedge, [1, 0, 1]) is Membership.BOUNDARY
+    for off_span in ((1, 1, 1), (1, 1, Fraction(5, 2))):
+        assert all(dot(n, vector(off_span)) >= 0 for n in wedge.facet_normals)
+        assert membership(wedge, off_span) is Membership.OUTSIDE
 
 
 def test_minimal_face_examples(quadrant, octant, square_cone):
@@ -169,6 +190,10 @@ def test_membership_dimension_mismatch(quadrant):
     from conecert.errors import DimensionMismatchError
     with pytest.raises(DimensionMismatchError):
         membership(quadrant, [1, 2, 3])
+    with pytest.raises(DimensionMismatchError):
+        membership(quadrant, [Fraction(1, 2)])
+    with pytest.raises(DimensionMismatchError):
+        membership(build_cone([[1, 2, 3]]), [1, 2])
 
 
 def test_psd_oracle_size_one():
@@ -198,3 +223,108 @@ def test_double_description_roundtrip_seeded():
         assert membership(cone, cone.interior_sample()) is Membership.INTERIOR
         for idx in cone.extreme_ray_indices:
             assert membership(cone, cone.generators[idx]) is not Membership.OUTSIDE
+
+
+def _faces_by_subsets(c):
+    """Faces by closing every generator subset under the active-facet
+    correspondence: the 2^n loop `enumerate_faces` used before the facet
+    closure, kept as a reference."""
+    n = len(c.generators)
+    found = {}
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            sel = tuple(j for j, nrm in enumerate(c.facet_normals)
+                        if all(dot(nrm, c.generators[i]) == 0 for i in subset))
+            gens = tuple(i for i, g in enumerate(c.generators)
+                         if all(dot(c.facet_normals[j], g) == 0 for j in sel))
+            found.setdefault(gens, sel)
+    faces = [Face(parent=c, generator_indices=g, active_facets=a)
+             for g, a in found.items()]
+    faces.sort(key=lambda f: (f.dim, f.generator_indices))
+    return faces
+
+
+def _random_face_test_cones(rng):
+    """Pointed cones with at most 8 generators: full dimensional, spanning a
+    proper subspace, with duplicate generators, and single rays."""
+    for case in range(60):
+        kind = case % 4
+        ambient = rng.randrange(2, 5)
+        span = ambient if kind == 0 else rng.randrange(1, ambient + 1)
+        basis = [[rng.randrange(-2, 3) for _ in range(ambient)] for _ in range(span)]
+        if QMatrix.from_rows(basis).rank() < span:
+            continue
+        count = 1 if kind == 3 else rng.randrange(span, 8)
+        gens = []
+        for _ in range(count):
+            coeffs = [rng.randrange(1, 4)] + [rng.randrange(-2, 3) for _ in range(span - 1)]
+            gens.append([sum(c * b[i] for c, b in zip(coeffs, basis))
+                         for i in range(ambient)])
+        if kind == 2:
+            gens.append(list(gens[rng.randrange(len(gens))]))
+        if kind == 3:
+            gens.append([2 * x for x in gens[0]])
+        yield build_cone(gens)
+
+
+def test_enumerate_faces_matches_subset_loop():
+    kinds = set()
+    for cone in _random_face_test_cones(random.Random(5)):
+        assert len(cone.generators) <= 8
+        kinds.add((cone.is_full_dimensional, cone.dim))
+        expected = [(f.dim, f.generator_indices, f.active_facets)
+                    for f in _faces_by_subsets(cone)]
+        assert [(f.dim, f.generator_indices, f.active_facets)
+                for f in enumerate_faces(cone)] == expected
+    assert (True, 4) in kinds and (False, 1) in kinds and (False, 2) in kinds
+
+
+def _int_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _brute_force_facets(gens):
+    """One-sided primitive normals of hyperplanes through (d-1)-subsets."""
+    d = len(gens[0])
+    facets = set()
+    for subset in itertools.combinations(gens, d - 1):
+        normal = [(-1) ** j * _int_det([[p[k] for k in range(d) if k != j] for p in subset])
+                  for j in range(d)]
+        g = gcd(*normal)
+        if g == 0:
+            continue
+        normal = [x // g for x in normal]
+        signs = {(s > 0) - (s < 0) for s in (sum(a * b for a, b in zip(normal, v))
+                                             for v in gens)}
+        if signs <= {0, 1}:
+            facets.add(tuple(normal))
+        elif signs <= {0, -1}:
+            facets.add(tuple(-x for x in normal))
+    return facets
+
+
+@st.composite
+def _full_dimensional_cones(draw):
+    d = draw(st.integers(1, 5))
+    gen = st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * (d - 1))
+    gens = draw(st.lists(gen, min_size=d, max_size=9))
+    scale = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+    scales = draw(st.lists(scale, min_size=len(gens), max_size=len(gens)))
+    return gens, scales
+
+
+@settings(max_examples=120, deadline=None)
+@given(_full_dimensional_cones())
+def test_facets_match_brute_force(case):
+    gens, scales = case
+    assume(QMatrix.from_rows(gens).rank() == len(gens[0]))
+    cone = build_cone(gens)
+    normals = [tuple(int(x) for x in n) for n in cone.facet_normals]
+    assert len(set(normals)) == len(normals)
+    assert set(normals) == _brute_force_facets(gens)
+    scaled = build_cone([[x * s for x in g] for g, s in zip(gens, scales)])
+    assert scaled.facet_normals == cone.facet_normals
+    assert scaled.extreme_ray_indices == cone.extreme_ray_indices
