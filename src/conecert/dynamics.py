@@ -38,7 +38,7 @@ from .exactalg import (
     min_poly,
     modulus_equals,
     primitive_vector,
-    roots_with_multiplicity,
+    real_roots,
     vec_add,
     vec_scale,
     vector,
@@ -265,15 +265,14 @@ def _det_root_candidate(cp: QPoly) -> Optional[Fraction]:
 
 
 def _positive_irrational_minpoly(cp: QPoly) -> Optional[QPoly]:
-    """Minimal polynomial of the first positive irrational real root of cp, if any."""
-    for root, _ in roots_with_multiplicity(cp):
-        if root.is_real and not root.is_rational:
-            # an irrational root is never zero, so refinement separates its sign
-            r = root
-            while r.box[0] < 0 < r.box[1]:
-                r = r.refine()
-            if r.box[0] >= 0:
-                return root.minpoly
+    """Minimal polynomial of the first positive irrational real root of cp, if any.
+
+    sympy isolates negative and positive roots separately, so the isolating
+    interval of a root that is never zero does not straddle 0.
+    """
+    for root, _ in real_roots(cp):
+        if not root.is_rational and root.box[0] >= 0:
+            return root.minpoly
     return None
 
 
@@ -343,12 +342,8 @@ def _check_certificate(cm: ConeMap, cert: PolarizationCertificate,
     m = cm.matrix
     if m.apply(cert.witness) != vec_scale(cert.witness, cert.q):
         raise InternalCheckError("witness is not an eigenvector")
-    if isinstance(cm.cone, PolyhedralCone):
-        if membership(cm.cone, cert.witness) is not Membership.INTERIOR:
-            raise InternalCheckError("witness is not interior")
-    else:
-        if not cm.cone.strictly_contains(cert.witness):
-            raise InternalCheckError("witness is not interior")
+    if not cm.cone.strictly_contains(cert.witness):
+        raise InternalCheckError("witness is not interior")
     p = cert.projector
     if p * p != p:
         raise InternalCheckError("projector is not idempotent")

@@ -13,13 +13,13 @@ from .qmatrix import (
     spectral_projector,
     vec_add,
     vec_scale,
-    vec_sub,
     vector,
 )
 from .algnum import (
     AlgebraicNumber,
     factor_rational,
     modulus_equals,
+    real_roots,
     roots_with_multiplicity,
 )
 
@@ -32,11 +32,11 @@ __all__ = [
     "spectral_projector",
     "evaluate_poly_at_matrix",
     "roots_with_multiplicity",
+    "real_roots",
     "factor_rational",
     "modulus_equals",
     "vector",
     "vec_add",
-    "vec_sub",
     "vec_scale",
     "dot",
     "is_zero_vector",

@@ -1,18 +1,19 @@
 """Algebraic numbers as (irreducible minimal polynomial, isolating rectangle),
 and the exact test that every root of a polynomial has modulus q.
 
-The representation is fully exact: rectangles have rational corners and sign
-separations are certified by refinement plus exact sign evaluation. No float
-enters any decision path; floats appear only in the convenience `approx`
-accessor.
+The representation is fully exact: rectangles have rational corners. No
+float enters any decision path; floats appear only in the convenience
+`approx` accessor.
 
 `modulus_equals` works on the polynomial alone (Kronecker's trace-polynomial
 reduction and a Sturm count), so it needs neither root isolation nor sympy.
-Factoring over the rationals and the initial root isolation, used for the
+Factoring over the rationals and root isolation, used for the
 irrational-candidate refusal and for display, are delegated to sympy's
-dense-polynomial kernel, which returns exact rational data. Box refinement is
-done here by bisection: exact sign evaluation for real roots, exact rectangle
-root counting (Collins-Krandick, via sympy) for complex ones.
+dense-polynomial kernel, which returns exact rational data. Every root is
+isolated once, to boxes narrower than ISOLATION_WIDTH; `real_roots` skips
+the complex isolation that the refusal never reads. `AlgebraicNumber.refine`
+bisects a box further on request (exact sign evaluation for real roots,
+exact rectangle root counting, Collins-Krandick via sympy, for complex ones).
 """
 from __future__ import annotations
 
@@ -30,6 +31,10 @@ from sympy.polys.rootisolation import (
 from sympy import Poly as _SymPoly, Symbol as _SymSymbol
 
 _T = _SymSymbol("t")
+
+# every isolating box is narrower and lower than this; reports print it as is
+ISOLATION_WIDTH = Fraction(1, 4096)
+_EPS = QQ(ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator)
 
 # split fractions tried when a bisection line happens to pass through a root
 _SPLIT_FRACTIONS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -134,12 +139,6 @@ class AlgebraicNumber:
             return self._refine_real()
         return self._refine_complex()
 
-    def refine_below(self, width: Fraction) -> "AlgebraicNumber":
-        a = self
-        while max(a.box[1] - a.box[0], a.box[3] - a.box[2]) > width:
-            a = a.refine()
-        return a
-
     def _refine_real(self) -> "AlgebraicNumber":
         lo, hi = self.box[0], self.box[1]
         p = self.minpoly
@@ -179,40 +178,49 @@ def _count_in_box(dup: list, box) -> int:
         (QQ(b.numerator, b.denominator), QQ(d.numerator, d.denominator)))
 
 
+def _real_roots_of(fac: QPoly) -> list[AlgebraicNumber]:
+    """Real roots of an irreducible primitive polynomial, in increasing order."""
+    if fac.degree == 1:
+        return [AlgebraicNumber.from_rational(-fac.coeffs[0] / fac.coeffs[1])]
+    return [AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True)
+            for lo, hi in dup_isolate_real_roots_sqf(_to_dup(fac), QQ, eps=_EPS)]
+
+
 def _isolate_irreducible(fac: QPoly) -> list[AlgebraicNumber]:
     """All roots of an irreducible primitive polynomial, real ones first."""
     if fac.degree == 1:
-        return [AlgebraicNumber.from_rational(-fac.coeffs[0] / fac.coeffs[1])]
-    dup = _to_dup(fac)
-    eps = QQ(1, 16)
-    roots = []
-    for lo, hi in dup_isolate_real_roots_sqf(dup, QQ, eps=eps):
-        roots.append(AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True))
-    complexes = []
-    for (ax, ay), (bx, by) in dup_isolate_complex_roots_sqf(dup, QQ, eps=eps):
-        complexes.append(AlgebraicNumber(
-            fac, (_from_mpq(ax), _from_mpq(bx), _from_mpq(ay), _from_mpq(by)), False))
+        return _real_roots_of(fac)
+    boxes = dup_isolate_complex_roots_sqf(_to_dup(fac), QQ, eps=_EPS)
+    complexes = [AlgebraicNumber(fac, (_from_mpq(ax), _from_mpq(bx),
+                                       _from_mpq(ay), _from_mpq(by)), False)
+                 for (ax, ay), (bx, by) in boxes]
     # conjugate pairs adjacent, negative-imaginary member first
     complexes.sort(key=lambda r: (r.box[0], r.box[1], max(abs(r.box[2]), abs(r.box[3])),
                                   r.box[2]))
-    return roots + complexes
+    return _real_roots_of(fac) + complexes
+
+
+def _roots(p: QPoly, isolate) -> list[tuple[AlgebraicNumber, int]]:
+    if p.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
+    out = [(root, mult) for fac, mult in factor_rational(p) for root in isolate(fac)]
+    out.sort(key=lambda rm: (0 if rm[0].is_real else 1,
+                             rm[0].box[0], rm[0].box[1], rm[0].box[2]))
+    return out
+
+
+def real_roots(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
+    """Real roots of p with multiplicities, in box order; no complex isolation."""
+    return _roots(p, _real_roots_of)
 
 
 def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
-    """Complete complex root set of p with multiplicities.
+    """Complete complex root set of p with multiplicities, real roots first.
 
     Each root carries the content-normalized irreducible factor it belongs to
     as its minimal polynomial; multiplicities sum to deg p.
     """
-    if p.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
-    out = []
-    for fac, mult in factor_rational(p):
-        for root in _isolate_irreducible(fac):
-            out.append((root, mult))
-    out.sort(key=lambda rm: (0 if rm[0].is_real else 1,
-                             rm[0].box[0], rm[0].box[1], rm[0].box[2]))
-    return out
+    return _roots(p, _isolate_irreducible)
 
 
 # -- modulus decision ---------------------------------------------------------------

@@ -34,9 +34,6 @@ def vector(xs: Iterable[Scalar]) -> Vector:
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
 def vec_scale(u: Vector, c: Scalar) -> Vector:
     c = _frac(c)
     return tuple(a * c for a in u)

@@ -58,14 +58,6 @@ class SymClass:
     c: int
 
     @staticmethod
-    def from_matrix(m: Sequence[Sequence[int]]) -> "SymClass":
-        if len(m) != 2 or any(len(r) != 2 for r in m):
-            raise ValueError("need a 2 x 2 matrix")
-        if m[0][1] != m[1][0]:
-            raise ValueError("matrix must be symmetric")
-        return SymClass(int(m[0][0]), int(m[0][1]), int(m[1][1]))
-
-    @staticmethod
     def from_vector(v: Sequence) -> "SymClass":
         a, b, c = (int(_frac(x)) for x in v)
         return SymClass(a, b, c)
@@ -219,8 +211,7 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     radius = _certified_spectral_radius(eigs)
     radius_approx = None
     if radius is None:
-        radius_approx = max(abs(root.refine_below(Fraction(1, 1024)).approx())
-                            for root, _ in eigs)
+        radius_approx = max(abs(root.approx()) for root, _ in eigs)
 
     witness_class = None
     witness_ample = False

@@ -51,12 +51,11 @@ def approx(value: float) -> dict:
 
 
 def algebraic_number_doc(root: AlgebraicNumber, multiplicity: int) -> dict:
-    refined = root.refine_below(Fraction(1, 1 << 12))
-    z = refined.approx()
+    z = root.approx()
     return {
         "minpoly": exact(root.minpoly),
         "minpoly_str": str(root.minpoly),
-        "box": exact(list(refined.box)),
+        "box": exact(list(root.box)),
         "is_real": root.is_real,
         "multiplicity": exact(multiplicity),
         "approx_re": approx(z.real),

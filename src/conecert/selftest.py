@@ -35,7 +35,7 @@ from .dynamics import (
     restricted_degree,
 )
 from .errors import IrrationalCandidateOnlyError
-from .exactalg import QMatrix, char_poly, roots_with_multiplicity, vec_add, vec_scale
+from .exactalg import QMatrix, char_poly, factor_rational, vec_add, vec_scale
 from .nslattice import SymClass, intersect, pullback_class
 from .singularities import CyclicActionElement, age, projective_cycle_fixed_data
 
@@ -213,9 +213,10 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
         if not cm.invariance_checked:
             result.failures.append(f"case {case}: invariance unexpectedly failed")
             continue
-        rational_candidates = [root.rational_value
-                               for root, _ in roots_with_multiplicity(char_poly(inst.matrix))
-                               if root.is_rational and root.rational_value > 0]
+        rational_roots = [-fac.coeffs[0] / fac.coeffs[1]
+                          for fac, _ in factor_rational(char_poly(inst.matrix))
+                          if fac.degree == 1]
+        rational_candidates = [r for r in rational_roots if r > 0]
         try:
             decision = decide_polarization(cm)
             irrational_only = False

@@ -8,10 +8,26 @@ from conecert.errors import ZeroPolynomialError
 from conecert.exactalg import (
     QPoly,
     modulus_equals,
+    real_roots,
     roots_with_multiplicity,
 )
+from conecert.exactalg.algnum import ISOLATION_WIDTH
 
 SPECTRUM_POLY = QPoly([-216, -12, 2, 1])  # (t - 6)(t^2 + 8t + 36)
+
+
+def _refined(root, width):
+    """Bisect the root's box with `refine` until both sides are at most width."""
+    while max(root.box[1] - root.box[0], root.box[3] - root.box[2]) > width:
+        root = root.refine()
+    return root
+
+
+def _has_signed_sqrt(lo, hi, sign, n):
+    """Whether sign * sqrt(n) lies in [lo, hi], decided exactly."""
+    if sign < 0:
+        lo, hi = -hi, -lo
+    return (lo <= 0 or lo * lo <= n) and hi >= 0 and hi * hi >= n
 
 
 def test_rational_roots():
@@ -49,10 +65,16 @@ def test_zero_polynomial_rejected():
 def test_refinement_nests_and_shrinks():
     root = next(r for r, _ in roots_with_multiplicity(SPECTRUM_POLY)
                 if not r.is_real)
-    refined = root.refine_below(Fraction(1, 10 ** 6))
-    assert refined.box[0] >= root.box[0] and refined.box[1] <= root.box[1]
-    assert refined.box[1] - refined.box[0] <= Fraction(1, 10 ** 6)
-    z = refined.approx()
+    start = root
+    while root.box[1] - root.box[0] > Fraction(1, 10 ** 6):
+        finer = root.refine()
+        a, b, c, d = root.box
+        a2, b2, c2, d2 = finer.box
+        assert a <= a2 <= b2 <= b and c <= c2 <= d2 <= d
+        assert (b2 - a2) * (d2 - c2) < (b - a) * (d - c)
+        root = finer
+    assert root.minpoly == start.minpoly and not root.is_real
+    z = root.approx()
     assert abs(z.real - (-4.0)) < 1e-5
     assert abs(abs(z.imag) - 4.47213595) < 1e-5
 
@@ -60,8 +82,45 @@ def test_refinement_nests_and_shrinks():
 def test_real_root_refinement():
     root = next(r for r, _ in roots_with_multiplicity(QPoly([-2, 0, 1]))
                 if r.box[0] > 0)
-    refined = root.refine_below(Fraction(1, 10 ** 9))
+    refined = _refined(root, Fraction(1, 10 ** 9))
+    assert root.box[0] <= refined.box[0] <= refined.box[1] <= root.box[1]
     assert abs(refined.approx().real - 2 ** 0.5) < 1e-8
+
+
+def test_boxes_at_isolation_width():
+    assert ISOLATION_WIDTH == Fraction(1, 4096)
+    roots = [r for r, _ in roots_with_multiplicity(SPECTRUM_POLY)]
+    roots += [r for r, _ in roots_with_multiplicity(QPoly([-2, 0, 1]))]
+    for root in roots:
+        a, b, c, d = root.box
+        assert b - a <= ISOLATION_WIDTH and d - c <= ISOLATION_WIDTH
+    six, low, high, minus_sqrt2, sqrt2 = roots
+    assert six.box == (6, 6, 0, 0)
+    # -4 -+ 2 sqrt(5) i: the negative-imaginary member comes first
+    for root, sign in ((low, -1), (high, 1)):
+        a, b, c, d = root.box
+        assert a <= -4 <= b and _has_signed_sqrt(c, d, sign, 20)
+    for root, sign in ((minus_sqrt2, -1), (sqrt2, 1)):
+        assert root.is_real and _has_signed_sqrt(root.box[0], root.box[1], sign, 2)
+
+
+def test_real_roots_skip_complex_ones():
+    assert [r for r, _ in real_roots(SPECTRUM_POLY)] == [
+        r for r, _ in roots_with_multiplicity(SPECTRUM_POLY) if r.is_real]
+    assert [r.rational_value for r, _ in real_roots(SPECTRUM_POLY)] == [6]
+    cubed = real_roots(QPoly([-2, 0, 1]) ** 3)
+    assert [m for _, m in cubed] == [3, 3]
+    with pytest.raises(ZeroPolynomialError):
+        real_roots(QPoly([]))
+
+
+def test_root_near_zero_interval_keeps_its_sign():
+    # 1000 t^2 - 1 has roots +-1/sqrt(1000), about +-0.0316, inside one
+    # isolation width of 1/16 around 0
+    roots = [r for r, _ in real_roots(QPoly([-1, 0, 1000]))]
+    assert len(roots) == 2
+    negative, positive = roots
+    assert negative.box[1] <= 0 <= positive.box[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -99,7 +158,7 @@ def test_factor_product_reconstructs_input(coeffs):
     # every isolating box actually pins its root: the box center comes within
     # the box radius of a sign change / vanishing of the minimal polynomial
     for root, _ in roots:
-        refined = root.refine_below(Fraction(1, 1 << 20))
+        refined = _refined(root, Fraction(1, 1 << 20))
         z = refined.approx()
         value = complex(0)
         for c in reversed(root.minpoly.coeffs):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert.errors import ConecertError
+from conecert.exactalg import AlgebraicNumber
 from conecert.report import dumps_canonical, loads
 from conecert.scenarios import BUILTIN_SCENARIOS, SCENARIO_SCHEMA, run_scenario
 
@@ -282,6 +283,21 @@ def test_verdict_fields_hold_no_numerics():
         report = run_scenario(doc)
         for value in report["verdicts"].values():
             assert isinstance(value, (str, bool))
+
+
+def test_reports_print_roots_as_isolated(monkeypatch):
+    def no_refinement(self):
+        raise AssertionError("a report refined a root")
+
+    monkeypatch.setattr(AlgebraicNumber, "refine", no_refinement)
+    irrational = {"schema_version": "1", "kind": "cone_dynamics",
+                  "payload": {"matrix": [[0, 2], [1, 0]],
+                              "cone": {"type": "polyhedral",
+                                       "generators": [[1, 0], [0, 1]]}}}
+    for doc in (BUILTIN_SCENARIOS["ex1"], BUILTIN_SCENARIOS["ex2"], irrational):
+        report = run_scenario(doc)
+        assert report["data"]["eigenvalues"]
+    assert report["verdicts"]["status"] == "irrational_candidate_only"
 
 
 def test_report_schema_covers_all_kinds():

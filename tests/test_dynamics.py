@@ -24,7 +24,7 @@ from conecert.errors import (
     NotPowerBoundedError,
     SingularMatrixError,
 )
-from conecert.exactalg import QMatrix
+from conecert.exactalg import QMatrix, algnum
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
 SWAP2 = QMatrix.from_rows([[0, 2], [2, 0]])
@@ -117,13 +117,31 @@ def test_scaling_covariance():
 
 def test_irrational_candidate_surfaced(quadrant):
     orthant = build_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    # the second map has eigenvalues +-sqrt 3 and 2, and is not bounded at 2
+    # the second map has eigenvalues +-sqrt 3 and 2, and is not bounded at 2;
+    # the third has eigenvalues +-1/sqrt(1000), well inside 1/16 of 0
     for rows, cone, minpoly in (([[0, 2], [1, 0]], quadrant, (-2, 0, 1)),
-                                ([[0, 3, 0], [1, 0, 0], [0, 0, 2]], orthant, (-3, 0, 1))):
+                                ([[0, 3, 0], [1, 0, 0], [0, 0, 2]], orthant, (-3, 0, 1)),
+                                ([[0, Fraction(1, 1000)], [1, 0]], quadrant, (-1, 0, 1000))):
         cm = ConeMap.create(QMatrix.from_rows(rows), cone)
         with pytest.raises(IrrationalCandidateOnlyError) as info:
             decide_polarization(cm)
         assert info.value.minpoly.coeffs == minpoly
+
+
+def test_refusals_isolate_no_complex_root(quadrant, monkeypatch):
+    def no_complex_isolation(*args, **kwargs):
+        raise AssertionError("a refusal isolated complex roots")
+
+    monkeypatch.setattr(algnum, "dup_isolate_complex_roots_sqf", no_complex_isolation)
+    # a 3-cycle of weight 8 beside diag(3): char poly (t^3 - 8)(t - 3), whose
+    # factor t^2 + 2t + 4 has only complex roots, and |det| = 24 is no 4th power
+    orthant = build_cone([[int(i == j) for j in range(4)] for i in range(4)])
+    cycle = QMatrix.from_rows([[0, 0, 8, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 3]])
+    result = decide_polarization(ConeMap.create(cycle, orthant))
+    assert result.status is PolarizationStatus.NOT_POLARIZED
+    for rows in ([[0, 2], [1, 0]], [[0, Fraction(1, 1000)], [1, 0]]):
+        with pytest.raises(IrrationalCandidateOnlyError):
+            decide_polarization(ConeMap.create(QMatrix.from_rows(rows), quadrant))
 
 
 def test_span_restricted_cone_map():
