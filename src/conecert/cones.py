@@ -13,6 +13,7 @@ on the facet normals, to check that they give back the generator rays.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -193,15 +194,15 @@ class ConeOracle:
 
     `contains` / `strictly_contains` answer exact membership and relative
     interior membership; `interior_sample` is a point with
-    strictly_contains(interior_sample()) true. `sample_points` produces a
-    deterministic battery of cone points for invariance spot checks.
+    strictly_contains(interior_sample()) true. `is_automorphism` decides
+    exactly whether an invertible map carries the cone onto itself.
     """
 
     dim: int
     contains: Callable[[Sequence], bool]
     strictly_contains: Callable[[Sequence], bool]
     interior_sample: Callable[[], Vector]
-    sample_points: Callable[[random.Random, int], list[Vector]]
+    is_automorphism: Callable[[QMatrix], bool]
     description: str = "oracle"
 
 
@@ -353,13 +354,13 @@ def enumerate_faces(c: PolyhedralCone) -> list[Face]:
     return faces
 
 
-def _subcone_contains(vs: Sequence[Vector], x: Vector) -> bool:
-    """Exact membership of x in cone(vs), via a freshly built subcone."""
+def _subcone_contains(vs: Sequence[Vector]) -> Callable[[Vector], bool]:
+    """Exact membership test for cone(vs); the subcone is built once."""
     nonzero = [v for v in vs if not is_zero_vector(v)]
     if not nonzero:
-        return is_zero_vector(x)
+        return is_zero_vector
     sub = build_cone(nonzero)
-    return membership(sub, x) is not Membership.OUTSIDE
+    return lambda x: membership(sub, x) is not Membership.OUTSIDE
 
 
 def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]],
@@ -375,6 +376,7 @@ def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]],
         if f.parent is not c:
             raise ForeignFaceError("face belongs to a different cone")
         gens = list(f.generators())
+        in_f = _subcone_contains(gens)
         certified = (_generators_killed_by(c, f.active_facets) == f.generator_indices
                      and _active_facets_at_all(c, gens) == tuple(f.active_facets))
     else:
@@ -383,9 +385,9 @@ def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]],
             if membership(c, v) is Membership.OUTSIDE:
                 raise NotInConeError(f"proposed face generator {v} outside the cone")
         minimal = minimal_extremal_face(c, gens)
+        in_f = _subcone_contains(gens)
         # f is a face iff it coincides with the minimal face containing it
-        certified = all(_subcone_contains(gens, c.generators[i])
-                        for i in minimal.generator_indices)
+        certified = all(in_f(c.generators[i]) for i in minimal.generator_indices)
 
     # redundant extremality probe on random cone points
     rng = random.Random(seed)
@@ -393,8 +395,8 @@ def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]],
         for _ in range(pair_checks):
             u = _random_cone_point(c, rng)
             v = _random_cone_point(c, rng)
-            if _subcone_contains(gens, vec_add(u, v)):
-                if not (_subcone_contains(gens, u) and _subcone_contains(gens, v)):
+            if in_f(vec_add(u, v)):
+                if not (in_f(u) and in_f(v)):
                     if certified:
                         raise InternalCheckError(
                             "pair test contradicts the facet characterization")
@@ -457,15 +459,63 @@ def _is_pd(m: QMatrix) -> bool:
     return True
 
 
-def psd_cone_oracle(n: int) -> ConeOracle:
+def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """The positive rational square root of x > 0, or None."""
+    root = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    return root if root * root == x else None
+
+
+def _is_psd_congruence(n: int, m: QMatrix) -> bool:
+    """Whether the map m on flattened symmetric n x n matrices is
+    X -> c B X B^T for a rational c > 0 and a rational B.
+
+    The maps carrying the PSD cone onto itself are exactly the congruences
+    X -> A X A^T with A invertible (Schneider, Positive operators and an
+    inertia theorem, 1965), and a rational m forces A = sqrt(c) B. So B is
+    recovered from m: the image of E_ii must be u_i u_i^T / d_i, c = 1 / d_0
+    and b_i = +-sqrt(d_0 / d_i) u_i, the sign read off the image of
+    E_0i + E_i0. If d_0 / d_i is no rational square, or the recovered
+    congruence misses any column of m, m is no automorphism.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    column = dict(zip(pairs, (m.column(k) for k in range(len(pairs)))))
+
+    def congruence(bi: Vector, bj: Vector, scale: Fraction) -> Vector:
+        # scale * (bi bj^T + bj bi^T), flattened
+        return tuple(scale * (bi[a] * bj[b] + bj[a] * bi[b]) for a, b in pairs)
+
+    b: list[Vector] = []
+    d0 = None
+    for i in range(n):
+        image = _sym_from_vector(n, column[i, i])
+        k = next((k for k in range(n) if image.entry(k, k) > 0), None)
+        if k is None:
+            return False
+        d0 = d0 or image.entry(k, k)
+        s = _rational_sqrt(d0 / image.entry(k, k))
+        if s is None:
+            return False
+        bi = vec_scale(image.column(k), s)
+        if i > 0 and column[0, i] != congruence(b[0], bi, 1 / d0):
+            bi = vec_scale(bi, -1)
+        b.append(bi)
+    return all(column[i, j] == congruence(b[i], b[j], 1 / d0 if i < j else 1 / (2 * d0))
+               for i, j in pairs)
+
+
+def psd_cone_oracle(n: int, *, max_dim: int = MAX_AMBIENT_DIM) -> ConeOracle:
     """The cone of positive semidefinite symmetric n x n rational matrices.
 
     Vectors are upper triangles, row major, with off-diagonal coordinates
-    taken against the symmetrized basis elements e_i e_j^T + e_j e_i^T.
+    taken against the symmetrized basis elements e_i e_j^T + e_j e_i^T. The
+    ambient dimension n(n+1)/2 is held to the same cap as `build_cone`.
     """
     if n < 1:
         raise ValueError("n must be positive")
     dim = n * (n + 1) // 2
+    if dim > max_dim:
+        raise CapExceededError(
+            f"psd({n}) has ambient dimension {dim}, exceeding cap {max_dim}")
 
     def contains(x: Sequence) -> bool:
         return _is_psd(_sym_from_vector(n, x))
@@ -476,13 +526,7 @@ def psd_cone_oracle(n: int) -> ConeOracle:
     def interior_sample() -> Vector:
         return _sym_to_vector(QMatrix.identity(n))
 
-    def sample_points(rng: random.Random, count: int) -> list[Vector]:
-        out = []
-        for _ in range(count):
-            b = QMatrix(n, n, [rng.randrange(-3, 4) for _ in range(n * n)])
-            out.append(_sym_to_vector(b.transpose() * b))
-        return out
-
     return ConeOracle(dim=dim, contains=contains, strictly_contains=strictly_contains,
-                      interior_sample=interior_sample, sample_points=sample_points,
+                      interior_sample=interior_sample,
+                      is_automorphism=lambda m: _is_psd_congruence(n, m),
                       description=f"psd({n})")

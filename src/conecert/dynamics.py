@@ -8,6 +8,13 @@ onto the q-eigenspace, and the two spectral flags (all eigenvalue moduli
 equal q, and semisimplicity) that characterize power boundedness of the
 normalized iterates in both directions.
 
+Invariance is exact for both cone types (every generator of a polyhedral
+cone in both directions, else the oracle's exact automorphism test). If
+M(C) = C and M / q is power bounded, the closure of the powers of M / q is
+a compact group preserving C whose Haar average, the spectral projector P
+onto the q-eigenspace, keeps the relative interior. So P(interior sample)
+is the witness, and a non-interior projection is an internal error.
+
 The degree calculus helpers (q^dim relations, the product formula across an
 equivariant dominant map, and the invariant-subvariety contradiction on
 covered-by-torus spaces) live here as exact big-integer arithmetic.
@@ -15,12 +22,11 @@ covered-by-torus spaces) live here as exact big-integer arithmetic.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import ConeLike, ConeOracle, Membership, PolyhedralCone, membership
+from .cones import ConeLike, Membership, PolyhedralCone, membership
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -39,7 +45,6 @@ from .exactalg import (
     modulus_equals,
     primitive_vector,
     real_roots,
-    vec_add,
     vec_scale,
     vector,
 )
@@ -47,10 +52,6 @@ from .exactalg.qmatrix import _projector_from_min_poly
 from .exactalg.qpoly import _frac
 
 Vector = tuple[Fraction, ...]
-
-ORACLE_BATTERY_SIZE = 32
-ORACLE_BATTERY_SEED = 90017
-WITNESS_RETRY_BUDGET = 16
 
 
 # -- invariance -----------------------------------------------------------------
@@ -73,31 +74,15 @@ def verify_invariance(m: QMatrix, c: PolyhedralCone) -> bool:
     return True
 
 
-def _oracle_invariance_battery(m: QMatrix, oracle: ConeOracle,
-                               seed: int = ORACLE_BATTERY_SEED,
-                               count: int = ORACLE_BATTERY_SIZE) -> bool:
-    """Spot-check invariance on the interior sample and a seeded point battery."""
-    if m.det() == 0:
-        raise SingularMatrixError("cone map must be invertible")
-    minv = m.inverse()
-    points = [oracle.interior_sample()]
-    points += oracle.sample_points(random.Random(seed), count)
-    for p in points:
-        if not oracle.contains(m.apply(p)):
-            return False
-        if not oracle.contains(minv.apply(p)):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ConeMap:
     """An invertible map together with the cone it preserves.
 
-    `invariance` records how invariance was established: "generators-exact"
-    for polyhedral cones (checked on every generator, both directions) or
-    "sampled-battery" for oracle cones (interior sample plus a documented
-    battery of deterministic pseudo-random cone points).
+    `invariance` records how invariance was established, or is None when
+    the map does not carry the cone onto itself: "generators-exact" for
+    polyhedral cones (checked on every generator, both directions) or
+    "congruence-exact" for the PSD oracle (the map is recovered as a
+    congruence X -> c B X B^T, see `cones._is_psd_congruence`).
     """
 
     matrix: QMatrix
@@ -111,8 +96,10 @@ class ConeMap:
             return ConeMap(matrix, cone, "generators-exact" if ok else None)
         if matrix.rows != cone.dim:
             raise DimensionMismatchError("map and oracle dimensions differ")
-        ok = _oracle_invariance_battery(matrix, cone)
-        return ConeMap(matrix, cone, "sampled-battery" if ok else None)
+        if matrix.det() == 0:
+            raise SingularMatrixError("cone map must be invertible")
+        ok = cone.is_automorphism(matrix)
+        return ConeMap(matrix, cone, "congruence-exact" if ok else None)
 
     @property
     def invariance_checked(self) -> bool:
@@ -205,43 +192,24 @@ def _effective_map(cm: ConeMap) -> tuple[QMatrix, Optional[QPoly]]:
     return m_span, transverse
 
 
-def _interior_witness(cone: ConeLike, proj: QMatrix) -> Optional[Vector]:
+def _interior_witness(cone: ConeLike, proj: QMatrix) -> Vector:
     """The primitive image of the interior sample under the q-eigenspace
-    projector if it is interior; oracle cones also try a bounded number of
-    perturbed samples."""
+    projector, which the cone lemma (module docstring) makes interior."""
+    sample = cone.interior_sample()
     if isinstance(cone, PolyhedralCone):
         emb = QMatrix.from_columns([vector(b) for b in cone.span_basis])
-        sample_local = emb.solve(cone.interior_sample())
-        candidate = emb.apply(proj.apply(sample_local))
-        if membership(cone, candidate) is Membership.INTERIOR:
-            return primitive_vector(candidate)
-        return None
-
-    sample = cone.interior_sample()
-    candidate = proj.apply(sample)
-    if cone.strictly_contains(candidate):
-        return primitive_vector(candidate)
-    dim = cone.dim
-    for k in range(1, WITNESS_RETRY_BUDGET + 1):
-        basis_vec = tuple(Fraction(1 if i == (k - 1) % dim else 0) for i in range(dim))
-        perturbed = vec_add(sample, vec_scale(basis_vec, Fraction(1, 2 ** k)))
-        candidate = proj.apply(perturbed)
-        if cone.strictly_contains(candidate):
-            return primitive_vector(candidate)
-    return None
+        candidate = emb.apply(proj.apply(emb.solve(sample)))
+    else:
+        candidate = proj.apply(sample)
+    if not cone.strictly_contains(candidate):
+        raise InternalCheckError(
+            "projected interior sample is not interior on an invariant cone")
+    return primitive_vector(candidate)
 
 
-def interior_eigenvector(cm: ConeMap, q) -> Optional[Vector]:
-    """A strictly interior eigenvector for q, or None.
-
-    The spectral projector applied to the interior sample is tried first.
-    For polyhedral cones a None answer is conclusive: if the projected
-    sample is not interior then the q-eigenspace misses the relative
-    interior entirely, because a facet vanishing on the projected sample
-    vanishes on the projection of every cone point. For oracle cones the
-    search perturbs the sample a bounded number of times and a None answer
-    only reports that the budget ran out.
-    """
+def interior_eigenvector(cm: ConeMap, q) -> Vector:
+    """A strictly interior eigenvector for q: the projected interior sample
+    (module docstring)."""
     q = _frac(q)
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
@@ -284,15 +252,14 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
     only candidate is therefore the rational n-th root of |det M|, and only
     when it is an eigenvalue. When no q makes the map power bounded but a
     positive irrational real eigenvalue exists, the case is surfaced as
-    IrrationalCandidateOnly rather than silently dropped.
+    IrrationalCandidateOnly rather than silently dropped. Once q passes, the
+    witness is the projected interior sample (module docstring), so the
+    verdict is POLARIZED or NOT_POLARIZED, never INCONCLUSIVE.
     """
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
 
-    polyhedral = isinstance(cm.cone, PolyhedralCone)
     m_eff, transverse = _effective_map(cm)
-    cone_kind = "polyhedral" if polyhedral else cm.cone.description
-
     cp = char_poly(m_eff)
     q = _det_root_candidate(cp)
     mu = None if q is None else _bounded_min_poly(m_eff, q)
@@ -306,17 +273,6 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
 
     projector = _projector_from_min_poly(m_eff, mu, q)
     witness = _interior_witness(cm.cone, projector)
-    if witness is None:
-        if polyhedral:
-            return PolarizationResult(
-                PolarizationStatus.NOT_POLARIZED,
-                reason=f"eigenspace of q = {q} misses the cone interior "
-                       f"(exact polyhedral check)")
-        return PolarizationResult(
-            PolarizationStatus.INCONCLUSIVE,
-            reason=f"power bounded at q = {q} but the witness search "
-                   f"budget was exhausted")
-
     q_is_integer = q.denominator == 1
     if cm.matrix.is_integer and not q_is_integer:  # pragma: no cover
         raise InternalCheckError(
@@ -329,7 +285,8 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
         eigenvalue_moduli_all_q=True,
         semisimple=True,
         invariance=cm.invariance,
-        cone_kind=cone_kind,
+        cone_kind=("polyhedral" if isinstance(cm.cone, PolyhedralCone)
+                   else cm.cone.description),
         transverse_char_poly=transverse,
     )
     _check_certificate(cm, cert, m_eff)
@@ -338,12 +295,11 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
 
 def _check_certificate(cm: ConeMap, cert: PolarizationCertificate,
                        m_eff: QMatrix) -> None:
-    """Re-verify the certificate identities exactly before returning it."""
+    """Re-verify the certificate identities exactly before returning it; the
+    witness was checked interior when `_interior_witness` built it."""
     m = cm.matrix
     if m.apply(cert.witness) != vec_scale(cert.witness, cert.q):
         raise InternalCheckError("witness is not an eigenvector")
-    if not cm.cone.strictly_contains(cert.witness):
-        raise InternalCheckError("witness is not interior")
     p = cert.projector
     if p * p != p:
         raise InternalCheckError("projector is not idempotent")

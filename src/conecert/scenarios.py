@@ -132,13 +132,13 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
     matrix = _parse_matrix(payload["matrix"])
     hint = _parse_entry(payload["q_hint"]) if "q_hint" in payload else None
     cone_spec = payload["cone"]
+    kwargs = {} if max_dim is None else {"max_dim": max_dim}
     try:
         if cone_spec["type"] == "polyhedral":
-            kwargs = {} if max_dim is None else {"max_dim": max_dim}
             cone = build_cone([[_parse_entry(v) for v in g]
                                for g in cone_spec["generators"]], **kwargs)
         else:
-            cone = psd_cone_oracle(cone_spec["size"])
+            cone = psd_cone_oracle(cone_spec["size"], **kwargs)
         cm = ConeMap.create(matrix, cone)
     except ConecertError as exc:
         raise ScenarioError(f"scenario setup failed: {exc}") from exc

@@ -291,8 +291,8 @@ def _oracle_minimal_face(cone: PolyhedralCone, subs) -> tuple:
     """Exhaustive-scan oracle: smallest face containing every sub-generator."""
     containing = []
     for face in enumerate_faces(cone):
-        gens = list(face.generators())
-        if all(_subcone_contains(gens, v) for v in subs):
+        in_face = _subcone_contains(list(face.generators()))
+        if all(in_face(v) for v in subs):
             containing.append(face)
     best = min(containing, key=lambda f: (f.dim, len(f.generator_indices)))
     for other in containing:

@@ -174,6 +174,50 @@ def test_q_hint_checked(tmp_path):
     assert report["verdicts"]["q_matches_hint"] is True
 
 
+def test_psd_map_off_the_cone_reports_invariance_failed(tmp_path):
+    # a map a sampled point battery once passed as invariant
+    doc = {
+        "schema_version": "1",
+        "kind": "cone_dynamics",
+        "payload": {
+            "matrix": [[27, "-55/3", 3], [-9, 12, -3], [3, -6, 3]],
+            "cone": {"type": "psd", "size": 2},
+        },
+    }
+    path = tmp_path / "psd.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    result = run_cli("analyze", str(path), "--json", str(out))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(out.read_text())["verdicts"]["status"] == "invariance_failed"
+
+
+def test_psd_size_held_to_the_dimension_cap(tmp_path):
+    # psd(4) lives in dimension 10, above the default cap of 8; here the map
+    # X -> 2 P X P^T for the permutation P swapping 0 <-> 1 and 2 <-> 3
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    perm = (1, 0, 3, 2)
+    image = {k: pairs.index(tuple(sorted((perm[i], perm[j]))))
+             for k, (i, j) in enumerate(pairs)}
+    matrix = [[2 * int(image[col] == row) for col in range(10)] for row in range(10)]
+    doc = {
+        "schema_version": "1",
+        "kind": "cone_dynamics",
+        "payload": {"matrix": matrix, "cone": {"type": "psd", "size": 4}},
+    }
+    path = tmp_path / "psd4.json"
+    path.write_text(json.dumps(doc))
+    capped = run_cli("analyze", str(path))
+    assert capped.returncode == 2
+    assert "exceeding cap 8" in capped.stderr
+    out = tmp_path / "report.json"
+    result = run_cli("analyze", str(path), "--max-dim", "10", "--json", str(out))
+    assert result.returncode == 0, result.stderr
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert verdicts["status"] == "polarized"
+    assert verdicts["invariance"] == "congruence-exact"
+
+
 def test_semantically_bad_scenario_exits_2(tmp_path):
     # a cone that contains a line is rejected as scenario data, not a crash
     doc = {

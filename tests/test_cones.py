@@ -204,6 +204,14 @@ def test_psd_oracle_size_one():
     assert not oracle.contains([-1])
 
 
+def test_psd_oracle_size_capped_by_ambient_dimension():
+    from conecert.errors import CapExceededError
+    assert psd_cone_oracle(3).dim == 6
+    with pytest.raises(CapExceededError):
+        psd_cone_oracle(4)
+    assert psd_cone_oracle(4, max_dim=10).dim == 10
+
+
 def test_minimal_face_of_zero_vector_is_apex(octant):
     face = minimal_extremal_face(octant, [[0, 0, 0]])
     assert face.generator_indices == ()

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from conecert import dynamics
 from conecert.cones import build_cone, psd_cone_oracle
 from conecert.dynamics import (
     AbelianInvariantVerdict,
@@ -18,6 +20,7 @@ from conecert.dynamics import (
     verify_invariance,
 )
 from conecert.errors import (
+    InternalCheckError,
     InvarianceNotVerifiedError,
     IrrationalCandidateOnlyError,
     NoIntegerRootError,
@@ -97,7 +100,7 @@ def test_decide_polarized_psd_oracle():
     cert = result.certificate
     assert cert.q == 6
     assert cert.witness == (1, 0, 5)
-    assert cert.invariance == "sampled-battery"
+    assert cert.invariance == "congruence-exact"
     assert cert.cone_kind == "psd(2)"
 
 
@@ -154,7 +157,7 @@ def test_span_restricted_cone_map():
     assert cert.transverse_char_poly.coeffs == (2, 1)  # the off-span eigenvalue -2
 
 
-def test_oracle_invariance_battery_rejects_non_preserving_map():
+def test_psd_congruence_test_rejects_non_preserving_map():
     # diag(1, 1, -1) on (a, b, c) coordinates flips the second diagonal
     # entry, sending the identity form to an indefinite one
     flip = QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
@@ -162,6 +165,98 @@ def test_oracle_invariance_battery_rejects_non_preserving_map():
     assert not cm.invariance_checked
     with pytest.raises(InvarianceNotVerifiedError):
         decide_polarization(cm)
+
+
+def test_psd_map_accepted_by_a_point_battery_is_rejected():
+    # a sampled battery of 32 points B^T B accepted this map, yet its inverse
+    # sends the PSD point (1, -43/44, 1849/1936) off the cone
+    m = QMatrix.from_rows([[27, Fraction(-55, 3), 3], [-9, 12, -3], [3, -6, 3]])
+    oracle = psd_cone_oracle(2)
+    point = (1, Fraction(-43, 44), Fraction(1849, 1936))
+    assert oracle.contains(point)
+    assert not oracle.contains(m.inverse().apply(point))
+    assert not ConeMap.create(m, oracle).invariance_checked
+
+
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _flatten(x):
+    return tuple(x.entry(i, j) for i, j in _pairs(x.rows))
+
+
+def _battery_accepts(m, n, rng, count=32):
+    """The sampled test the exact one replaced: m and its inverse keep the
+    identity and `count` random points B^T B inside psd(n)."""
+    oracle = psd_cone_oracle(n)
+    points = [_flatten(QMatrix.identity(n))]
+    for _ in range(count):
+        b = QMatrix(n, n, [rng.randrange(-3, 4) for _ in range(n * n)])
+        points.append(_flatten(b.transpose() * b))
+    minv = m.inverse()
+    return all(oracle.contains(m.apply(p)) and oracle.contains(minv.apply(p))
+               for p in points)
+
+
+def _congruence(b, c):
+    """X -> c B X B^T on flattened symmetric matrices."""
+    n = b.rows
+    cols = []
+    for i, j in _pairs(n):
+        e = [[0] * n for _ in range(n)]
+        e[i][j] = e[j][i] = 1
+        cols.append(_flatten((b * QMatrix.from_rows(e) * b.transpose()).scale(c)))
+    return QMatrix.from_columns(cols)
+
+
+def _random_invertible(rng, n, entry):
+    while True:
+        m = QMatrix(n, n, [entry() for _ in range(n * n)])
+        if m.det() != 0:
+            return m
+
+
+def test_exact_invariance_agrees_with_point_battery():
+    # congruences are accepted by both tests; among scaled-by--1, perturbed,
+    # "+ tr(X) I" (positive, not onto) and random maps, whatever the
+    # battery rejects the exact test rejects too
+    rng = random.Random(2718)
+    rejected = 0
+    for n in (1, 2, 3):
+        oracle = psd_cone_oracle(n)
+        dim = oracle.dim
+        identity = _flatten(QMatrix.identity(n))
+        trace_term = QMatrix.from_columns(
+            [identity if i == j else (0,) * dim for i, j in _pairs(n)])
+        for _ in range(20):
+            b = _random_invertible(rng, n, lambda: Fraction(rng.randrange(-4, 5),
+                                                            rng.randrange(1, 4)))
+            cong = _congruence(b, Fraction(rng.randrange(1, 7), rng.randrange(1, 4)))
+            assert ConeMap.create(cong, oracle).invariance == "congruence-exact"
+            assert _battery_accepts(cong, n, rng)
+            k = rng.randrange(dim * dim)
+            perturbed = QMatrix(dim, dim, [e + Fraction(int(i == k), 7)
+                                           for i, e in enumerate(cong.entries)])
+            random_map = _random_invertible(rng, dim, lambda: rng.randrange(-3, 4))
+            for m in (cong.scale(-1), perturbed, cong + trace_term, random_map):
+                if m.det() != 0 and not _battery_accepts(m, n, rng):
+                    rejected += 1
+                    assert not ConeMap.create(m, oracle).invariance_checked
+    assert rejected > 100
+
+
+def test_non_interior_projection_is_an_internal_error(monkeypatch):
+    true_projector = dynamics._projector_from_min_poly
+    monkeypatch.setattr(dynamics, "_projector_from_min_poly",
+                        lambda m, mu, q: true_projector(m, mu, q).scale(-1))
+    for m, cone, q in ((SWAP2, build_cone([[1, 0], [0, 1]]), 2),
+                       (PULLBACK_3X3, psd_cone_oracle(2), 6)):
+        cm = ConeMap.create(m, cone)
+        with pytest.raises(InternalCheckError):
+            decide_polarization(cm)
+        with pytest.raises(InternalCheckError):
+            interior_eigenvector(cm, q)
 
 
 def test_polyhedral_conclusive_refusal_tag():
