@@ -44,6 +44,9 @@ Vector = tuple[Fraction, ...]
 
 MAX_AMBIENT_DIM = 8
 MAX_GENERATORS = 64
+# seeded random pairs behind `is_extremal_face`'s redundant extremality probe
+PAIR_CHECKS = 32
+PAIR_CHECK_SEED = 7
 
 
 class Membership(enum.Enum):
@@ -213,8 +216,7 @@ ConeLike = Union[PolyhedralCone, ConeOracle]
 
 
 def build_cone(generators: Sequence[Sequence], *,
-               max_dim: int = MAX_AMBIENT_DIM,
-               max_generators: int = MAX_GENERATORS) -> PolyhedralCone:
+               max_dim: int = MAX_AMBIENT_DIM) -> PolyhedralCone:
     """Cone generated by the given rational vectors.
 
     Facet normals come from double description; the construction also
@@ -230,8 +232,8 @@ def build_cone(generators: Sequence[Sequence], *,
         raise DimensionMismatchError("generators of mixed dimension")
     if ambient > max_dim:
         raise CapExceededError(f"ambient dimension {ambient} exceeds cap {max_dim}")
-    if len(gens) > max_generators:
-        raise CapExceededError(f"{len(gens)} generators exceed cap {max_generators}")
+    if len(gens) > MAX_GENERATORS:
+        raise CapExceededError(f"{len(gens)} generators exceed cap {MAX_GENERATORS}")
 
     # work inside the rational span
     gen_matrix = QMatrix.from_rows(gens)
@@ -363,8 +365,7 @@ def _subcone_contains(vs: Sequence[Vector]) -> Callable[[Vector], bool]:
     return lambda x: membership(sub, x) is not Membership.OUTSIDE
 
 
-def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]],
-                     *, pair_checks: int = 32, seed: int = 7) -> bool:
+def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]]) -> bool:
     """Whether f is an extremal face of c (u + v in f forces u, v in f).
 
     Accepts either a Face of c or an arbitrary proposed subcone given by
@@ -390,9 +391,9 @@ def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]],
         certified = all(in_f(c.generators[i]) for i in minimal.generator_indices)
 
     # redundant extremality probe on random cone points
-    rng = random.Random(seed)
+    rng = random.Random(PAIR_CHECK_SEED)
     if gens:
-        for _ in range(pair_checks):
+        for _ in range(PAIR_CHECKS):
             u = _random_cone_point(c, rng)
             v = _random_cone_point(c, rng)
             if in_f(vec_add(u, v)):

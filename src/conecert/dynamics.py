@@ -6,7 +6,10 @@ eigenvector with a positive rational scaling factor q, and assembles a
 certificate: the scaling factor, the witness vector, the spectral projector
 onto the q-eigenspace, and the two spectral flags (all eigenvalue moduli
 equal q, and semisimplicity) that characterize power boundedness of the
-normalized iterates in both directions.
+normalized iterates in both directions. Both flags are read off the
+square-free part r of the characteristic polynomial, the one spectral
+quantity a decision computes (once, in `ConeMap.create`): the roots of r have
+modulus q and r(M) = 0, and then r is the minimal polynomial of M.
 
 Invariance is exact for both cone types (every generator of a polyhedral
 cone in both directions, else the oracle's exact automorphism test). If
@@ -41,7 +44,7 @@ from .exactalg import (
     QMatrix,
     QPoly,
     char_poly,
-    min_poly,
+    evaluate_poly_at_matrix,
     modulus_equals,
     primitive_vector,
     real_roots,
@@ -83,23 +86,27 @@ class ConeMap:
     polyhedral cones (checked on every generator, both directions) or
     "congruence-exact" for the PSD oracle (the map is recovered as a
     congruence X -> c B X B^T, see `cones._is_psd_congruence`).
+    `char_poly` is char(matrix), computed once for the report and decision.
     """
 
     matrix: QMatrix
     cone: ConeLike
     invariance: Optional[str]
+    char_poly: QPoly
 
     @staticmethod
     def create(matrix: QMatrix, cone: ConeLike) -> "ConeMap":
         if isinstance(cone, PolyhedralCone):
             ok = verify_invariance(matrix, cone)
-            return ConeMap(matrix, cone, "generators-exact" if ok else None)
+            return ConeMap(matrix, cone, "generators-exact" if ok else None,
+                           char_poly(matrix))
         if matrix.rows != cone.dim:
             raise DimensionMismatchError("map and oracle dimensions differ")
-        if matrix.det() == 0:
+        cp = char_poly(matrix)
+        if cp.coeffs[0] == 0:
             raise SingularMatrixError("cone map must be invertible")
         ok = cone.is_automorphism(matrix)
-        return ConeMap(matrix, cone, "congruence-exact" if ok else None)
+        return ConeMap(matrix, cone, "congruence-exact" if ok else None, cp)
 
     @property
     def invariance_checked(self) -> bool:
@@ -112,21 +119,27 @@ class ConeMap:
 def is_power_bounded(m: QMatrix, q) -> bool:
     """Whether sup over all integers i of |m^i| / q^i is finite.
 
-    Spectrally characterized: the minimal polynomial must be square free
-    (the map is diagonalizable) and every eigenvalue must have modulus
-    exactly q, decided on the minimal polynomial by `modulus_equals`.
+    Spectrally characterized on the square-free part r of the characteristic
+    polynomial: every root of r must have modulus exactly q (`modulus_equals`)
+    and r(m) must vanish, so that m is diagonalizable.
     """
-    return _bounded_min_poly(m, _frac(q)) is not None
+    return _bounded_min_poly(m, char_poly(m), _frac(q)) is not None
 
 
-def _bounded_min_poly(m: QMatrix, q: Fraction) -> Optional[QPoly]:
-    """The minimal polynomial of m if m / q is power bounded, else None."""
+def _bounded_min_poly(m: QMatrix, cp: QPoly, q: Fraction) -> Optional[QPoly]:
+    """The minimal polynomial of m if m / q is power bounded, else None.
+
+    The square-free part r of cp = char(m) has every eigenvalue of m as a
+    simple root, so r is the minimal polynomial exactly when r(m) = 0, which
+    makes m diagonalizable; otherwise the minimal polynomial repeats a root.
+    """
     if q <= 0:
         raise ValueError("q must be positive")
-    if m.det() == 0:
+    if cp.coeffs[0] == 0:
         raise SingularMatrixError("power boundedness needs an invertible map")
-    mu = min_poly(m)
-    return mu if mu.is_square_free() and modulus_equals(mu, q) else None
+    r = cp.square_free_part()
+    bounded = modulus_equals(r, q) and not any(evaluate_poly_at_matrix(r, m).entries)
+    return r if bounded else None
 
 
 # -- polarization decision ------------------------------------------------------------
@@ -173,12 +186,12 @@ class PolarizationResult:
         return self.status is PolarizationStatus.POLARIZED
 
 
-def _effective_map(cm: ConeMap) -> tuple[QMatrix, Optional[QPoly]]:
-    """Matrix of the map on the cone's span, plus the transverse factor of its
-    characteristic polynomial (None when the span is the whole space)."""
+def _effective_map(cm: ConeMap) -> tuple[QMatrix, QPoly, Optional[QPoly]]:
+    """Matrix of the map on the cone's span, its characteristic polynomial,
+    and the transverse factor (None when the span is the whole space)."""
     m, cone = cm.matrix, cm.cone
     if not isinstance(cone, PolyhedralCone) or cone.is_full_dimensional:
-        return m, None
+        return m, cm.char_poly, None
     emb = QMatrix.from_columns([vector(b) for b in cone.span_basis])
     cols = []
     for j in range(emb.cols):
@@ -188,8 +201,8 @@ def _effective_map(cm: ConeMap) -> tuple[QMatrix, Optional[QPoly]]:
             raise InvarianceNotVerifiedError("map does not preserve the cone's span")
         cols.append(coeff)
     m_span = QMatrix.from_columns(cols)
-    transverse = char_poly(m).exact_div(char_poly(m_span))
-    return m_span, transverse
+    cp_span = char_poly(m_span)
+    return m_span, cp_span, cm.char_poly.exact_div(cp_span)
 
 
 def _interior_witness(cone: ConeLike, proj: QMatrix) -> Vector:
@@ -213,8 +226,8 @@ def interior_eigenvector(cm: ConeMap, q) -> Vector:
     q = _frac(q)
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
-    m_eff, _ = _effective_map(cm)
-    mu = _bounded_min_poly(m_eff, q)
+    m_eff, cp, _ = _effective_map(cm)
+    mu = _bounded_min_poly(m_eff, cp, q)
     if mu is None:
         raise NotPowerBoundedError(f"normalized iterates unbounded at q = {q}")
     return _interior_witness(cm.cone, _projector_from_min_poly(m_eff, mu, q))
@@ -259,10 +272,9 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
 
-    m_eff, transverse = _effective_map(cm)
-    cp = char_poly(m_eff)
+    m_eff, cp, transverse = _effective_map(cm)
     q = _det_root_candidate(cp)
-    mu = None if q is None else _bounded_min_poly(m_eff, q)
+    mu = None if q is None else _bounded_min_poly(m_eff, cp, q)
     if mu is None:
         irrational = _positive_irrational_minpoly(cp)
         if irrational is not None:

@@ -265,19 +265,6 @@ class QMatrix:
             r += 1
         return QMatrix(n, n, [aug[i][n + j] for i in range(n) for j in range(n)])
 
-    def pow(self, k: int) -> "QMatrix":
-        if not self.is_square:
-            raise NonSquareError("power of a non-square matrix")
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = QMatrix.identity(self.rows)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def solve(self, b: Sequence[Scalar]):
         """One exact solution of self x = b, or None if inconsistent."""
         if len(b) != self.rows:

@@ -225,11 +225,6 @@ class QPoly:
             return self.monic()
         return self.exact_div(g).monic()
 
-    def is_square_free(self) -> bool:
-        if self.is_zero:
-            return False
-        return self.gcd(self.derivative()).degree <= 0
-
     # -- real root counting -----------------------------------------------------
 
     def sturm_chain(self) -> list["QPoly"]:

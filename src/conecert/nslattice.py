@@ -38,7 +38,6 @@ from .exactalg import (
     AlgebraicNumber,
     QMatrix,
     QPoly,
-    char_poly,
     roots_with_multiplicity,
     vec_scale,
     vector,
@@ -204,7 +203,8 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     action = pullback_action(QMatrix.from_rows(endo) if not isinstance(endo, QMatrix) else endo)
     m = action.ns_matrix
     rho = m.rows
-    cp = char_poly(m)
+    cm = ConeMap.create(m, psd_cone_oracle(2))
+    cp = cm.char_poly
     eigs = tuple(roots_with_multiplicity(cp))
     real_count = sum(mult for root, mult in eigs if root.is_real)
 
@@ -217,7 +217,7 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     witness_ample = False
     q: Optional[Fraction] = None
     try:
-        result = decide_polarization(ConeMap.create(m, psd_cone_oracle(2)))
+        result = decide_polarization(cm)
     except IrrationalCandidateOnlyError as exc:
         result = PolarizationResult(PolarizationStatus.INCONCLUSIVE,
                                     reason=f"irrational scaling candidate only: "

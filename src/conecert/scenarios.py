@@ -30,7 +30,7 @@ from .dynamics import (
     q_from_degree,
 )
 from .errors import ConecertError, IrrationalCandidateOnlyError, ScenarioError
-from .exactalg import QMatrix, QPoly, char_poly, roots_with_multiplicity
+from .exactalg import QMatrix, QPoly, roots_with_multiplicity
 from .nslattice import elliptic_product_report, quotient_image_selfintersection
 from .report import (
     SCHEMA_VERSION,
@@ -143,7 +143,7 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
     except ConecertError as exc:
         raise ScenarioError(f"scenario setup failed: {exc}") from exc
 
-    cp = char_poly(matrix)
+    cp = cm.char_poly
     report["data"]["char_poly"] = exact(cp)
     report["data"]["char_poly_str"] = str(cp)
     report["data"]["eigenvalues"] = _eigen_docs(cp)

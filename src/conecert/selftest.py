@@ -24,7 +24,6 @@ from .cones import (
     membership,
     minimal_extremal_face,
     psd_cone_oracle,
-    _subcone_contains,
 )
 from .dynamics import (
     ConeMap,
@@ -41,13 +40,14 @@ from .singularities import CyclicActionElement, age, projective_cycle_fixed_data
 
 GROWTH_RANGE = 40
 GROWTH_THRESHOLD = Fraction(10 ** 6)
+FACE_ORACLE_MAX_GENS = 10
 
 
 # -- the empirical growth oracle ---------------------------------------------------
 
 
-def empirical_growth_max(m: QMatrix, q: Fraction, i_range: int = GROWTH_RANGE) -> Fraction:
-    """max over i in [-i_range, i_range] of the largest entry of m^i / q^i.
+def empirical_growth_max(m: QMatrix, q: Fraction) -> Fraction:
+    """max over i in [-GROWTH_RANGE, GROWTH_RANGE] of the largest entry of m^i / q^i.
 
     A heuristic stand-in for the sup over all integers; exact rational
     arithmetic throughout, used only as a test oracle.
@@ -55,14 +55,14 @@ def empirical_growth_max(m: QMatrix, q: Fraction, i_range: int = GROWTH_RANGE) -
     best = Fraction(1)
     power = QMatrix.identity(m.rows)
     scale = Fraction(1)
-    for _ in range(i_range):
+    for _ in range(GROWTH_RANGE):
         power = power * m
         scale *= q
         best = max(best, power.max_abs_entry() / scale)
     inv = m.inverse()
     power = QMatrix.identity(m.rows)
     scale = Fraction(1)
-    for _ in range(i_range):
+    for _ in range(GROWTH_RANGE):
         power = power * inv
         scale *= q
         best = max(best, power.max_abs_entry() * scale)
@@ -288,11 +288,14 @@ def _random_pointed_cone(rng: random.Random, dim: int, gens: int) -> PolyhedralC
 
 
 def _oracle_minimal_face(cone: PolyhedralCone, subs) -> tuple:
-    """Exhaustive-scan oracle: smallest face containing every sub-generator."""
+    """Exhaustive-scan oracle: smallest face containing every sub-generator.
+
+    A face F is the cone cut with span(F) and every sub-generator v is in the
+    cone, so v is in F exactly when it keeps the rank of F's generators."""
     containing = []
     for face in enumerate_faces(cone):
-        in_face = _subcone_contains(list(face.generators()))
-        if all(in_face(v) for v in subs):
+        gens = list(face.generators())
+        if gens and all(QMatrix.from_rows(gens + [v]).rank() == face.dim for v in subs):
             containing.append(face)
     best = min(containing, key=lambda f: (f.dim, len(f.generator_indices)))
     for other in containing:
@@ -301,8 +304,7 @@ def _oracle_minimal_face(cone: PolyhedralCone, subs) -> tuple:
     return best.generator_indices, best.active_facets
 
 
-def run_face_oracle(seed: int, cases: int, max_dim: int = 5,
-                    max_gens: int = 10) -> SuiteResult:
+def run_face_oracle(seed: int, cases: int, max_dim: int = 5) -> SuiteResult:
     rng = random.Random(seed)
     result = SuiteResult(name="minimal-face-oracle", cases=cases)
     for case in range(cases):
@@ -310,7 +312,7 @@ def run_face_oracle(seed: int, cases: int, max_dim: int = 5,
         # one-dimensional cones whose only facet is the apex)
         while True:
             dim = rng.randrange(2, max_dim + 1)
-            cone = _random_pointed_cone(rng, dim, rng.randrange(dim, max_gens + 1))
+            cone = _random_pointed_cone(rng, dim, rng.randrange(dim, FACE_ORACLE_MAX_GENS + 1))
             candidates = [
                 [g for g in cone.generators
                  if sum(a * b for a, b in zip(n, g)) == 0]

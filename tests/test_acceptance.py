@@ -96,7 +96,7 @@ def test_criterion_3_projector_identities(equivalence_run):
 
 
 def test_criterion_4_minimal_face_oracle():
-    result = run_face_oracle(FACE_SEED, 100, max_dim=5, max_gens=10)
+    result = run_face_oracle(FACE_SEED, 100, max_dim=5)
     assert result.cases == 100
     assert result.failures == [], result.failures[:5]
     print("\nACCEPTANCE 4 minimal-face vs exhaustive enumeration 100/100: PASS")

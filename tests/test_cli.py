@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert.errors import ConecertError
-from conecert.exactalg import AlgebraicNumber
+from conecert.exactalg import AlgebraicNumber, qmatrix
 from conecert.report import dumps_canonical, loads
 from conecert.scenarios import BUILTIN_SCENARIOS, SCENARIO_SCHEMA, run_scenario
 
@@ -190,6 +190,66 @@ def test_psd_map_off_the_cone_reports_invariance_failed(tmp_path):
     result = run_cli("analyze", str(path), "--json", str(out))
     assert result.returncode == 0, result.stderr
     assert json.loads(out.read_text())["verdicts"]["status"] == "invariance_failed"
+
+
+def test_jordan_block_automorphism_reports_not_polarized(tmp_path):
+    # the shear congruence X -> A X A^T, A = [[1, 1], [0, 1]], preserves
+    # psd(2) but is not semisimple
+    doc = {
+        "schema_version": "1",
+        "kind": "cone_dynamics",
+        "payload": {
+            "matrix": [[1, 2, 1], [0, 1, 1], [0, 0, 1]],
+            "cone": {"type": "psd", "size": 2},
+        },
+    }
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    result = run_cli("analyze", str(path), "--json", str(out))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(out.read_text())["verdicts"]["status"] == "not_polarized"
+
+
+def _record_calls(monkeypatch, func) -> list:
+    """Route every conecert module's reference to func through a recorder of
+    its arguments."""
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return func(*args)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "conecert" or name.startswith("conecert.")):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, recorder)
+    return calls
+
+
+def test_one_char_poly_per_matrix_and_no_min_poly(monkeypatch):
+    char_calls = _record_calls(monkeypatch, qmatrix.char_poly)
+    min_calls = _record_calls(monkeypatch, qmatrix.min_poly)
+
+    def cone_doc(matrix, cone):
+        return {"schema_version": "1", "kind": "cone_dynamics",
+                "payload": {"matrix": matrix, "cone": cone}}
+
+    swap = [[0, 2], [2, 0]]
+    # (document, distinct matrices: the map, and its restriction to a span)
+    cases = [
+        (cone_doc(swap, {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}), 1),
+        (cone_doc(swap, {"type": "polyhedral", "generators": [[1, 1]]}), 2),
+        (cone_doc([[1, 2, 1], [-5, -4, 1], [25, -10, 1]], {"type": "psd", "size": 2}), 1),
+        (BUILTIN_SCENARIOS["ex1"], 1),
+    ]
+    for doc, distinct in cases:
+        char_calls.clear()
+        verdicts = run_scenario(doc)["verdicts"]
+        assert "polarized" in (verdicts.get("status"), verdicts.get("verdict"))
+        assert len(char_calls) == len({args[0] for args in char_calls}) == distinct, doc
+    assert min_calls == []
 
 
 def test_psd_size_held_to_the_dimension_cap(tmp_path):

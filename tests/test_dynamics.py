@@ -27,7 +27,7 @@ from conecert.errors import (
     NotPowerBoundedError,
     SingularMatrixError,
 )
-from conecert.exactalg import QMatrix, algnum
+from conecert.exactalg import QMatrix, QPoly, algnum, min_poly, modulus_equals
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
 SWAP2 = QMatrix.from_rows([[0, 2], [2, 0]])
@@ -55,6 +55,55 @@ def test_power_boundedness():
     assert is_power_bounded(QMatrix.from_rows([[3, -4], [4, 3]]), 5)
 
 
+def _block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    base = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.rows):
+                rows[base + i][base + j] = b.entry(i, j)
+        base += b.rows
+    return QMatrix.from_rows(rows)
+
+
+def test_power_boundedness_matches_min_poly_reference():
+    # min_poly is the independent reference here: m / q is power bounded
+    # exactly when the minimal polynomial is square free with every root of
+    # modulus q. Blocks are scalars and Jordan blocks at +-q0 or off it, and
+    # rotations of modulus q0 or sqrt 2, conjugated by a random integer matrix.
+    rng = random.Random(1858)
+    rotations = {1: (0, 1), 2: (0, 2), 5: (3, 4)}
+    bounded = 0
+    for _ in range(150):
+        q0 = rng.choice([1, 2, 5])
+        blocks, eigenvalues = [], set()
+        size, target = 0, rng.randrange(1, 5)
+        while size < target:
+            kind = rng.choice(["scalar", "jordan", "rotation", "off"])
+            if kind == "rotation":
+                a, b = rng.choice([rotations[q0], (1, 1)])
+                blocks.append(QMatrix.from_rows([[a, -b], [b, a]]))
+            else:
+                lam = rng.choice([q0, -q0]) if kind != "off" else rng.choice(
+                    [Fraction(q0, 2), q0 + 1, -q0 - 1])
+                k = 2 if kind == "jordan" else 1
+                blocks.append(QMatrix.from_rows(
+                    [[lam if i == j else int(j == i + 1) for j in range(k)]
+                     for i in range(k)]))
+                eigenvalues.add(Fraction(lam))
+            size += blocks[-1].rows
+        s = _random_invertible(rng, size, lambda: rng.randrange(-2, 3))
+        m = s * _block_diagonal(blocks) * s.inverse()
+        mu = min_poly(m)
+        square_free = mu.gcd(mu.derivative()).degree == 0
+        for q in {e for e in eigenvalues if e > 0} | {Fraction(1)}:
+            expected = square_free and modulus_equals(mu, q)
+            assert is_power_bounded(m, q) == expected, (m, q)
+            bounded += expected
+    assert bounded > 20
+
+
 def test_power_boundedness_inverse_relation():
     for m, q in ((PULLBACK_3X3, Fraction(6)), (SWAP2, Fraction(2)),
                  (QMatrix.identity(2).scale(Fraction(3, 2)), Fraction(3, 2))):
@@ -71,7 +120,8 @@ def test_interior_eigenvector_examples(quadrant):
 
 
 def test_interior_eigenvector_requires_invariance(quadrant):
-    bad = ConeMap(QMatrix.from_rows([[1, -1], [0, 1]]), quadrant, None)
+    bad = ConeMap.create(QMatrix.from_rows([[1, -1], [0, 1]]), quadrant)
+    assert bad.invariance is None
     with pytest.raises(InvarianceNotVerifiedError):
         interior_eigenvector(bad, 1)
     with pytest.raises(InvarianceNotVerifiedError):
@@ -145,6 +195,19 @@ def test_refusals_isolate_no_complex_root(quadrant, monkeypatch):
     for rows in ([[0, 2], [1, 0]], [[0, Fraction(1, 1000)], [1, 0]]):
         with pytest.raises(IrrationalCandidateOnlyError):
             decide_polarization(ConeMap.create(QMatrix.from_rows(rows), quadrant))
+
+
+def test_jordan_block_automorphism_is_not_polarized():
+    # X -> A X A^T for the shear A = [[1, 1], [0, 1]] carries psd(2) onto
+    # itself, but its char poly (t - 1)^3 has square-free part r = t - 1 and
+    # r(m) != 0: a Jordan block, so the iterates grow
+    shear = QMatrix.from_rows([[1, 2, 1], [0, 1, 1], [0, 0, 1]])
+    cm = ConeMap.create(shear, psd_cone_oracle(2))
+    assert cm.invariance == "congruence-exact"
+    assert cm.char_poly == QPoly([-1, 3, -3, 1])
+    assert not is_power_bounded(shear, 1)
+    result = decide_polarization(cm)
+    assert result.status is PolarizationStatus.NOT_POLARIZED
 
 
 def test_span_restricted_cone_map():

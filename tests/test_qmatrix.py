@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,11 +67,6 @@ def test_inverse_round_trip():
     assert m * m.inverse() == QMatrix.identity(2)
     with pytest.raises(SingularMatrixError):
         QMatrix.zeros(2, 2).inverse()
-
-
-def test_negative_powers():
-    m = QMatrix.from_rows([[0, 2], [2, 0]])
-    assert m.pow(-2) == QMatrix.identity(2).scale(Fraction(1, 4))
 
 
 def test_solve_and_nullspace():
