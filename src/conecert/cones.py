@@ -7,14 +7,16 @@ working inside their rational span. All arithmetic is exact.
 
 The double description works on primitive integer vectors and keeps each
 ray's zero set as an int bitmask, updated as each constraint is added, for
-the combinatorial adjacency test. `build_cone` still runs it a second time,
-on the facet normals, to check that they give back the generator rays.
+the combinatorial adjacency test. `build_cone` runs it once and checks the
+facets it yields with an integer certificate on the facet-ridge graph
+(`_certify_facets`); ranks of integer vectors use fraction-free elimination.
 """
 from __future__ import annotations
 
 import enum
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -32,6 +34,7 @@ from .exactalg import (
     QMatrix,
     char_poly,
     dot,
+    independent_rows,
     is_zero_vector,
     primitive_ints,
     primitive_vector,
@@ -58,20 +61,21 @@ class Membership(enum.Enum):
 # -- double description core -----------------------------------------------------
 
 
-def _dual_extreme_rays(constraints: Sequence[Vector], dim: int) -> list[Vector]:
-    """Extreme rays of {y : <a, y> >= 0 for all a in constraints}.
+def _dual_extreme_rays(constraints: Sequence[Sequence], dim: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {y : <a, y> >= 0 for all a in constraints}, as sorted
+    primitive integer vectors.
 
     Incremental double description over primitive integer vectors with the
     combinatorial adjacency test on bitmask zero sets. Requires the
     constraint vectors to span the space, which makes the dual cone pointed
     and every intermediate cone pointed as well.
     """
+    cons = [primitive_ints(a) for a in constraints]
     # initial simplicial cone from the first maximal independent constraint subset
-    _, basis_idx = QMatrix.from_columns(list(constraints))._echelon()
+    basis_idx = independent_rows(cons)
     if len(basis_idx) < dim:
         raise InternalCheckError("constraints do not span the space")
-    cons = [primitive_ints(a) for a in constraints]
-    binv = QMatrix.from_rows([constraints[i] for i in basis_idx]).inverse()
+    binv = QMatrix.from_rows([cons[i] for i in basis_idx]).inverse()
     rays = [primitive_ints(binv.column(j)) for j in range(dim)]
     basis_bits = sum(1 << i for i in basis_idx)
     # bit i of masks[k] is set when rays[k] is tight on processed constraint i
@@ -106,7 +110,60 @@ def _dual_extreme_rays(constraints: Sequence[Vector], dim: int) -> list[Vector]:
                     new_masks.append(common | bit)
         rays = [rays[k] for k in keep] + new_rays
         masks = [masks[k] for k in keep] + new_masks
-    return [tuple(Fraction(x) for x in r) for r in sorted(set(rays))]
+    return sorted(set(rays))
+
+
+def _certify_facets(gens: Sequence[tuple[int, ...]], normals: Sequence[tuple[int, ...]],
+                    dim: int) -> list[int]:
+    """Check that `normals` are exactly the facet normals of cone(gens).
+
+    `gens` are primitive integer vectors spanning Q^dim and generating a
+    pointed cone. Returns each facet's tight-generator bitmask; any failed
+    clause is an InternalCheckError.
+
+    (a) every generator satisfies every normal; (b) the generators tight on
+    a normal have rank dim - 1, so each normal is a facet; (c) every ridge
+    of a listed facet lies in exactly two listed facets. A pointed cone's
+    facet-ridge graph is connected and each ridge lies in exactly two of its
+    facets (Ziegler, Lectures on Polytopes, ch. 3), so a facet missing from
+    the list would leave a ridge of a listed neighbour with one listed
+    facet. A ridge is keyed by the bitmask of the generators on it. A
+    simplicial facet's ridges drop one of its dim - 1 rays; any other facet
+    gets its own facets by double description in its span, certified the
+    same way.
+    """
+    if not normals:
+        raise InternalCheckError("no computed facets")
+    tight = []
+    for n in normals:
+        products = [sum(a * b for a, b in zip(n, g)) for g in gens]
+        if any(p < 0 for p in products):
+            raise InternalCheckError("generator violates a computed facet")
+        if len(independent_rows(g for g, p in zip(gens, products) if p == 0)) != dim - 1:
+            raise InternalCheckError("computed facet is not facet-dimensional")
+        tight.append(sum(1 << i for i, p in enumerate(products) if p == 0))
+    if dim == 1:
+        if len(normals) != 1:
+            raise InternalCheckError("a ray has exactly one facet")
+        return tight
+    same = [sum(1 << k for k, h in enumerate(gens) if h == g) for g in gens]
+    ridges: Counter[int] = Counter()
+    for n, mask in zip(normals, tight):
+        on = [i for i in range(len(gens)) if mask >> i & 1]
+        rays = {same[i] for i in on}
+        if len(rays) == dim - 1:
+            ridges.update(mask & ~r for r in rays)
+            continue
+        # coordinates on the facet's span: dropping a coordinate the normal
+        # uses is injective on the normal's kernel
+        c = next(k for k, x in enumerate(n) if x)
+        sub = [primitive_ints(gens[i][:c] + gens[i][c + 1:]) for i in on]
+        sub_normals = _dual_extreme_rays(sub, dim - 1)
+        for sub_mask in _certify_facets(sub, sub_normals, dim - 1):
+            ridges[sum(1 << i for k, i in enumerate(on) if sub_mask >> k & 1)] += 1
+    if any(count != 2 for count in ridges.values()):
+        raise InternalCheckError("a ridge does not lie in exactly two computed facets")
+    return tight
 
 
 # -- cone types --------------------------------------------------------------------
@@ -185,10 +242,7 @@ class Face:
 
     @property
     def dim(self) -> int:
-        gens = self.generators()
-        if not gens:
-            return 0
-        return QMatrix.from_rows(list(gens)).rank()
+        return len(independent_rows(primitive_ints(g) for g in self.generators()))
 
 
 @dataclass
@@ -219,9 +273,11 @@ def build_cone(generators: Sequence[Sequence], *,
                max_dim: int = MAX_AMBIENT_DIM) -> PolyhedralCone:
     """Cone generated by the given rational vectors.
 
-    Facet normals come from double description; the construction also
-    verifies the round trip (the inequality system cuts out exactly the
-    generated cone) and rejects cones that contain a line.
+    Facet normals come from one double description run, checked by the
+    integer facet certificate `_certify_facets` (the inequality system cuts
+    out exactly the generated cone); cones that contain a line are
+    rejected. A generator is extreme when the facets tight on it have rank
+    d - 1; among equal rays the first index is kept.
     """
     gens = [vector(g) for g in generators]
     gens = [g for g in gens if not is_zero_vector(g)]
@@ -235,48 +291,42 @@ def build_cone(generators: Sequence[Sequence], *,
     if len(gens) > MAX_GENERATORS:
         raise CapExceededError(f"{len(gens)} generators exceed cap {MAX_GENERATORS}")
 
-    # work inside the rational span
-    gen_matrix = QMatrix.from_rows(gens)
-    echelon, pivots = gen_matrix._echelon()
+    # work inside the rational span; each reduced echelon basis row is 1 at
+    # its own pivot and 0 at the others, so local coordinates are the
+    # generators' pivot entries (the generators themselves when full dimensional)
+    echelon, pivots = QMatrix.from_rows(gens)._echelon()
     d = len(pivots)
     span_basis = tuple(tuple(echelon[r][c] for c in range(ambient)) for r in range(d))
-    emb = QMatrix.from_columns([vector(b) for b in span_basis])
-    local = [emb.solve(g) for g in gens]
-    if any(loc is None for loc in local):  # pragma: no cover
-        raise InternalCheckError("generator outside its own span")
+    local = [primitive_ints([g[c] for c in pivots]) for g in gens]
 
     normals_local = _dual_extreme_rays(local, d)
-    if not normals_local or QMatrix.from_rows(normals_local).rank() < d:
+    if len(independent_rows(normals_local)) < d:
         raise ContainsLineError("cone contains a line")
+    tight = _certify_facets(local, normals_local, d)
 
-    # round trip: extreme rays of the inequality system must be generator rays
-    rays_local = _dual_extreme_rays(normals_local, d)
-    prim_local = [primitive_vector(g) for g in local]
-    extreme_idx = []
-    for r in rays_local:
-        try:
-            extreme_idx.append(prim_local.index(r))
-        except ValueError:
-            raise InternalCheckError(
-                "double description round trip produced a foreign ray") from None
-    # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc; a
-    # full-dimensional span has the identity as its reduced echelon basis
-    normals = tuple(normals_local)
+    extreme_idx, seen = [], set()
+    for i, g in enumerate(local):
+        if g in seen:
+            continue
+        seen.add(g)
+        on = (n for n, mask in zip(normals_local, tight) if mask >> i & 1)
+        if len(independent_rows(on, d - 1)) == d - 1:
+            extreme_idx.append(i)
+    # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc keeps
+    # every sign on the span; a full-dimensional span needs no lift
+    normals = tuple(tuple(Fraction(x) for x in n) for n in normals_local)
     if d < ambient:
+        emb = QMatrix.from_columns([vector(b) for b in span_basis])
         lift = emb * (emb.transpose() * emb).inverse()
         normals = tuple(primitive_vector(lift.apply(n)) for n in normals_local)
 
-    cone = PolyhedralCone(
+    return PolyhedralCone(
         ambient_dim=ambient,
         generators=tuple(gens),
         facet_normals=normals,
         span_basis=span_basis,
-        extreme_ray_indices=tuple(sorted(extreme_idx)),
+        extreme_ray_indices=tuple(extreme_idx),
     )
-    for g in gens:
-        if membership(cone, g) is Membership.OUTSIDE:  # pragma: no cover
-            raise InternalCheckError("generator violates a computed facet")
-    return cone
 
 
 def membership(c: PolyhedralCone, x: Sequence) -> Membership:

@@ -60,15 +60,20 @@ Vector = tuple[Fraction, ...]
 # -- invariance -----------------------------------------------------------------
 
 
-def verify_invariance(m: QMatrix, c: PolyhedralCone) -> bool:
-    """Exact check that m and its inverse both map the cone into itself."""
+def _check_map_shape(m: QMatrix, c: PolyhedralCone) -> None:
     if not m.is_square:
         raise DimensionMismatchError("map must be square")
     if m.cols != c.ambient_dim:
         raise DimensionMismatchError("map and cone dimensions differ")
-    if m.det() == 0:
-        raise SingularMatrixError("cone map must be invertible")
-    minv = m.inverse()
+
+
+def verify_invariance(m: QMatrix, c: PolyhedralCone) -> bool:
+    """Exact check that m and its inverse both map the cone into itself."""
+    _check_map_shape(m, c)
+    try:
+        minv = m.inverse()
+    except SingularMatrixError:
+        raise SingularMatrixError("cone map must be invertible") from None
     for g in c.generators:
         if membership(c, m.apply(g)) is Membership.OUTSIDE:
             return False
@@ -96,17 +101,20 @@ class ConeMap:
 
     @staticmethod
     def create(matrix: QMatrix, cone: ConeLike) -> "ConeMap":
-        if isinstance(cone, PolyhedralCone):
-            ok = verify_invariance(matrix, cone)
-            return ConeMap(matrix, cone, "generators-exact" if ok else None,
-                           char_poly(matrix))
-        if matrix.rows != cone.dim:
+        polyhedral = isinstance(cone, PolyhedralCone)
+        if polyhedral:
+            _check_map_shape(matrix, cone)
+        elif matrix.rows != cone.dim:
             raise DimensionMismatchError("map and oracle dimensions differ")
+        # the constant term is +-det, so no separate elimination is needed
         cp = char_poly(matrix)
         if cp.coeffs[0] == 0:
             raise SingularMatrixError("cone map must be invertible")
-        ok = cone.is_automorphism(matrix)
-        return ConeMap(matrix, cone, "congruence-exact" if ok else None, cp)
+        if polyhedral:
+            label = "generators-exact" if verify_invariance(matrix, cone) else None
+        else:
+            label = "congruence-exact" if cone.is_automorphism(matrix) else None
+        return ConeMap(matrix, cone, label, cp)
 
     @property
     def invariance_checked(self) -> bool:

@@ -6,6 +6,7 @@ from .qmatrix import (
     char_poly,
     dot,
     evaluate_poly_at_matrix,
+    independent_rows,
     is_zero_vector,
     min_poly,
     primitive_ints,
@@ -40,6 +41,7 @@ __all__ = [
     "vec_scale",
     "dot",
     "is_zero_vector",
+    "independent_rows",
     "primitive_ints",
     "primitive_vector",
 ]

@@ -1,7 +1,8 @@
 """Dense exact rational matrices and the spectral operations built on them.
 
 Dimensions here are desk scale (at most ~10), so everything is a plain dense
-Gaussian-elimination implementation over `fractions.Fraction`. Characteristic
+Gaussian-elimination implementation over `fractions.Fraction`; ranks of
+integer vectors use fraction-free elimination (`independent_rows`). Characteristic
 polynomials come from the Faddeev-LeVerrier recursion, minimal polynomials
 from the first linear dependence among matrix powers, and spectral projectors
 from polynomial interpolation on the minimal polynomial (h = 1 at the chosen
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import (
     NonSquareError,
@@ -59,6 +60,33 @@ def primitive_vector(u: Vector) -> Vector:
     Preserves direction, so it is the canonical representative of a ray.
     """
     return tuple(Fraction(x) for x in primitive_ints(u))
+
+
+def independent_rows(rows: Iterable[Sequence[int]], limit: Optional[int] = None) -> list[int]:
+    """Indices of the integer rows independent of the rows before them.
+
+    The result is the first maximal independent subset, so its length is the
+    rank. Elimination is fraction free: a new row is reduced against each
+    kept row by integer cross multiplication and divided by its content.
+    The scan stops at full column rank, or once `limit` rows are kept.
+    """
+    kept: list[tuple[int, list[int]]] = []   # (pivot column, reduced row)
+    picked: list[int] = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        for c, b in kept:
+            if v[c]:
+                f, p = v[c], b[c]
+                v = [p * x - f * y for x, y in zip(v, b)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        g = gcd(*v)
+        kept.append((c, [x // g for x in v]))
+        picked.append(i)
+        if len(kept) == len(v) or len(kept) == limit:
+            break
+    return picked
 
 
 class QMatrix:

@@ -34,7 +34,15 @@ from .dynamics import (
     restricted_degree,
 )
 from .errors import IrrationalCandidateOnlyError
-from .exactalg import QMatrix, char_poly, factor_rational, vec_add, vec_scale
+from .exactalg import (
+    QMatrix,
+    char_poly,
+    factor_rational,
+    independent_rows,
+    primitive_ints,
+    vec_add,
+    vec_scale,
+)
 from .nslattice import SymClass, intersect, pullback_class
 from .singularities import CyclicActionElement, age, projective_cycle_fixed_data
 
@@ -356,7 +364,8 @@ def run_double_description_roundtrip(seed: int, cases: int, max_dim: int = 4) ->
         for n in cone.facet_normals:
             touching = [g for g in cone.generators
                         if sum(a * b for a, b in zip(n, g)) == 0]
-            if not touching or QMatrix.from_rows(touching).rank() != cone.dim - 1:
+            rank = len(independent_rows(primitive_ints(g) for g in touching))
+            if not touching or rank != cone.dim - 1:
                 result.failures.append(f"case {case}: facet is not facet-dimensional")
     return result
 

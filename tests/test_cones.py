@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conecert import cones
 from conecert.cones import (
     Face,
     Membership,
@@ -21,9 +22,10 @@ from conecert.errors import (
     CapExceededError,
     ContainsLineError,
     EmptyInputError,
+    InternalCheckError,
     NotInConeError,
 )
-from conecert.exactalg import QMatrix, dot, vector
+from conecert.exactalg import QMatrix, dot, primitive_ints, vector
 
 
 @pytest.fixture
@@ -336,3 +338,144 @@ def test_facets_match_brute_force(case):
     scaled = build_cone([[x * s for x in g] for g, s in zip(gens, scales)])
     assert scaled.facet_normals == cone.facet_normals
     assert scaled.extreme_ray_indices == cone.extreme_ray_indices
+
+
+# -- the facet certificate -------------------------------------------------------
+
+
+SQUARE_PYRAMID = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+
+
+def _int_facets(gens):
+    """Primitive integer generators and facet normals of a full-dimensional cone."""
+    cone = build_cone(gens)
+    assert cone.is_full_dimensional
+    return ([primitive_ints(g) for g in cone.generators],
+            [primitive_ints(n) for n in cone.facet_normals])
+
+
+def _sphere_cone(rng, d, n):
+    """n distinct generators near a sphere in the slice x_0 = 2r, as on the
+    benchmark's ladder; almost all of them are extreme."""
+    gens = []
+    while len(gens) < n:
+        v = [rng.gauss(0.0, 1.0) for _ in range(d - 1)]
+        norm = sum(x * x for x in v) ** 0.5 or 1.0
+        g = (40,) + tuple(round(20 * x / norm) for x in v)
+        if g not in gens:
+            gens.append(g)
+    return gens
+
+
+def _certificate_cases():
+    rng = random.Random(8)
+    yield SQUARE_PYRAMID
+    # a 4-d cone over a cube: every facet is a cone over a square, with four rays
+    yield [(1,) + c for c in itertools.product((-1, 1), repeat=3)]
+    for d, n in ((3, 8), (4, 9), (4, 10), (5, 10), (5, 11)):
+        yield _sphere_cone(rng, d, n)
+
+
+def test_certificate_accepts_built_facets():
+    for gens in _certificate_cases():
+        ints, normals = _int_facets(gens)
+        d = len(ints[0])
+        masks = cones._certify_facets(ints, normals, d)
+        assert masks == [sum(1 << i for i, g in enumerate(ints)
+                             if sum(a * b for a, b in zip(n, g)) == 0) for n in normals]
+
+
+def test_certificate_rejects_any_dropped_facet():
+    for gens in _certificate_cases():
+        ints, normals = _int_facets(gens)
+        for j in range(len(normals)):
+            with pytest.raises(InternalCheckError):
+                cones._certify_facets(ints, normals[:j] + normals[j + 1:], len(ints[0]))
+
+
+def test_certificate_rejects_a_valid_non_facet_inequality():
+    for gens in _certificate_cases():
+        ints, normals = _int_facets(gens)
+        d = len(ints[0])
+        tight = [{i for i, g in enumerate(ints) if dot(vector(n), vector(g)) == 0}
+                 for n in normals]
+        # two facets are adjacent when they share a ridge, a face of rank d - 2
+        j, k = next((j, k) for j, k in itertools.combinations(range(len(normals)), 2)
+                    if tight[j] & tight[k] and QMatrix.from_rows(
+                        [ints[i] for i in tight[j] & tight[k]]).rank() == d - 2)
+        extra = primitive_ints(vector(a + b for a, b in zip(normals[j], normals[k])))
+        with pytest.raises(InternalCheckError, match="facet-dimensional"):
+            cones._certify_facets(ints, normals + [extra], d)
+
+
+def test_certificate_small_dimensions():
+    assert cones._certify_facets([(2,)], [(1,)], 1) == [0]
+    for normals in ([], [(1,), (1,)], [(-1,)]):
+        with pytest.raises(InternalCheckError):
+            cones._certify_facets([(2,)], normals, 1)
+    quadrant = [(1, 0), (0, 1), (1, 0)]
+    assert cones._certify_facets(quadrant, [(0, 1), (1, 0)], 2) == [0b101, 0b010]
+    for normals in ([], [(1, 0)], [(0, 1), (1, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)],
+                    [(0, 1), (1, -1)]):
+        with pytest.raises(InternalCheckError):
+            cones._certify_facets(quadrant, normals, 2)
+
+
+def test_certificate_rejects_a_violated_inequality():
+    ints, normals = _int_facets(SQUARE_PYRAMID)
+    with pytest.raises(InternalCheckError, match="violates"):
+        cones._certify_facets(ints, normals[:-1] + [(1, 0, 0)], 3)
+
+
+def _reference_extreme_rays(cone):
+    """First index of each ray the old round trip gave: the double
+    description run again from the facets, in span coordinates."""
+    emb = QMatrix.from_columns(list(cone.span_basis))
+    local = [primitive_ints(emb.solve(g)) for g in cone.generators]
+    normals = [emb.transpose().apply(n) for n in cone.facet_normals]
+    return tuple(sorted(local.index(r) for r in cones._dual_extreme_rays(normals, cone.dim)))
+
+
+def test_extreme_rays_match_the_round_trip_reference():
+    rng = random.Random(808)
+    seen = {"proper": 0, "duplicates": 0, "non-simplicial": 0}
+    cases = list(_certificate_cases()) + [
+        [(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 1, 0), (2, 1, 1)],
+        [(2, 0, 2, 0), (0, 2, 2, 0), (-2, 0, 2, 0), (0, -2, 2, 0), (0, 0, 4, 0)],
+    ]
+    for _ in range(60):
+        ambient = rng.randrange(2, 6)
+        span = rng.randrange(1, ambient + 1)
+        basis = [[rng.randrange(-2, 3) for _ in range(ambient)] for _ in range(span)]
+        gens = []
+        for _ in range(rng.randrange(1, 10)):
+            coeffs = [rng.randrange(1, 3)] + [rng.randrange(-1, 2) for _ in range(span - 1)]
+            gens.append([sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(ambient)])
+        if rng.random() < 0.4:
+            gens.append(list(gens[0]))
+        cases.append(gens)
+    for gens in cases:
+        try:
+            cone = build_cone(gens)
+        except EmptyInputError:
+            continue
+        assert cone.extreme_ray_indices == _reference_extreme_rays(cone)
+        ints = [primitive_ints(g) for g in cone.generators]
+        seen["proper"] += not cone.is_full_dimensional
+        seen["duplicates"] += len(set(ints)) < len(ints)
+        seen["non-simplicial"] += any(
+            len({g for g in ints if dot(vector(n), vector(g)) == 0}) > cone.dim - 1
+            for n in cone.facet_normals)
+    assert all(count >= 3 for count in seen.values()), seen
+
+
+def test_simplicial_facets_need_one_double_description(monkeypatch):
+    calls = []
+    dual = cones._dual_extreme_rays
+    monkeypatch.setattr(cones, "_dual_extreme_rays",
+                        lambda *args: calls.append(args) or dual(*args))
+    for gens in (SQUARE_PYRAMID, _sphere_cone(random.Random(3), 5, 10),
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]):
+        calls.clear()
+        build_cone(gens)
+        assert len(calls) == 1

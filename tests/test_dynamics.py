@@ -27,7 +27,8 @@ from conecert.errors import (
     NotPowerBoundedError,
     SingularMatrixError,
 )
-from conecert.exactalg import QMatrix, QPoly, algnum, min_poly, modulus_equals
+from conecert.exactalg import QMatrix, QPoly, min_poly, modulus_equals
+from sympy.polys import rootisolation
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
 SWAP2 = QMatrix.from_rows([[0, 2], [2, 0]])
@@ -42,8 +43,21 @@ def test_verify_invariance(quadrant):
     assert verify_invariance(QMatrix.identity(2), quadrant)
     assert verify_invariance(SWAP2, quadrant)
     assert not verify_invariance(QMatrix.from_rows([[1, -1], [0, 1]]), quadrant)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="cone map must be invertible"):
         verify_invariance(QMatrix.zeros(2, 2), quadrant)
+
+
+def test_polyhedral_cone_map_needs_no_determinant(quadrant, monkeypatch):
+    """The singularity check reads char(M)'s constant term, so creating a
+    polyhedral cone map runs no separate determinant elimination."""
+    calls = []
+    det = QMatrix.det
+    monkeypatch.setattr(QMatrix, "det", lambda m: calls.append(m) or det(m))
+    cm = ConeMap.create(SWAP2, quadrant)
+    assert cm.invariance == "generators-exact" and calls == []
+    with pytest.raises(SingularMatrixError, match="cone map must be invertible"):
+        ConeMap.create(QMatrix.from_rows([[1, 1], [1, 1]]), quadrant)
+    assert calls == []
 
 
 def test_power_boundedness():
@@ -185,7 +199,7 @@ def test_refusals_isolate_no_complex_root(quadrant, monkeypatch):
     def no_complex_isolation(*args, **kwargs):
         raise AssertionError("a refusal isolated complex roots")
 
-    monkeypatch.setattr(algnum, "dup_isolate_complex_roots_sqf", no_complex_isolation)
+    monkeypatch.setattr(rootisolation, "dup_isolate_complex_roots_sqf", no_complex_isolation)
     # a 3-cycle of weight 8 beside diag(3): char poly (t^3 - 8)(t - 3), whose
     # factor t^2 + 2t + 4 has only complex roots, and |det| = 24 is no 4th power
     orthant = build_cone([[int(i == j) for j in range(4)] for i in range(4)])

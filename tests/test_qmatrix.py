@@ -13,6 +13,7 @@ from conecert.exactalg import (
     QPoly,
     char_poly,
     evaluate_poly_at_matrix,
+    independent_rows,
     min_poly,
     primitive_vector,
     spectral_projector,
@@ -67,6 +68,24 @@ def test_inverse_round_trip():
     assert m * m.inverse() == QMatrix.identity(2)
     with pytest.raises(SingularMatrixError):
         QMatrix.zeros(2, 2).inverse()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=7)))
+def test_independent_rows_is_the_first_basis(rows):
+    """The integer helper picks the pivots of the Fraction echelon form of
+    the rows as columns, that is, each row not spanned by the rows before it."""
+    _, pivots = QMatrix.from_columns([tuple(r) for r in rows])._echelon()
+    assert independent_rows(rows) == pivots
+    picked = independent_rows(rows, limit=1)
+    assert picked == pivots[:1]
+
+
+def test_independent_rows_examples():
+    assert independent_rows([]) == []
+    assert independent_rows([(0, 0), (2, 4), (1, 2), (0, 5), (7, 7)]) == [1, 3]
+    assert independent_rows([(6, 10, 15), (3, 5, 8)], limit=5) == [0, 1]
 
 
 def test_solve_and_nullspace():
