@@ -115,25 +115,20 @@ def _dual_extreme_rays(constraints: Sequence[Sequence], dim: int) -> list[tuple[
 
 def _certify_facets(gens: Sequence[tuple[int, ...]], normals: Sequence[tuple[int, ...]],
                     dim: int) -> list[int]:
-    """Check that `normals` are exactly the facet normals of cone(gens).
+    """Check that `normals` list each facet of cone(gens) exactly once.
 
     `gens` are primitive integer vectors spanning Q^dim and generating a
     pointed cone. Returns each facet's tight-generator bitmask; any failed
     clause is an InternalCheckError.
 
     (a) every generator satisfies every normal; (b) the generators tight on
-    a normal have rank dim - 1, so each normal is a facet; (c) every ridge
-    of a listed facet lies in exactly two listed facets. A pointed cone's
-    facet-ridge graph is connected and each ridge lies in exactly two of its
-    facets (Ziegler, Lectures on Polytopes, ch. 3), so a facet missing from
-    the list would leave a ridge of a listed neighbour with one listed
-    facet. A ridge is keyed by the bitmask of the generators on it. A
-    simplicial facet's ridges drop one of its dim - 1 rays; any other facet
-    gets its own facets by double description in its span, certified the
-    same way.
+    a normal have rank dim - 1, so each normal is a facet; (c) no facet is
+    listed twice, and every ridge of a listed facet lies in exactly two
+    listed facets (`_certify_ridges`). A pointed cone's facet-ridge graph is
+    connected and each ridge lies in exactly two of its facets (Ziegler,
+    Lectures on Polytopes, ch. 3), so a facet missing from the list would
+    leave a ridge of a listed neighbour with one listed facet.
     """
-    if not normals:
-        raise InternalCheckError("no computed facets")
     tight = []
     for n in normals:
         products = [sum(a * b for a, b in zip(n, g)) for g in gens]
@@ -142,28 +137,67 @@ def _certify_facets(gens: Sequence[tuple[int, ...]], normals: Sequence[tuple[int
         if len(independent_rows(g for g, p in zip(gens, products) if p == 0)) != dim - 1:
             raise InternalCheckError("computed facet is not facet-dimensional")
         tight.append(sum(1 << i for i, p in enumerate(products) if p == 0))
-    if dim == 1:
-        if len(normals) != 1:
-            raise InternalCheckError("a ray has exactly one facet")
-        return tight
-    same = [sum(1 << k for k, h in enumerate(gens) if h == g) for g in gens]
+    # a face holds every copy of a ray or none: `same` maps a ray's first
+    # generator to the mask of its copies, and `firsts` marks those generators
+    same = {gens.index(g): 0 for g in gens}
+    for i, g in enumerate(gens):
+        same[gens.index(g)] |= 1 << i
+    firsts = sum(1 << i for i in same)
+    ranks: dict[int, int] = {}
+
+    def rays(mask: int) -> list[int]:
+        return [same[i] for i in _bits(mask & firsts)]
+
+    def rank(mask: int) -> int:
+        if mask not in ranks:
+            ranks[mask] = len(independent_rows(gens[i] for i in _bits(mask)))
+        return ranks[mask]
+
+    _certify_ridges(tight, dim, rays, rank, {})
+    return tight
+
+
+def _certify_ridges(facets: Sequence[int], dim: int, rays: Callable[[int], list[int]],
+                    rank: Callable[[int], int], done: dict[int, list[int]]) -> None:
+    """Clause (c) for a face of dimension `dim` whose facets are claimed to be
+    `facets`, each given by the bitmask of the generators on it; `rays(m)`
+    lists the masks of the rays of face m, `rank(m)` the rank of its
+    generators.
+
+    A ridge is keyed by its own generator mask. A simplicial facet's ridges
+    drop one of its dim - 1 rays. Any other facet f is a face of dimension
+    dim - 1 whose facets are claimed to be its intersections of rank
+    dim - 2 with the other listed facets, certified the same way: a facet
+    h missing from `facets` leaves the ridge f & h out of f's list, so no
+    double description runs below the top. A face is reached along many
+    chains of facets; `done` keeps each certified face's facets by its
+    mask, so each face is certified once.
+    """
+    if not facets:
+        raise InternalCheckError("no computed facets")
+    if len(set(facets)) != len(facets):
+        raise InternalCheckError("a facet is listed twice")
     ridges: Counter[int] = Counter()
-    for n, mask in zip(normals, tight):
-        on = [i for i in range(len(gens)) if mask >> i & 1]
-        rays = {same[i] for i in on}
-        if len(rays) == dim - 1:
-            ridges.update(mask & ~r for r in rays)
+    for f in facets:
+        on = rays(f)
+        if len(on) == dim - 1:
+            ridges.update(f & ~r for r in on)
             continue
-        # coordinates on the facet's span: dropping a coordinate the normal
-        # uses is injective on the normal's kernel
-        c = next(k for k, x in enumerate(n) if x)
-        sub = [primitive_ints(gens[i][:c] + gens[i][c + 1:]) for i in on]
-        sub_normals = _dual_extreme_rays(sub, dim - 1)
-        for sub_mask in _certify_facets(sub, sub_normals, dim - 1):
-            ridges[sum(1 << i for k, i in enumerate(on) if sub_mask >> k & 1)] += 1
+        if f not in done:
+            sub = [f & g for g in facets if g != f and rank(f & g) == dim - 2]
+            _certify_ridges(sub, dim - 1, rays, rank, done)
+            done[f] = sub
+        ridges.update(done[f])
     if any(count != 2 for count in ridges.values()):
         raise InternalCheckError("a ridge does not lie in exactly two computed facets")
-    return tight
+
+
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # -- cone types --------------------------------------------------------------------
@@ -310,7 +344,7 @@ def build_cone(generators: Sequence[Sequence], *,
             continue
         seen.add(g)
         on = (n for n, mask in zip(normals_local, tight) if mask >> i & 1)
-        if len(independent_rows(on, d - 1)) == d - 1:
+        if len(independent_rows(on)) == d - 1:
             extreme_idx.append(i)
     # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc keeps
     # every sign on the span; a full-dimensional span needs no lift

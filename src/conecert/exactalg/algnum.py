@@ -9,10 +9,9 @@ float enters any decision path; floats appear only in the convenience
 reduction and a Sturm count), so it needs neither root isolation nor sympy.
 Factoring over the rationals and root isolation, used for the
 irrational-candidate refusal and for display, are delegated to sympy's
-dense-polynomial kernel, imported on first use, which returns exact
-rational data. Every root is isolated once, to boxes narrower than
-ISOLATION_WIDTH; `real_roots` skips the complex isolation that the refusal
-never reads. `AlgebraicNumber.refine`
+dense-polynomial kernel, which returns exact rational data. Every root is
+isolated once, to boxes narrower than ISOLATION_WIDTH; `real_roots` skips
+the complex isolation that the refusal never reads. `AlgebraicNumber.refine`
 bisects a box further on request (exact sign evaluation for real roots,
 exact rectangle root counting, Collins-Krandick via sympy, for complex ones).
 """
@@ -23,26 +22,28 @@ from fractions import Fraction
 from ..errors import ZeroPolynomialError
 from .qpoly import QPoly, _frac
 
-# sympy is imported inside the functions that call it: importing it costs
-# about 0.5 s and 38 MB, which `modulus_equals`, polarized decisions and
-# the cone code never need
+from sympy.polys.domains import QQ
+from sympy.polys.rootisolation import (
+    dup_count_complex_roots,
+    dup_isolate_complex_roots_sqf,
+    dup_isolate_real_roots_sqf,
+)
+from sympy import Poly as _SymPoly, Symbol as _SymSymbol
+
+_T = _SymSymbol("t")
 
 # every isolating box is narrower and lower than this; reports print it as is
 ISOLATION_WIDTH = Fraction(1, 4096)
+_EPS = QQ(ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator)
 
 # split fractions tried when a bisection line happens to pass through a root
 _SPLIT_FRACTIONS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                     Fraction(2, 5), Fraction(3, 5), Fraction(3, 7), Fraction(4, 7))
 
 
-def _qq(x: Fraction):
-    from sympy.polys.domains import QQ
-    return QQ(x.numerator, x.denominator)
-
-
 def _to_dup(p: QPoly) -> list:
     """sympy dense representation: QQ coefficients, highest degree first."""
-    return [_qq(c) for c in reversed(p.coeffs)]
+    return [QQ(c.numerator, c.denominator) for c in reversed(p.coeffs)]
 
 
 def _from_mpq(x) -> Fraction:
@@ -59,10 +60,8 @@ def factor_rational(p: QPoly) -> list[tuple[QPoly, int]]:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    from sympy import Poly, Symbol
-    from sympy.polys.domains import QQ
-    monoms = {(i,): _qq(c) for i, c in enumerate(p.coeffs) if c != 0}
-    sp = Poly.from_dict(monoms, Symbol("t"), domain=QQ)
+    monoms = {(i,): QQ(c.numerator, c.denominator) for i, c in enumerate(p.coeffs) if c != 0}
+    sp = _SymPoly.from_dict(monoms, _T, domain=QQ)
     _, factors = sp.factor_list()
     out = []
     for fac, mult in factors:
@@ -172,30 +171,26 @@ class AlgebraicNumber:
 
 
 def _count_in_box(dup: list, box) -> int:
-    from sympy.polys.domains import QQ
-    from sympy.polys.rootisolation import dup_count_complex_roots
     a, b, c, d = box
-    return dup_count_complex_roots(dup, QQ, (_qq(a), _qq(c)), (_qq(b), _qq(d)))
+    return dup_count_complex_roots(
+        dup, QQ,
+        (QQ(a.numerator, a.denominator), QQ(c.numerator, c.denominator)),
+        (QQ(b.numerator, b.denominator), QQ(d.numerator, d.denominator)))
 
 
 def _real_roots_of(fac: QPoly) -> list[AlgebraicNumber]:
     """Real roots of an irreducible primitive polynomial, in increasing order."""
     if fac.degree == 1:
         return [AlgebraicNumber.from_rational(-fac.coeffs[0] / fac.coeffs[1])]
-    from sympy.polys.domains import QQ
-    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
     return [AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True)
-            for lo, hi in dup_isolate_real_roots_sqf(_to_dup(fac), QQ,
-                                                     eps=_qq(ISOLATION_WIDTH))]
+            for lo, hi in dup_isolate_real_roots_sqf(_to_dup(fac), QQ, eps=_EPS)]
 
 
 def _isolate_irreducible(fac: QPoly) -> list[AlgebraicNumber]:
     """All roots of an irreducible primitive polynomial, real ones first."""
     if fac.degree == 1:
         return _real_roots_of(fac)
-    from sympy.polys.domains import QQ
-    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
-    boxes = dup_isolate_complex_roots_sqf(_to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))
+    boxes = dup_isolate_complex_roots_sqf(_to_dup(fac), QQ, eps=_EPS)
     complexes = [AlgebraicNumber(fac, (_from_mpq(ax), _from_mpq(bx),
                                        _from_mpq(ay), _from_mpq(by)), False)
                  for (ax, ay), (bx, by) in boxes]

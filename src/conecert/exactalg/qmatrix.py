@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ..errors import (
     NonSquareError,
@@ -62,13 +62,13 @@ def primitive_vector(u: Vector) -> Vector:
     return tuple(Fraction(x) for x in primitive_ints(u))
 
 
-def independent_rows(rows: Iterable[Sequence[int]], limit: Optional[int] = None) -> list[int]:
+def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
     """Indices of the integer rows independent of the rows before them.
 
     The result is the first maximal independent subset, so its length is the
     rank. Elimination is fraction free: a new row is reduced against each
     kept row by integer cross multiplication and divided by its content.
-    The scan stops at full column rank, or once `limit` rows are kept.
+    The scan stops at full column rank.
     """
     kept: list[tuple[int, list[int]]] = []   # (pivot column, reduced row)
     picked: list[int] = []
@@ -84,7 +84,7 @@ def independent_rows(rows: Iterable[Sequence[int]], limit: Optional[int] = None)
         g = gcd(*v)
         kept.append((c, [x // g for x in v]))
         picked.append(i)
-        if len(kept) == len(v) or len(kept) == limit:
+        if len(kept) == len(v):
             break
     return picked
 

@@ -1,5 +1,3 @@
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -240,21 +238,3 @@ def test_modulus_of_products(q, specs):
         factor, on = _circle_factor(q, kind, k)
         p, all_on = p * factor, all_on and on
     assert modulus_equals(p, q) == all_on
-
-
-def test_library_and_polarized_decision_load_no_sympy():
-    """sympy is imported by the functions that factor and isolate roots, so
-    importing the package, building cones and a polarized decision leave it
-    unloaded."""
-    code = "\n".join([
-        "import sys",
-        "import conecert, conecert.cli",
-        "from conecert.cones import build_cone",
-        "from conecert.dynamics import ConeMap, PolarizationStatus, decide_polarization",
-        "from conecert.exactalg import QMatrix",
-        "cone = build_cone([[1, 0], [0, 1]])",
-        "result = decide_polarization(ConeMap.create(QMatrix.from_rows([[0, 2], [2, 0]]), cone))",
-        "assert result.status is PolarizationStatus.POLARIZED",
-        "assert 'sympy' not in sys.modules",
-    ])
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -370,8 +370,10 @@ def _sphere_cone(rng, d, n):
 def _certificate_cases():
     rng = random.Random(8)
     yield SQUARE_PYRAMID
-    # a 4-d cone over a cube: every facet is a cone over a square, with four rays
+    # cones over the 3- and 4-cube: every facet is a cone over a cube of one
+    # dimension less, so the 5-d cone's certificate recurses twice
     yield [(1,) + c for c in itertools.product((-1, 1), repeat=3)]
+    yield [(1,) + c for c in itertools.product((-1, 1), repeat=4)]
     for d, n in ((3, 8), (4, 9), (4, 10), (5, 10), (5, 11)):
         yield _sphere_cone(rng, d, n)
 
@@ -415,8 +417,8 @@ def test_certificate_small_dimensions():
             cones._certify_facets([(2,)], normals, 1)
     quadrant = [(1, 0), (0, 1), (1, 0)]
     assert cones._certify_facets(quadrant, [(0, 1), (1, 0)], 2) == [0b101, 0b010]
-    for normals in ([], [(1, 0)], [(0, 1), (1, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)],
-                    [(0, 1), (1, -1)]):
+    for normals in ([], [(1, 0)], [(0, 1), (0, 1)], [(0, 1), (1, 0), (0, 1)],
+                    [(0, 1), (1, 0), (1, 1)], [(0, 1), (1, -1)]):
         with pytest.raises(InternalCheckError):
             cones._certify_facets(quadrant, normals, 2)
 
@@ -469,13 +471,29 @@ def test_extreme_rays_match_the_round_trip_reference():
     assert all(count >= 3 for count in seen.values()), seen
 
 
-def test_simplicial_facets_need_one_double_description(monkeypatch):
+def test_a_build_runs_one_double_description(monkeypatch):
+    """The certificate reads every face's facets off the listed facets, so
+    cones with simplicial and with non-simplicial facets take one run."""
     calls = []
     dual = cones._dual_extreme_rays
     monkeypatch.setattr(cones, "_dual_extreme_rays",
                         lambda *args: calls.append(args) or dual(*args))
     for gens in (SQUARE_PYRAMID, _sphere_cone(random.Random(3), 5, 10),
-                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]):
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                 [(1,) + c for c in itertools.product((-1, 1), repeat=4)]):
         calls.clear()
         build_cone(gens)
         assert len(calls) == 1
+
+
+def test_each_non_simplicial_face_is_certified_once(monkeypatch):
+    """The cone over the 4-cube has 8 facets over 3-cubes and 24 faces over
+    squares, each reached from two facets; each is certified once, after
+    the cone itself."""
+    calls = []
+    ridges = cones._certify_ridges
+    monkeypatch.setattr(cones, "_certify_ridges",
+                        lambda *args: calls.append(args[0]) or ridges(*args))
+    build_cone([(1,) + c for c in itertools.product((-1, 1), repeat=4)])
+    assert len(calls) == 1 + 8 + 24
+    assert len(set(map(tuple, calls))) == len(calls)
