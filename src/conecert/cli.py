@@ -7,8 +7,8 @@ Subcommands:
 
 Flags: --json PATH writes the canonical machine-readable report, --seed
 seeds the randomized suites, --max-dim overrides the construction caps.
-Exit codes: 0 analysis completed (whatever the verdict), 2 scenario or
-schema error, 3 internal assertion failure.
+Exit codes: 0 analysis completed (whatever the verdict), 2 scenario,
+schema or I/O error, 3 internal assertion failure.
 """
 from __future__ import annotations
 
@@ -30,10 +30,15 @@ EXIT_SCENARIO_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-def _write_report(report: dict, json_path: Optional[str], elapsed: float) -> None:
+def _write_report(report: dict, json_path: Optional[str], elapsed: float) -> int:
     sys.stdout.write(render_text(report, elapsed=elapsed))
     if json_path:
-        Path(json_path).write_text(dumps_canonical(report), encoding="utf-8")
+        try:
+            Path(json_path).write_text(dumps_canonical(report), encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return EXIT_SCENARIO_ERROR
+    return EXIT_OK
 
 
 def _run_document(doc: dict, args) -> int:
@@ -47,15 +52,15 @@ def _run_document(doc: dict, args) -> int:
         # scenario-level problem: schema violation or data the analysis rejects
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
-    _write_report(report, args.json, time.perf_counter() - started)
-    return EXIT_OK
+    return _write_report(report, args.json, time.perf_counter() - started)
 
 
 def _cmd_analyze(args) -> int:
     path = Path(args.scenario)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integer literals
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
     return _run_document(doc, args)

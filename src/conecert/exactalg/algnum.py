@@ -7,68 +7,142 @@ float enters any decision path; floats appear only in the convenience
 
 `modulus_equals` works on the polynomial alone (Kronecker's trace-polynomial
 reduction and a Sturm count), so it needs neither root isolation nor sympy.
-Factoring over the rationals and root isolation, used for the
-irrational-candidate refusal and for display, are delegated to sympy's
-dense-polynomial kernel, which returns exact rational data. Every root is
-isolated once, to boxes narrower than ISOLATION_WIDTH; `real_roots` skips
-the complex isolation that the refusal never reads. `AlgebraicNumber.refine`
-bisects a box further on request (exact sign evaluation for real roots,
-exact rectangle root counting, Collins-Krandick via sympy, for complex ones).
+`factor_rational` splits off the linear factors itself: the rational roots
+come from p-adic (Hensel) lifting, and a cofactor of degree 2 or 3 left
+without one is irreducible. sympy is imported only when it is needed: to
+factor a square-free cofactor of degree >= 4, and to isolate the roots of
+irreducible factors of degree >= 2 (its dense-polynomial kernel returns
+exact rational data). So `import conecert` loads no sympy, and neither does
+a spectrum with rational eigenvalues only. Every root is isolated once, to
+boxes narrower than ISOLATION_WIDTH; `real_roots` skips the complex
+isolation that the refusal never reads. `AlgebraicNumber.refine` bisects a
+box further on request (exact sign evaluation for real roots, exact
+rectangle root counting, Collins-Krandick via sympy, for complex ones).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
+from typing import Sequence
 
 from ..errors import ZeroPolynomialError
+from .qmatrix import primitive_ints
 from .qpoly import QPoly, _frac
-
-from sympy.polys.domains import QQ
-from sympy.polys.rootisolation import (
-    dup_count_complex_roots,
-    dup_isolate_complex_roots_sqf,
-    dup_isolate_real_roots_sqf,
-)
-from sympy import Poly as _SymPoly, Symbol as _SymSymbol
-
-_T = _SymSymbol("t")
 
 # every isolating box is narrower and lower than this; reports print it as is
 ISOLATION_WIDTH = Fraction(1, 4096)
-_EPS = QQ(ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator)
 
 # split fractions tried when a bisection line happens to pass through a root
 _SPLIT_FRACTIONS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                     Fraction(2, 5), Fraction(3, 5), Fraction(3, 7), Fraction(4, 7))
 
 
+def _qq(x: Fraction):
+    """The sympy QQ element of an exact rational."""
+    from sympy.polys.domains import QQ
+    return QQ(x.numerator, x.denominator)
+
+
 def _to_dup(p: QPoly) -> list:
     """sympy dense representation: QQ coefficients, highest degree first."""
-    return [QQ(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return [_qq(c) for c in reversed(p.coeffs)]
 
 
 def _from_mpq(x) -> Fraction:
     return Fraction(x.numerator, x.denominator)
 
 
+def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
+    """g(x) mod m for integer coefficients, lowest degree first."""
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_roots_mod_prime(g: Sequence[int], dg: Sequence[int]) -> tuple[int, list[int]]:
+    """The first prime p at which every root of g mod p is simple, and those roots.
+
+    g is square free, so only primes dividing its discriminant are skipped.
+    """
+    p = 1
+    while True:
+        p += 1
+        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        g_p, dg_p = [c % p for c in g], [c % p for c in dg]
+        roots = [a for a in range(p) if _eval_mod(g_p, a, p) == 0]
+        if all(_eval_mod(dg_p, a, p) for a in roots):
+            return p, roots
+
+
+def _rational_roots(s: Sequence[int]) -> list[Fraction]:
+    """Rational roots of a square-free primitive integer polynomial.
+
+    s has degree n >= 1 and leading coefficient lc > 0 (lowest degree first).
+    r is a root of s exactly when y = lc r is an integer root of the monic
+    g(y) = lc^(n-1) s(y / lc), and |y| < B = 1 + max |g_i| (Cauchy). Each
+    root of g mod p, at a prime p where all of them are simple, lifts
+    uniquely by Newton's iteration to a root mod p^k > 2B; its symmetric
+    residue is the only integer candidate, tested exactly (Loos 1983).
+    """
+    n, lc = len(s) - 1, s[-1]
+    g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 1 + max(abs(c) for c in g)
+    p, residues = _simple_roots_mod_prime(g, dg)
+    roots = []
+    for a in residues:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            a = (a - _eval_mod(g, a, m) * pow(_eval_mod(dg, a, m), -1, m)) % m
+        y = a if 2 * a < m else a - m
+        if sum(c * y ** i for i, c in enumerate(g)) == 0:
+            roots.append(Fraction(y, lc))
+    return roots
+
+
+def _sympy_factors(p: QPoly) -> list[tuple[QPoly, int]]:
+    """Irreducible factors of p over Q by sympy, content-normalized."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.factortools import dup_factor_list
+    _, factors = dup_factor_list(_to_dup(p), QQ)
+    return [(QPoly([_from_mpq(c) for c in reversed(fac)]).content_normalized(), int(mult))
+            for fac, mult in factors]
+
+
 def factor_rational(p: QPoly) -> list[tuple[QPoly, int]]:
     """Irreducible factors over Q with multiplicities.
 
     Factors come back content-normalized (primitive integer coefficients,
-    positive leading coefficient) in a deterministic order.
+    positive leading coefficient) in a deterministic order. The linear
+    factors are split off without sympy: the rational roots of the
+    square-free part s, each with its multiplicity from repeated exact
+    division. What is left of s after them has no rational root, so at
+    degree 2 or 3 it is irreducible and the rest of p is a power of it; only
+    a rest of s of degree >= 4 is factored by sympy.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    monoms = {(i,): QQ(c.numerator, c.denominator) for i, c in enumerate(p.coeffs) if c != 0}
-    sp = _SymPoly.from_dict(monoms, _T, domain=QQ)
-    _, factors = sp.factor_list()
+    s = p.square_free_part()
     out = []
-    for fac, mult in factors:
-        coeffs = [Fraction(0)] * (fac.degree() + 1)
-        for monom, coeff in fac.terms():
-            coeffs[monom[0]] = Fraction(coeff.numerator, coeff.denominator)
-        out.append((QPoly(coeffs).content_normalized(), int(mult)))
+    for r in _rational_roots(primitive_ints(s.coeffs)):
+        linear = QPoly.linear_root(r)
+        s = s.exact_div(linear)
+        mult = 0
+        while True:
+            quot, rem = divmod(p, linear)
+            if not rem.is_zero:
+                break
+            p, mult = quot, mult + 1
+        out.append((linear.content_normalized(), mult))
+    if s.degree in (2, 3):
+        out.append((s.content_normalized(), p.degree // s.degree))
+    elif s.degree >= 4:
+        out += _sympy_factors(p)
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
@@ -171,26 +245,30 @@ class AlgebraicNumber:
 
 
 def _count_in_box(dup: list, box) -> int:
+    from sympy.polys.domains import QQ
+    from sympy.polys.rootisolation import dup_count_complex_roots
     a, b, c, d = box
-    return dup_count_complex_roots(
-        dup, QQ,
-        (QQ(a.numerator, a.denominator), QQ(c.numerator, c.denominator)),
-        (QQ(b.numerator, b.denominator), QQ(d.numerator, d.denominator)))
+    return dup_count_complex_roots(dup, QQ, (_qq(a), _qq(c)), (_qq(b), _qq(d)))
 
 
 def _real_roots_of(fac: QPoly) -> list[AlgebraicNumber]:
     """Real roots of an irreducible primitive polynomial, in increasing order."""
     if fac.degree == 1:
         return [AlgebraicNumber.from_rational(-fac.coeffs[0] / fac.coeffs[1])]
+    from sympy.polys.domains import QQ
+    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+    boxes = dup_isolate_real_roots_sqf(_to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))
     return [AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True)
-            for lo, hi in dup_isolate_real_roots_sqf(_to_dup(fac), QQ, eps=_EPS)]
+            for lo, hi in boxes]
 
 
 def _isolate_irreducible(fac: QPoly) -> list[AlgebraicNumber]:
     """All roots of an irreducible primitive polynomial, real ones first."""
     if fac.degree == 1:
         return _real_roots_of(fac)
-    boxes = dup_isolate_complex_roots_sqf(_to_dup(fac), QQ, eps=_EPS)
+    from sympy.polys.domains import QQ
+    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
+    boxes = dup_isolate_complex_roots_sqf(_to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))
     complexes = [AlgebraicNumber(fac, (_from_mpq(ax), _from_mpq(bx),
                                        _from_mpq(ay), _from_mpq(by)), False)
                  for (ax, ay), (bx, by) in boxes]

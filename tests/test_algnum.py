@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conecert.errors import ZeroPolynomialError
 from conecert.exactalg import (
     QPoly,
+    factor_rational,
     modulus_equals,
     real_roots,
     roots_with_multiplicity,
@@ -164,6 +166,58 @@ def test_factor_product_reconstructs_input(coeffs):
         for c in reversed(root.minpoly.coeffs):
             value = value * z + complex(float(c))
         assert abs(value) < 1e-3
+
+
+def _sympy_factor_list(p: QPoly) -> list[tuple[QPoly, int]]:
+    """The reference: sympy's Poly.factor_list, content-normalized and sorted."""
+    from sympy import Poly, Symbol
+    _, factors = Poly(list(reversed(p.coeffs)), Symbol("t"), domain="QQ").factor_list()
+    out = [(QPoly([Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())])
+            .content_normalized(), mult) for fac, mult in factors]
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def _random_factored(rng: random.Random) -> QPoly:
+    """A seeded product of rational roots (zero and repeated ones included,
+    denominators up to 10^3) and random integer factors of degree 2 to 5."""
+    p = QPoly([Fraction(rng.randint(1, 1000), rng.choice([1, 7]))])
+    for _ in range(rng.randint(0, 4)):
+        root = 0 if rng.random() < 0.15 else Fraction(
+            rng.randint(-30, 30), rng.choice([1, 2, 3, rng.randint(1, 1000)]))
+        p = p * QPoly.linear_root(root) ** rng.randint(1, 3)
+    for _ in range(rng.randint(0, 2)):
+        degree = rng.randint(2, 5)
+        p = p * QPoly([rng.randint(-20, 20) for _ in range(degree)]
+                      + [rng.randint(1, 1000)]) ** rng.randint(1, 2)
+    return p
+
+
+def test_factor_rational_matches_sympy():
+    rng = random.Random(20261018)
+    fixed = [QPoly([0, 0, 1]),                                    # t^2
+             QPoly([-3, 1000]) ** 2 * QPoly([1, 0, 1]),           # (1000t - 3)^2 (t^2 + 1)
+             QPoly([0, -2, 0, 1]) * QPoly([1, 0, 1]) ** 2,        # t (t^2 - 2) (t^2 + 1)^2
+             QPoly([-2, 0, 0, 1]) ** 3,                           # (t^3 - 2)^3
+             QPoly([1, 0, 0, 0, 1]),                              # t^4 + 1
+             QPoly([-2, 0, 1]) * QPoly([-3, 0, 1]),               # quartic, no rational root
+             QPoly([Fraction(1, 6), Fraction(-5, 6), 1])]         # (t - 1/2)(t - 1/3)
+    seen = set()
+    for p in fixed + [_random_factored(rng) for _ in range(300)]:
+        want = _sympy_factor_list(p)
+        assert factor_rational(p) == want, p
+        linear = [fac for fac, _ in want if fac.degree == 1]
+        rest = sum(fac.degree for fac, _ in want if fac.degree > 1)
+        seen.add("all rational" if rest == 0 else
+                 "no rational root" if not linear else "mixed")
+        seen.add(f"cofactor degree {min(rest, 4)}")
+        seen.update(tag for tag, hit in (
+            ("zero root", QPoly([0, 1]) in linear),
+            ("repeated root", any(m > 1 for fac, m in want if fac.degree == 1)),
+            ("denominator", any(fac.coeffs[1] > 1 for fac in linear)),
+            ("large leading coefficient", p.content_normalized().leading > 100)) if hit)
+    assert seen >= {"all rational", "no rational root", "mixed", "cofactor degree 2",
+                    "cofactor degree 3", "cofactor degree 4", "zero root", "repeated root",
+                    "denominator", "large leading coefficient"}
 
 
 def test_modulus_equals_spectrum():

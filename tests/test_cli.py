@@ -65,6 +65,24 @@ def test_malformed_file_exits_2(tmp_path):
     not_json = tmp_path / "not.json"
     not_json.write_text("[broken")
     assert run_cli("analyze", str(not_json)).returncode == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "caf\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"schema_version": ' + "9" * 5000 + "}")
+    for path in (not_utf8, deep, long_int):
+        result = run_cli("analyze", str(path))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("cannot load scenario:")
+        assert "Traceback" not in result.stderr
+
+
+def test_unwritable_report_exits_2(tmp_path):
+    result = run_cli("examples", "ex-xu", "--json", str(tmp_path / "no" / "dir" / "r.json"))
+    assert result.returncode == 2
+    assert result.stderr.startswith("cannot write report:")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_analyze_cone_dynamics_scenario(tmp_path):
@@ -121,6 +139,35 @@ def test_analyze_degree_scenario(tmp_path):
     assert report["verdicts"]["product_formula_holds"] is True
     assert report["verdicts"]["abelian_invariant"] == "contradiction"
     assert report["data"]["q"] == {"tag": "exact", "value": "6"}
+
+
+NO_SYMPY_SCRIPT = """
+import sys
+from conecert.cli import main
+from conecert.scenarios import run_scenario
+
+def unloaded(step):
+    assert "sympy" not in sys.modules, "sympy loaded by " + step
+
+unloaded("import conecert")
+assert main(["examples", "ex-xu", "--json", sys.argv[1]]) == 0
+unloaded("examples ex-xu")
+run_scenario({"schema_version": "1", "kind": "degree_check",
+              "payload": {"dim_x": 2, "deg_f": 36, "dim_y": 1, "deg_g": 6}})
+unloaded("a degree_check scenario")
+report = run_scenario({"schema_version": "1", "kind": "cone_dynamics", "payload": {
+    "matrix": [[0, 0, 4], [0, 6, 0], [9, 0, 0]], "cone": {"type": "psd", "size": 2}}})
+assert report["verdicts"]["status"] == "polarized"
+assert report["data"]["q"] == {"tag": "exact", "value": "6"}
+unloaded("a polarized psd(2) map with rational eigenvalues")
+"""
+
+
+def test_rational_answers_load_no_sympy(tmp_path):
+    # a fresh interpreter, since this one has imported sympy for other tests
+    result = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, str(tmp_path / "r.json")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_float_entries_rejected(tmp_path):

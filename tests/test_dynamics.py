@@ -27,7 +27,7 @@ from conecert.errors import (
     NotPowerBoundedError,
     SingularMatrixError,
 )
-from conecert.exactalg import QMatrix, QPoly, algnum, min_poly, modulus_equals
+from conecert.exactalg import QMatrix, QPoly, min_poly, modulus_equals
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
 SWAP2 = QMatrix.from_rows([[0, 2], [2, 0]])
@@ -198,7 +198,9 @@ def test_refusals_isolate_no_complex_root(quadrant, monkeypatch):
     def no_complex_isolation(*args, **kwargs):
         raise AssertionError("a refusal isolated complex roots")
 
-    monkeypatch.setattr(algnum, "dup_isolate_complex_roots_sqf", no_complex_isolation)
+    # algnum imports sympy lazily and reads this name at call time
+    monkeypatch.setattr("sympy.polys.rootisolation.dup_isolate_complex_roots_sqf",
+                        no_complex_isolation)
     # a 3-cycle of weight 8 beside diag(3): char poly (t^3 - 8)(t - 3), whose
     # factor t^2 + 2t + 4 has only complex roots, and |det| = 24 is no 4th power
     orthant = build_cone([[int(i == j) for j in range(4)] for i in range(4)])
