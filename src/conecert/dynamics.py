@@ -45,9 +45,9 @@ from .exactalg import (
     QPoly,
     char_poly,
     evaluate_poly_at_matrix,
+    has_positive_irrational_root,
     modulus_equals,
     primitive_vector,
-    real_roots,
     vec_scale,
     vector,
 )
@@ -253,18 +253,6 @@ def _det_root_candidate(cp: QPoly) -> Optional[Fraction]:
     return q if cp(q) == 0 else None
 
 
-def _positive_irrational_minpoly(cp: QPoly) -> Optional[QPoly]:
-    """Minimal polynomial of the first positive irrational real root of cp, if any.
-
-    sympy isolates negative and positive roots separately, so the isolating
-    interval of a root that is never zero does not straddle 0.
-    """
-    for root, _ in real_roots(cp):
-        if not root.is_rational and root.box[0] >= 0:
-            return root.minpoly
-    return None
-
-
 def decide_polarization(cm: ConeMap) -> PolarizationResult:
     """Decide whether the cone map has an interior eigenvector, with certificate.
 
@@ -272,8 +260,9 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
     has bounded powers, every eigenvalue has modulus q, so |det M| = q^n. The
     only candidate is therefore the rational n-th root of |det M|, and only
     when it is an eigenvalue. When no q makes the map power bounded but a
-    positive irrational real eigenvalue exists, the case is surfaced as
-    IrrationalCandidateOnly rather than silently dropped. Once q passes, the
+    positive irrational real eigenvalue exists (a Sturm count, no root
+    isolation), IrrationalCandidateOnlyError carries the span characteristic
+    polynomial rather than silently dropping the case. Once q passes, the
     witness is the projected interior sample (module docstring), so the
     verdict is POLARIZED or NOT_POLARIZED, never INCONCLUSIVE.
     """
@@ -284,9 +273,8 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
     q = _det_root_candidate(cp)
     mu = None if q is None else _bounded_min_poly(m_eff, cp, q)
     if mu is None:
-        irrational = _positive_irrational_minpoly(cp)
-        if irrational is not None:
-            raise IrrationalCandidateOnlyError(irrational)
+        if has_positive_irrational_root(cp):
+            raise IrrationalCandidateOnlyError(cp)
         return PolarizationResult(
             PolarizationStatus.NOT_POLARIZED,
             reason="no positive rational eigenvalue makes the map power bounded")

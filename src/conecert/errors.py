@@ -78,14 +78,22 @@ class NotPowerBoundedError(ConecertError):
 class IrrationalCandidateOnlyError(ConecertError):
     """A positive real eigenvalue exists but is irrational.
 
-    The minimal polynomial of one such eigenvalue is attached so callers can
-    report it instead of silently dropping the candidate.
+    `poly` is the characteristic polynomial the decision read, on the cone's
+    span; the decision isolates no root. `candidate_minpoly` names one such
+    eigenvalue from roots a caller has already isolated for its report.
     """
 
-    def __init__(self, minpoly):
-        super().__init__(f"only irrational positive real eigenvalue candidates exist; "
-                         f"minimal polynomial {minpoly}")
-        self.minpoly = minpoly
+    def __init__(self, poly):
+        super().__init__("only irrational positive real eigenvalue candidates exist")
+        self.poly = poly
+
+    def candidate_minpoly(self, roots):
+        """Minimal polynomial of the first positive irrational real root among
+        `roots` (pairs from `roots_with_multiplicity`) whose minimal polynomial
+        divides `poly`, so a root transverse to the cone's span is never named."""
+        return next((root.minpoly for root, _ in roots
+                     if root.is_real and not root.is_rational and root.box[0] >= 0
+                     and (self.poly % root.minpoly).is_zero), None)
 
 
 class NoIntegerRootError(ConecertError):

@@ -19,8 +19,8 @@ from .qmatrix import (
 from .algnum import (
     AlgebraicNumber,
     factor_rational,
+    has_positive_irrational_root,
     modulus_equals,
-    real_roots,
     roots_with_multiplicity,
 )
 
@@ -33,7 +33,7 @@ __all__ = [
     "spectral_projector",
     "evaluate_poly_at_matrix",
     "roots_with_multiplicity",
-    "real_roots",
+    "has_positive_irrational_root",
     "factor_rational",
     "modulus_equals",
     "vector",

@@ -13,11 +13,12 @@ without one is irreducible. sympy is imported only when it is needed: to
 factor a square-free cofactor of degree >= 4, and to isolate the roots of
 irreducible factors of degree >= 2 (its dense-polynomial kernel returns
 exact rational data). So `import conecert` loads no sympy, and neither does
-a spectrum with rational eigenvalues only. Every root is isolated once, to
-boxes narrower than ISOLATION_WIDTH; `real_roots` skips the complex
-isolation that the refusal never reads. `AlgebraicNumber.refine` bisects a
-box further on request (exact sign evaluation for real roots, exact
-rectangle root counting, Collins-Krandick via sympy, for complex ones).
+a spectrum with rational eigenvalues only. `has_positive_irrational_root`
+decides the refusal by a Sturm count, without isolating a root or loading
+sympy. Roots are isolated once, for the report, to boxes narrower than
+ISOLATION_WIDTH. `AlgebraicNumber.refine` bisects a box further on request
+(exact sign evaluation for real roots, exact rectangle root counting,
+Collins-Krandick via sympy, for complex ones).
 """
 from __future__ import annotations
 
@@ -251,45 +252,24 @@ def _count_in_box(dup: list, box) -> int:
     return dup_count_complex_roots(dup, QQ, (_qq(a), _qq(c)), (_qq(b), _qq(d)))
 
 
-def _real_roots_of(fac: QPoly) -> list[AlgebraicNumber]:
-    """Real roots of an irreducible primitive polynomial, in increasing order."""
+def _isolate_irreducible(fac: QPoly) -> list[AlgebraicNumber]:
+    """All roots of an irreducible primitive polynomial, real ones first in
+    increasing order."""
     if fac.degree == 1:
         return [AlgebraicNumber.from_rational(-fac.coeffs[0] / fac.coeffs[1])]
     from sympy.polys.domains import QQ
-    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
-    boxes = dup_isolate_real_roots_sqf(_to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))
-    return [AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True)
-            for lo, hi in boxes]
-
-
-def _isolate_irreducible(fac: QPoly) -> list[AlgebraicNumber]:
-    """All roots of an irreducible primitive polynomial, real ones first."""
-    if fac.degree == 1:
-        return _real_roots_of(fac)
-    from sympy.polys.domains import QQ
-    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
-    boxes = dup_isolate_complex_roots_sqf(_to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))
+    from sympy.polys.rootisolation import (dup_isolate_complex_roots_sqf,
+                                           dup_isolate_real_roots_sqf)
+    dup, eps = _to_dup(fac), _qq(ISOLATION_WIDTH)
+    reals = [AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True)
+             for lo, hi in dup_isolate_real_roots_sqf(dup, QQ, eps=eps)]
     complexes = [AlgebraicNumber(fac, (_from_mpq(ax), _from_mpq(bx),
                                        _from_mpq(ay), _from_mpq(by)), False)
-                 for (ax, ay), (bx, by) in boxes]
+                 for (ax, ay), (bx, by) in dup_isolate_complex_roots_sqf(dup, QQ, eps=eps)]
     # conjugate pairs adjacent, negative-imaginary member first
     complexes.sort(key=lambda r: (r.box[0], r.box[1], max(abs(r.box[2]), abs(r.box[3])),
                                   r.box[2]))
-    return _real_roots_of(fac) + complexes
-
-
-def _roots(p: QPoly, isolate) -> list[tuple[AlgebraicNumber, int]]:
-    if p.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
-    out = [(root, mult) for fac, mult in factor_rational(p) for root in isolate(fac)]
-    out.sort(key=lambda rm: (0 if rm[0].is_real else 1,
-                             rm[0].box[0], rm[0].box[1], rm[0].box[2]))
-    return out
-
-
-def real_roots(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
-    """Real roots of p with multiplicities, in box order; no complex isolation."""
-    return _roots(p, _real_roots_of)
+    return reals + complexes
 
 
 def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
@@ -298,7 +278,26 @@ def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
     Each root carries the content-normalized irreducible factor it belongs to
     as its minimal polynomial; multiplicities sum to deg p.
     """
-    return _roots(p, _isolate_irreducible)
+    if p.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
+    out = [(root, mult) for fac, mult in factor_rational(p)
+           for root in _isolate_irreducible(fac)]
+    out.sort(key=lambda rm: (0 if rm[0].is_real else 1,
+                             rm[0].box[0], rm[0].box[1], rm[0].box[2]))
+    return out
+
+
+def has_positive_irrational_root(p: QPoly) -> bool:
+    """Whether the polynomial p with p(0) != 0 has a positive irrational real root.
+
+    A Sturm count of the distinct roots of the square-free part r in
+    (0, B), B = 1 + max |coefficient| of the monic r (Cauchy's bound, so no
+    root lies at or beyond B), minus the positive rational roots of r.
+    """
+    r = p.square_free_part()
+    positive = r.count_real_roots(0, 1 + max(abs(c) for c in r.coeffs))
+    return positive > 0 and positive > sum(
+        1 for x in _rational_roots(primitive_ints(r.coeffs)) if x > 0)
 
 
 # -- modulus decision ---------------------------------------------------------------

@@ -221,7 +221,7 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     except IrrationalCandidateOnlyError as exc:
         result = PolarizationResult(PolarizationStatus.INCONCLUSIVE,
                                     reason=f"irrational scaling candidate only: "
-                                           f"{exc.minpoly}")
+                                           f"{exc.candidate_minpoly(eigs)}")
     if result.is_polarized:
         cert = result.certificate
         q = cert.q
@@ -236,10 +236,7 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     deg_f = product_endo_degree(action.a)
     degree_consistent = True
     if q is not None and q.denominator == 1:
-        try:
-            degree_consistent = (q_from_degree(deg_f, 2) == q)
-        except Exception:
-            degree_consistent = False
+        degree_consistent = (q_from_degree(deg_f, 2) == q)
         if radius is not None and radius != q:
             raise InternalCheckError(
                 f"scaling factor {q} does not match spectral radius {radius}")

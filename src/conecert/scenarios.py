@@ -30,7 +30,7 @@ from .dynamics import (
     q_from_degree,
 )
 from .errors import ConecertError, IrrationalCandidateOnlyError, ScenarioError
-from .exactalg import QMatrix, QPoly, roots_with_multiplicity
+from .exactalg import QMatrix, roots_with_multiplicity
 from .nslattice import elliptic_product_report, quotient_image_selfintersection
 from .report import (
     SCHEMA_VERSION,
@@ -123,11 +123,6 @@ def run_scenario(doc: dict, seed: int = 0, max_dim: Optional[int] = None) -> dic
     return report
 
 
-def _eigen_docs(cp: QPoly) -> list[dict]:
-    return [algebraic_number_doc(root, mult)
-            for root, mult in roots_with_multiplicity(cp)]
-
-
 def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> None:
     matrix = _parse_matrix(payload["matrix"])
     hint = _parse_entry(payload["q_hint"]) if "q_hint" in payload else None
@@ -146,7 +141,8 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
     cp = cm.char_poly
     report["data"]["char_poly"] = exact(cp)
     report["data"]["char_poly_str"] = str(cp)
-    report["data"]["eigenvalues"] = _eigen_docs(cp)
+    eigs = roots_with_multiplicity(cp)
+    report["data"]["eigenvalues"] = [algebraic_number_doc(r, m) for r, m in eigs]
     if not cm.invariance_checked:
         report["verdicts"]["status"] = "invariance_failed"
         report["verdicts"]["reason"] = ("the map or its inverse moves the cone "
@@ -155,9 +151,10 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
     try:
         result = decide_polarization(cm)
     except IrrationalCandidateOnlyError as exc:
+        minpoly = exc.candidate_minpoly(eigs)
         report["verdicts"]["status"] = "irrational_candidate_only"
-        report["verdicts"]["reason"] = str(exc)
-        report["data"]["candidate_minpoly"] = exact(exc.minpoly)
+        report["verdicts"]["reason"] = f"{exc}; minimal polynomial {minpoly}"
+        report["data"]["candidate_minpoly"] = exact(minpoly)
         return
     doc = polarization_doc(result)
     report["verdicts"]["status"] = doc.pop("status")

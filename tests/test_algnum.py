@@ -9,8 +9,8 @@ from conecert.errors import ZeroPolynomialError
 from conecert.exactalg import (
     QPoly,
     factor_rational,
+    has_positive_irrational_root,
     modulus_equals,
-    real_roots,
     roots_with_multiplicity,
 )
 from conecert.exactalg.algnum import ISOLATION_WIDTH
@@ -106,20 +106,22 @@ def test_boxes_at_isolation_width():
         assert root.is_real and _has_signed_sqrt(root.box[0], root.box[1], sign, 2)
 
 
+def _real_roots(p):
+    return [(r, m) for r, m in roots_with_multiplicity(p) if r.is_real]
+
+
 def test_real_roots_skip_complex_ones():
-    assert [r for r, _ in real_roots(SPECTRUM_POLY)] == [
-        r for r, _ in roots_with_multiplicity(SPECTRUM_POLY) if r.is_real]
-    assert [r.rational_value for r, _ in real_roots(SPECTRUM_POLY)] == [6]
-    cubed = real_roots(QPoly([-2, 0, 1]) ** 3)
+    assert [r.rational_value for r, _ in _real_roots(SPECTRUM_POLY)] == [6]
+    cubed = _real_roots(QPoly([-2, 0, 1]) ** 3)
     assert [m for _, m in cubed] == [3, 3]
     with pytest.raises(ZeroPolynomialError):
-        real_roots(QPoly([]))
+        roots_with_multiplicity(QPoly([]))
 
 
 def test_root_near_zero_interval_keeps_its_sign():
     # 1000 t^2 - 1 has roots +-1/sqrt(1000), about +-0.0316, inside one
     # isolation width of 1/16 around 0
-    roots = [r for r, _ in real_roots(QPoly([-1, 0, 1000]))]
+    roots = [r for r, _ in _real_roots(QPoly([-1, 0, 1000]))]
     assert len(roots) == 2
     negative, positive = roots
     assert negative.box[1] <= 0 <= positive.box[0]
@@ -292,3 +294,29 @@ def test_modulus_of_products(q, specs):
         factor, on = _circle_factor(q, kind, k)
         p, all_on = p * factor, all_on and on
     assert modulus_equals(p, q) == all_on
+
+
+def test_positive_irrational_root_fixed_cases():
+    cases = ((QPoly([-2, 0, 1]), True),
+             (QPoly([-2, 1]) * QPoly([-3, 0, 1]), True),          # rational and irrational
+             (QPoly([2, 4, 1]), False),                           # -2 -+ sqrt 2
+             (QPoly([1, 0, 1]), False),
+             (QPoly([-3, 1000]) ** 2 * QPoly([1, 0, 1]), False),
+             (QPoly([-1, 0, 1000]), True))                        # 1/sqrt(1000)
+    for p, want in cases:
+        assert has_positive_irrational_root(p) is want, p
+
+
+def test_positive_irrational_root_matches_isolation():
+    # the Sturm count against the isolated roots the refusal used to read
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(80):
+        p = _random_factored(rng)
+        if p(0) == 0:
+            continue
+        want = any(r.is_real and not r.is_rational and r.box[0] >= 0
+                   for r, _ in roots_with_multiplicity(p))
+        assert has_positive_irrational_root(p) is want, p
+        kinds.add(want)
+    assert kinds == {True, False}

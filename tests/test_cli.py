@@ -160,11 +160,35 @@ report = run_scenario({"schema_version": "1", "kind": "cone_dynamics", "payload"
 assert report["verdicts"]["status"] == "polarized"
 assert report["data"]["q"] == {"tag": "exact", "value": "6"}
 unloaded("a polarized psd(2) map with rational eigenvalues")
+
+from fractions import Fraction
+from conecert import ConeMap, build_cone, decide_polarization
+from conecert.dynamics import PolarizationStatus
+from conecert.errors import IrrationalCandidateOnlyError
+from conecert.exactalg import QMatrix
+
+# a 3-cycle of weight 8 beside diag(3): char poly (t^3 - 8)(t - 3), whose
+# factor t^2 + 2t + 4 has only complex roots, and |det| = 24 is no 4th power
+orthant = build_cone([[int(i == j) for j in range(4)] for i in range(4)])
+cycle = QMatrix.from_rows([[0, 0, 8, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 3]])
+result = decide_polarization(ConeMap.create(cycle, orthant))
+assert result.status is PolarizationStatus.NOT_POLARIZED
+unloaded("a NOT_POLARIZED decision")
+quadrant = build_cone([[1, 0], [0, 1]])
+for rows in ([[0, 2], [1, 0]], [[0, Fraction(1, 1000)], [1, 0]]):
+    try:
+        decide_polarization(ConeMap.create(QMatrix.from_rows(rows), quadrant))
+    except IrrationalCandidateOnlyError:
+        pass
+    else:
+        raise AssertionError(f"{rows} was not refused as irrational-only")
+    unloaded(f"the irrational-only refusal of {rows}")
 """
 
 
 def test_rational_answers_load_no_sympy(tmp_path):
-    # a fresh interpreter, since this one has imported sympy for other tests
+    # a fresh interpreter, since this one has imported sympy for other tests;
+    # decisions load none either, refusals included
     result = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, str(tmp_path / "r.json")],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

