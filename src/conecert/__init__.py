@@ -46,7 +46,6 @@ from .dynamics import (
     product_formula_check,
     q_from_degree,
     restricted_degree,
-    verify_invariance,
 )
 from .nslattice import (
     EndoAction,
@@ -54,7 +53,6 @@ from .nslattice import (
     elliptic_product_report,
     intersect,
     is_ample,
-    is_nef,
     pullback_action,
     quotient_image_selfintersection,
 )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,9 +46,6 @@ Vector = tuple[Fraction, ...]
 
 MAX_AMBIENT_DIM = 8
 MAX_GENERATORS = 64
-# seeded random pairs behind `is_extremal_face`'s redundant extremality probe
-PAIR_CHECKS = 32
-PAIR_CHECK_SEED = 7
 
 
 class Membership(enum.Enum):
@@ -267,10 +263,6 @@ class Face:
     generator_indices: tuple[int, ...]
     active_facets: tuple[int, ...]
 
-    @property
-    def is_improper(self) -> bool:
-        return not self.active_facets
-
     def generators(self) -> tuple[Vector, ...]:
         return tuple(self.parent.generators[i] for i in self.generator_indices)
 
@@ -328,7 +320,7 @@ def build_cone(generators: Sequence[Sequence], *,
     # work inside the rational span; each reduced echelon basis row is 1 at
     # its own pivot and 0 at the others, so local coordinates are the
     # generators' pivot entries (the generators themselves when full dimensional)
-    echelon, pivots = QMatrix.from_rows(gens)._echelon()
+    echelon, pivots, _ = QMatrix.from_rows(gens)._echelon()
     d = len(pivots)
     span_basis = tuple(tuple(echelon[r][c] for c in range(ambient)) for r in range(d))
     local = [primitive_ints([g[c] for c in pivots]) for g in gens]
@@ -454,51 +446,26 @@ def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]]) -> b
 
     Accepts either a Face of c or an arbitrary proposed subcone given by
     generators. The verdict is certified through the active-facet
-    characterization; randomized generator-pair tests are run as a redundant
-    property check and any disagreement is an internal error.
+    characterization.
     """
     if isinstance(f, Face):
         if f.parent is not c:
             raise ForeignFaceError("face belongs to a different cone")
-        gens = list(f.generators())
-        in_f = _subcone_contains(gens)
-        certified = (_generators_killed_by(c, f.active_facets) == f.generator_indices
-                     and _active_facets_at_all(c, gens) == tuple(f.active_facets))
-    else:
-        gens = [vector(v) for v in f]
-        for v in gens:
-            if membership(c, v) is Membership.OUTSIDE:
-                raise NotInConeError(f"proposed face generator {v} outside the cone")
-        minimal = minimal_extremal_face(c, gens)
-        in_f = _subcone_contains(gens)
-        # f is a face iff it coincides with the minimal face containing it
-        certified = all(in_f(c.generators[i]) for i in minimal.generator_indices)
-
-    # redundant extremality probe on random cone points
-    rng = random.Random(PAIR_CHECK_SEED)
-    if gens:
-        for _ in range(PAIR_CHECKS):
-            u = _random_cone_point(c, rng)
-            v = _random_cone_point(c, rng)
-            if in_f(vec_add(u, v)):
-                if not (in_f(u) and in_f(v)):
-                    if certified:
-                        raise InternalCheckError(
-                            "pair test contradicts the facet characterization")
-                    return False
-    return certified
+        return (_generators_killed_by(c, f.active_facets) == f.generator_indices
+                and _active_facets_at_all(c, f.generators()) == tuple(f.active_facets))
+    gens = [vector(v) for v in f]
+    for v in gens:
+        if membership(c, v) is Membership.OUTSIDE:
+            raise NotInConeError(f"proposed face generator {v} outside the cone")
+    minimal = minimal_extremal_face(c, gens)
+    in_f = _subcone_contains(gens)
+    # f is a face iff it coincides with the minimal face containing it
+    return all(in_f(c.generators[i]) for i in minimal.generator_indices)
 
 
 def _active_facets_at_all(c: PolyhedralCone, points: Sequence[Vector]) -> tuple[int, ...]:
     return tuple(j for j, n in enumerate(c.facet_normals)
                  if all(dot(n, p) == 0 for p in points))
-
-
-def _random_cone_point(c: PolyhedralCone, rng: random.Random) -> Vector:
-    acc = tuple(Fraction(0) for _ in range(c.ambient_dim))
-    for g in c.generators:
-        acc = vec_add(acc, vec_scale(g, Fraction(rng.randrange(0, 4))))
-    return acc
 
 
 # -- the positive semidefinite oracle ------------------------------------------------------

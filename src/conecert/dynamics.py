@@ -11,8 +11,8 @@ square-free part r of the characteristic polynomial, the one spectral
 quantity a decision computes (once, in `ConeMap.create`): the roots of r have
 modulus q and r(M) = 0, and then r is the minimal polynomial of M.
 
-Invariance is exact for both cone types (every generator of a polyhedral
-cone in both directions, else the oracle's exact automorphism test). If
+Invariance is exact for both cone types (the map permutes the extreme rays
+of a polyhedral cone, else the oracle's exact automorphism test). If
 M(C) = C and M / q is power bounded, the closure of the powers of M / q is
 a compact group preserving C whose Haar average, the spectral projector P
 onto the q-eigenspace, keeps the relative interior. So P(interior sample)
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import ConeLike, Membership, PolyhedralCone, membership
+from .cones import ConeLike, PolyhedralCone
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -47,11 +47,11 @@ from .exactalg import (
     evaluate_poly_at_matrix,
     has_positive_irrational_root,
     modulus_equals,
+    primitive_ints,
     primitive_vector,
     vec_scale,
     vector,
 )
-from .exactalg.qmatrix import _projector_from_min_poly
 from .exactalg.qpoly import _frac
 
 Vector = tuple[Fraction, ...]
@@ -60,35 +60,13 @@ Vector = tuple[Fraction, ...]
 # -- invariance -----------------------------------------------------------------
 
 
-def _check_map_shape(m: QMatrix, c: PolyhedralCone) -> None:
-    if not m.is_square:
-        raise DimensionMismatchError("map must be square")
-    if m.cols != c.ambient_dim:
-        raise DimensionMismatchError("map and cone dimensions differ")
-
-
-def verify_invariance(m: QMatrix, c: PolyhedralCone) -> bool:
-    """Exact check that m and its inverse both map the cone into itself."""
-    _check_map_shape(m, c)
-    try:
-        minv = m.inverse()
-    except SingularMatrixError:
-        raise SingularMatrixError("cone map must be invertible") from None
-    for g in c.generators:
-        if membership(c, m.apply(g)) is Membership.OUTSIDE:
-            return False
-        if membership(c, minv.apply(g)) is Membership.OUTSIDE:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ConeMap:
     """An invertible map together with the cone it preserves.
 
     `invariance` records how invariance was established, or is None when
     the map does not carry the cone onto itself: "generators-exact" for
-    polyhedral cones (checked on every generator, both directions) or
+    polyhedral cones (the map permutes the extreme rays) or
     "congruence-exact" for the PSD oracle (the map is recovered as a
     congruence X -> c B X B^T, see `cones._is_psd_congruence`).
     `char_poly` is char(matrix), computed once for the report and decision.
@@ -103,7 +81,10 @@ class ConeMap:
     def create(matrix: QMatrix, cone: ConeLike) -> "ConeMap":
         polyhedral = isinstance(cone, PolyhedralCone)
         if polyhedral:
-            _check_map_shape(matrix, cone)
+            if not matrix.is_square:
+                raise DimensionMismatchError("map must be square")
+            if matrix.cols != cone.ambient_dim:
+                raise DimensionMismatchError("map and cone dimensions differ")
         elif matrix.rows != cone.dim:
             raise DimensionMismatchError("map and oracle dimensions differ")
         # the constant term is +-det, so no separate elimination is needed
@@ -111,7 +92,12 @@ class ConeMap:
         if cp.coeffs[0] == 0:
             raise SingularMatrixError("cone map must be invertible")
         if polyhedral:
-            label = "generators-exact" if verify_invariance(matrix, cone) else None
+            # an invertible map carries a pointed cone onto itself exactly
+            # when it permutes the extreme rays, which generate the cone
+            rays = [cone.generators[i] for i in cone.extreme_ray_indices]
+            invariant = ({primitive_ints(matrix.apply(g)) for g in rays}
+                         == {primitive_ints(g) for g in rays})
+            label = "generators-exact" if invariant else None
         else:
             label = "congruence-exact" if cone.is_automorphism(matrix) else None
         return ConeMap(matrix, cone, label, cp)
@@ -131,23 +117,35 @@ def is_power_bounded(m: QMatrix, q) -> bool:
     polynomial: every root of r must have modulus exactly q (`modulus_equals`)
     and r(m) must vanish, so that m is diagonalizable.
     """
-    return _bounded_min_poly(m, char_poly(m), _frac(q)) is not None
-
-
-def _bounded_min_poly(m: QMatrix, cp: QPoly, q: Fraction) -> Optional[QPoly]:
-    """The minimal polynomial of m if m / q is power bounded, else None.
-
-    The square-free part r of cp = char(m) has every eigenvalue of m as a
-    simple root, so r is the minimal polynomial exactly when r(m) = 0, which
-    makes m diagonalizable; otherwise the minimal polynomial repeats a root.
-    """
+    q = _frac(q)
     if q <= 0:
         raise ValueError("q must be positive")
+    cp = char_poly(m)
     if cp.coeffs[0] == 0:
         raise SingularMatrixError("power boundedness needs an invertible map")
     r = cp.square_free_part()
-    bounded = modulus_equals(r, q) and not any(evaluate_poly_at_matrix(r, m).entries)
-    return r if bounded else None
+    return modulus_equals(r, q) and not any(evaluate_poly_at_matrix(r, m).entries)
+
+
+def _bounded_projector(m: QMatrix, cp: QPoly, q: Fraction) -> Optional[QMatrix]:
+    """The spectral projector onto the q-eigenspace if m / q is power
+    bounded and q is an eigenvalue, else None.
+
+    The square-free part r = (t - q) g of cp = char(m) has every eigenvalue
+    of m as a simple root, so r is the minimal polynomial exactly when
+    r(m) = (m - q) g(m) vanishes, which makes m diagonalizable. Then g(m)
+    / g(q) is the projector, g(q) being nonzero at the simple root q.
+    """
+    if cp(q) != 0:
+        return None
+    r = cp.square_free_part()
+    if not modulus_equals(r, q):
+        return None
+    g = r.exact_div(QPoly.linear_root(q))
+    gm = evaluate_poly_at_matrix(g, m)
+    if m * gm != gm.scale(q):
+        return None
+    return gm.scale(1 / g(q))
 
 
 # -- polarization decision ------------------------------------------------------------
@@ -234,23 +232,22 @@ def interior_eigenvector(cm: ConeMap, q) -> Vector:
     q = _frac(q)
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
+    if q <= 0:
+        raise ValueError("q must be positive")
     m_eff, cp, _ = _effective_map(cm)
-    mu = _bounded_min_poly(m_eff, cp, q)
-    if mu is None:
+    projector = _bounded_projector(m_eff, cp, q)
+    if projector is None:
         raise NotPowerBoundedError(f"normalized iterates unbounded at q = {q}")
-    return _interior_witness(cm.cone, _projector_from_min_poly(m_eff, mu, q))
+    return _interior_witness(cm.cone, projector)
 
 
 def _det_root_candidate(cp: QPoly) -> Optional[Fraction]:
-    """The rational n-th root of |det| if it is a root of cp = char(m), else None."""
+    """The rational n-th root of |det| for cp = char(m) of degree n, or None."""
     n = cp.degree
     det = abs(cp.coeffs[0])
     num = integer_nth_root(det.numerator, n)
     den = integer_nth_root(det.denominator, n)
-    if num is None or den is None:
-        return None
-    q = Fraction(num, den)
-    return q if cp(q) == 0 else None
+    return None if num is None or den is None else Fraction(num, den)
 
 
 def decide_polarization(cm: ConeMap) -> PolarizationResult:
@@ -271,15 +268,14 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
 
     m_eff, cp, transverse = _effective_map(cm)
     q = _det_root_candidate(cp)
-    mu = None if q is None else _bounded_min_poly(m_eff, cp, q)
-    if mu is None:
+    projector = None if q is None else _bounded_projector(m_eff, cp, q)
+    if projector is None:
         if has_positive_irrational_root(cp):
             raise IrrationalCandidateOnlyError(cp)
         return PolarizationResult(
             PolarizationStatus.NOT_POLARIZED,
             reason="no positive rational eigenvalue makes the map power bounded")
 
-    projector = _projector_from_min_poly(m_eff, mu, q)
     witness = _interior_witness(cm.cone, projector)
     q_is_integer = q.denominator == 1
     if cm.matrix.is_integer and not q_is_integer:  # pragma: no cover
@@ -311,7 +307,8 @@ def _check_certificate(cm: ConeMap, cert: PolarizationCertificate,
     p = cert.projector
     if p * p != p:
         raise InternalCheckError("projector is not idempotent")
-    if m_eff * p != p * m_eff or m_eff * p != p.scale(cert.q):
+    mp = m_eff * p
+    if mp != p * m_eff or mp != p.scale(cert.q):
         raise InternalCheckError("projector does not intertwine the map at q")
 
 

@@ -226,17 +226,23 @@ class QMatrix:
 
     # -- elimination-based operations ---------------------------------------------
 
-    def _echelon(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Row echelon form (fully reduced) and pivot column indices."""
+    def _echelon(self) -> tuple[list[list[Fraction]], list[int], Fraction]:
+        """Row echelon form (fully reduced), pivot column indices, and the
+        product of the pivots signed by the row swaps, which is the
+        determinant when the matrix is square of full rank."""
         m = self.to_rows()
         pivots: list[int] = []
+        det = Fraction(1)
         r = 0
         for c in range(self.cols):
             pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
             if pivot is None:
                 continue
-            m[r], m[pivot] = m[pivot], m[r]
+            if pivot != r:
+                m[r], m[pivot] = m[pivot], m[r]
+                det = -det
             pv = m[r][c]
+            det *= pv
             m[r] = [x / pv for x in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c] != 0:
@@ -246,7 +252,7 @@ class QMatrix:
             r += 1
             if r == self.rows:
                 break
-        return m, pivots
+        return m, pivots, det
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -254,44 +260,20 @@ class QMatrix:
     def det(self) -> Fraction:
         if not self.is_square:
             raise NonSquareError("determinant of a non-square matrix")
-        m = self.to_rows()
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det
+        _, pivots, det = self._echelon()
+        return det if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> "QMatrix":
+        """The right half of the reduced echelon form of [self | I]."""
         if not self.is_square:
             raise NonSquareError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
-        r = 0
-        for c in range(n):
-            pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            pv = aug[r][c]
-            aug[r] = [x / pv for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            r += 1
-        return QMatrix(n, n, [aug[i][n + j] for i in range(n) for j in range(n)])
+        eye = QMatrix.identity(n)
+        aug = QMatrix.from_rows([self.row(i) + eye.row(i) for i in range(n)])
+        m, pivots, _ = aug._echelon()
+        if pivots[-1] >= n:
+            raise SingularMatrixError("matrix is singular")
+        return QMatrix(n, n, [m[i][n + j] for i in range(n) for j in range(n)])
 
     def solve(self, b: Sequence[Scalar]):
         """One exact solution of self x = b, or None if inconsistent."""
@@ -299,7 +281,7 @@ class QMatrix:
             raise ValueError("rhs length mismatch")
         aug = QMatrix(self.rows, self.cols + 1,
                       [x for i in range(self.rows) for x in (*self.row(i), _frac(b[i]))])
-        m, pivots = aug._echelon()
+        m, pivots, _ = aug._echelon()
         if self.cols in pivots:
             return None
         x = [Fraction(0)] * self.cols
@@ -308,7 +290,7 @@ class QMatrix:
         return tuple(x)
 
     def nullspace(self) -> list[Vector]:
-        m, pivots = self._echelon()
+        m, pivots, _ = self._echelon()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
@@ -373,11 +355,8 @@ def spectral_projector(m: QMatrix, q: Scalar) -> QMatrix:
     at q and 0 at every other root of mu, so P^2 = P, mP = Pm = qP, and P
     restricted to the q-eigenspace is the identity.
     """
-    return _projector_from_min_poly(m, min_poly(m), _frac(q))
-
-
-def _projector_from_min_poly(m: QMatrix, mu: QPoly, q: Fraction) -> QMatrix:
-    """`spectral_projector` for a caller that already holds mu = min_poly(m)."""
+    q = _frac(q)
+    mu = min_poly(m)
     if mu(q) != 0:
         raise NotAnEigenvalueError(f"{q} is not an eigenvalue")
     g = mu.exact_div(QPoly.linear_root(q))

@@ -90,15 +90,6 @@ def intersect(h1: SymClass, h2: SymClass) -> int:
     return total.det() - h1.det() - h2.det()
 
 
-def self_intersection(h: SymClass) -> int:
-    return intersect(h, h)
-
-
-def is_nef(h: SymClass) -> bool:
-    """Nef = positive semidefinite, by exact minor signs."""
-    return h.a >= 0 and h.c >= 0 and h.det() >= 0
-
-
 def is_ample(h: SymClass) -> bool:
     """Ample = positive definite (Sylvester's leading minors)."""
     return h.a > 0 and h.det() > 0

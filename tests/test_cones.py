@@ -25,7 +25,7 @@ from conecert.errors import (
     InternalCheckError,
     NotInConeError,
 )
-from conecert.exactalg import QMatrix, dot, primitive_ints, vector
+from conecert.exactalg import QMatrix, dot, is_zero_vector, primitive_ints, vec_add, vector
 
 
 @pytest.fixture
@@ -109,7 +109,7 @@ def test_minimal_face_examples(quadrant, octant, square_cone):
 
 def test_minimal_face_improper(quadrant):
     face = minimal_extremal_face(quadrant, [[1, 2]])
-    assert face.is_improper
+    assert not face.active_facets
     assert face.generator_indices == (0, 1)
 
 
@@ -136,12 +136,49 @@ def test_is_extremal_face(quadrant, octant):
     assert not is_extremal_face(quadrant, [[1, 1]])
 
 
+def test_faces_are_extremal_on_random_cone_points():
+    """For every face of seeded random pointed cones, a sum u + v of cone
+    points lies in the face only when u and v do, with the face tested by
+    membership in the cone of its generators; `is_extremal_face` agrees."""
+    rng = random.Random(31415)
+    in_sums = off_sums = 0
+    for _ in range(12):
+        d = rng.randrange(2, 5)
+        gens = [(rng.randrange(1, 4), *(rng.randrange(-3, 4) for _ in range(d - 1)))
+                for _ in range(rng.randrange(d, d + 4))]
+        c = build_cone(gens)
+        for face in enumerate_faces(c):
+            assert is_extremal_face(c, face)
+            on = set(face.generator_indices)
+            if on:
+                assert is_extremal_face(c, face.generators())
+                sub = build_cone(face.generators())
+
+            def point():
+                # an off-face generator enters with probability 1/4
+                coeffs = [rng.randrange(3) if i in on or rng.random() < 0.25 else 0
+                          for i in range(len(gens))]
+                return vector(sum(k * g[j] for k, g in zip(coeffs, gens)) for j in range(d))
+
+            def in_face(x):
+                return membership(sub, x) is not Membership.OUTSIDE if on else is_zero_vector(x)
+
+            for _ in range(8):
+                u, v = point(), point()
+                if in_face(vec_add(u, v)):
+                    assert in_face(u) and in_face(v)
+                    in_sums += 1
+                else:
+                    off_sums += 1
+    assert in_sums > 100 and off_sums > 100
+
+
 def test_faces_ordered_and_complete(octant):
     faces = enumerate_faces(octant)
     keys = [(f.dim, f.generator_indices) for f in faces]
     assert keys == sorted(keys)
     assert faces[0].generator_indices == ()          # apex
-    assert faces[-1].is_improper                     # the cone itself
+    assert not faces[-1].active_facets               # the cone itself
 
 
 def test_psd_oracle_membership():

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conecert import dynamics
-from conecert.cones import build_cone, psd_cone_oracle
+from conecert import cones, dynamics
+from conecert.cones import Membership, build_cone, membership, psd_cone_oracle
 from conecert.dynamics import (
     AbelianInvariantVerdict,
     ConeMap,
@@ -17,7 +18,6 @@ from conecert.dynamics import (
     product_formula_check,
     q_from_degree,
     restricted_degree,
-    verify_invariance,
 )
 from conecert.errors import (
     InternalCheckError,
@@ -28,6 +28,7 @@ from conecert.errors import (
     SingularMatrixError,
 )
 from conecert.exactalg import QMatrix, QPoly, min_poly, modulus_equals, roots_with_multiplicity
+from conecert.exactalg import qmatrix
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
 SWAP2 = QMatrix.from_rows([[0, 2], [2, 0]])
@@ -39,11 +40,101 @@ def quadrant():
 
 
 def test_verify_invariance(quadrant):
-    assert verify_invariance(QMatrix.identity(2), quadrant)
-    assert verify_invariance(SWAP2, quadrant)
-    assert not verify_invariance(QMatrix.from_rows([[1, -1], [0, 1]]), quadrant)
+    assert ConeMap.create(QMatrix.identity(2), quadrant).invariance == "generators-exact"
+    assert ConeMap.create(SWAP2, quadrant).invariance == "generators-exact"
+    assert ConeMap.create(QMatrix.from_rows([[1, -1], [0, 1]]), quadrant).invariance is None
     with pytest.raises(SingularMatrixError, match="cone map must be invertible"):
-        verify_invariance(QMatrix.zeros(2, 2), quadrant)
+        ConeMap.create(QMatrix.zeros(2, 2), quadrant)
+
+
+def _maps_both_ways_into(m, cone):
+    """The reference criterion: m and its inverse map every generator into the cone."""
+    minv = m.inverse()
+    return all(membership(cone, x.apply(g)) is not Membership.OUTSIDE
+               for g in cone.generators for x in (m, minv))
+
+
+def _signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield QMatrix(n, n, [signs[i] if perm[i] == j else 0
+                                 for i in range(n) for j in range(n)])
+
+
+def test_ray_permutation_agrees_with_generator_images():
+    """Invariance read off the extreme rays agrees with the reference that
+    maps every generator both ways, on cone symmetries and non-symmetries."""
+    square = build_cone([(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1), (2, 0, 0)])
+    cube = build_cone([(1, *s) for s in itertools.product((1, -1), repeat=3)])
+    embedded = build_cone([(*g, 0) for g in square.generators])
+    quadrant = build_cone([[1, 0], [0, 1]])
+    cases = []
+    for cone, n in ((square, 3), (cube, 4)):
+        cases += [(p.scale(c), cone) for p in _signed_permutations(n)
+                  for c in (1, 2, Fraction(1, 3))]
+    # the square cone in Q^4: transverse scaling and a shear into the span
+    # keep the span, a shear out of it does not
+    for p in _signed_permutations(3):
+        for s, v, w in ((2, (0, 0, 0), (0, 0, 0)), (Fraction(-1, 3), (1, 2, 0), (0, 0, 0)),
+                        (1, (0, 0, 0), (0, 1, 0))):
+            rows = [list(p.row(i)) + [v[i]] for i in range(3)] + [list(w) + [s]]
+            cases.append((QMatrix.from_rows(rows), embedded))
+    rng = random.Random(4096)
+    for cone in (square, cube, embedded, quadrant):
+        n = cone.ambient_dim
+        for _ in range(300):
+            m = QMatrix(n, n, [rng.randrange(-2, 3) for _ in range(n * n)])
+            if m.det() != 0:
+                cases.append((m, cone))
+    # these send the quadrant strictly into itself, so their inverses leave it
+    cases += [(QMatrix.from_rows(rows), quadrant) for rows in ([[1, 1], [0, 1]],
+                                                               [[2, 1], [1, 2]])]
+    preserved = 0
+    for m, cone in cases:
+        expected = _maps_both_ways_into(m, cone)
+        assert ConeMap.create(m, cone).invariance_checked == expected, (m, cone.generators)
+        preserved += expected
+    assert preserved > 150 and len(cases) - preserved > 1000
+
+
+def test_polyhedral_invariance_needs_no_inverse_or_membership(quadrant, monkeypatch):
+    """Polyhedral invariance compares extreme rays with their images, so
+    creating a cone map inverts nothing and tests no membership."""
+    square = build_cone([(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)])
+    ray = build_cone([[1, 1]])
+    calls = []
+    inverse, member = QMatrix.inverse, cones.membership
+    monkeypatch.setattr(QMatrix, "inverse", lambda m: calls.append("inverse") or inverse(m))
+
+    def counting(c, x):
+        calls.append("membership")
+        return member(c, x)
+
+    # a copy imported by name into dynamics would escape the first patch
+    monkeypatch.setattr(cones, "membership", counting)
+    monkeypatch.setattr(dynamics, "membership", counting, raising=False)
+    for m, cone in ((SWAP2, quadrant), (QMatrix.from_rows([[1, -1], [0, 1]]), quadrant),
+                    (QMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, -1, 0]]), square),
+                    (SWAP2, ray)):
+        ConeMap.create(m, cone)
+    assert calls == []
+
+
+def test_polarized_decision_evaluates_one_matrix_polynomial(quadrant, monkeypatch):
+    """r(M) = 0 and the projector both come from the one g(M)."""
+    calls = []
+    evaluate = qmatrix.evaluate_poly_at_matrix
+
+    def counting(p, m):
+        calls.append(p)
+        return evaluate(p, m)
+
+    for module in (dynamics, qmatrix):
+        monkeypatch.setattr(module, "evaluate_poly_at_matrix", counting)
+    for m, cone in ((SWAP2, quadrant), (PULLBACK_3X3, psd_cone_oracle(2))):
+        calls.clear()
+        assert decide_polarization(ConeMap.create(m, cone)).is_polarized
+        assert len(calls) == 1
 
 
 def test_polyhedral_cone_map_needs_no_determinant(quadrant, monkeypatch):
@@ -313,9 +404,9 @@ def test_exact_invariance_agrees_with_point_battery():
 
 
 def test_non_interior_projection_is_an_internal_error(monkeypatch):
-    true_projector = dynamics._projector_from_min_poly
-    monkeypatch.setattr(dynamics, "_projector_from_min_poly",
-                        lambda m, mu, q: true_projector(m, mu, q).scale(-1))
+    true_projector = dynamics._bounded_projector
+    monkeypatch.setattr(dynamics, "_bounded_projector",
+                        lambda m, cp, q: true_projector(m, cp, q).scale(-1))
     for m, cone, q in ((SWAP2, build_cone([[1, 0], [0, 1]]), 2),
                        (PULLBACK_3X3, psd_cone_oracle(2), 6)):
         cm = ConeMap.create(m, cone)

@@ -63,11 +63,27 @@ def test_det_via_char_poly(m):
     assert m.det() == cp(0) * (-1) ** 3
 
 
+def test_det_row_swaps_and_singular():
+    assert QMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
+    # column 0 pivots on row 1, column 1 on row 2: two swaps, sign +
+    assert QMatrix.from_rows([[0, 0, 3], [2, 0, 0], [0, 5, 1]]).det() == 30
+    assert QMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).det() == 0
+    with pytest.raises(NonSquareError):
+        QMatrix.zeros(2, 3).det()
+
+
 def test_inverse_round_trip():
     m = QMatrix.from_rows([[1, -5], [1, 1]])
     assert m * m.inverse() == QMatrix.identity(2)
+    swap = QMatrix.from_rows([[0, 2, 1], [3, 0, 0], [0, 0, 4]])
+    assert swap * swap.inverse() == QMatrix.identity(3)
+    assert swap.inverse() * swap == QMatrix.identity(3)
     with pytest.raises(SingularMatrixError):
         QMatrix.zeros(2, 2).inverse()
+    with pytest.raises(SingularMatrixError):
+        QMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(NonSquareError):
+        QMatrix.zeros(3, 2).inverse()
 
 
 @settings(max_examples=80, deadline=None)
@@ -76,7 +92,7 @@ def test_inverse_round_trip():
 def test_independent_rows_is_the_first_basis(rows):
     """The integer helper picks the pivots of the Fraction echelon form of
     the rows as columns, that is, each row not spanned by the rows before it."""
-    _, pivots = QMatrix.from_columns([tuple(r) for r in rows])._echelon()
+    _, pivots, _ = QMatrix.from_columns([tuple(r) for r in rows])._echelon()
     assert independent_rows(rows) == pivots
 
 
