@@ -22,10 +22,10 @@ from .exactalg import (
     spectral_projector,
 )
 from .cones import (
-    ConeOracle,
     Face,
     Membership,
     PolyhedralCone,
+    PsdCone,
     build_cone,
     enumerate_faces,
     is_extremal_face,

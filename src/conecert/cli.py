@@ -6,9 +6,10 @@ Subcommands:
   selftest          run the seeded property suites
 
 Flags: --json PATH writes the canonical machine-readable report, --seed
-seeds the randomized suites, --max-dim overrides the construction caps.
+seeds the randomized suites, --max-dim overrides the construction caps
+(for selftest: the largest random cone dimension, 2 to MAX_AMBIENT_DIM).
 Exit codes: 0 analysis completed (whatever the verdict), 2 scenario,
-schema or I/O error, 3 internal assertion failure.
+schema, I/O or usage error, 3 internal assertion failure.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
+from .cones import MAX_AMBIENT_DIM
 from .errors import ConecertError, InternalCheckError
 from .report import dumps_canonical, render_text
 from .scenarios import BUILTIN_SCENARIOS, run_scenario
@@ -76,10 +78,14 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    max_dim = 4 if args.max_dim is None else args.max_dim
+    if not 2 <= max_dim <= MAX_AMBIENT_DIM:
+        print(f"--max-dim must be between 2 and {MAX_AMBIENT_DIM} for selftest, "
+              f"got {max_dim}", file=sys.stderr)
+        return EXIT_SCENARIO_ERROR
     started = time.perf_counter()
     try:
-        results = run_all(seed=args.seed, max_dim=args.max_dim or 4,
-                          quick=not args.thorough)
+        results = run_all(seed=args.seed, max_dim=max_dim, quick=not args.thorough)
     except ConecertError as exc:
         print(f"internal assertion: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -10,6 +10,13 @@ ray's zero set as an int bitmask, updated as each constraint is added, for
 the combinatorial adjacency test. `build_cone` runs it once and checks the
 facets it yields with an integer certificate on the facet-ridge graph
 (`_certify_facets`); ranks of integer vectors use fraction-free elimination.
+
+`PolyhedralCone` and `PsdCone` (the cone of positive semidefinite matrices,
+which has no finite facet description) answer the same questions:
+`ambient_dim`, `dim` (of the span), `kind`, exact `contains` and
+`strictly_contains` (relative interior), an `interior_sample`, and
+`is_automorphism(m)`, whose positive answer `invariance` labels. A
+polyhedral cone also gives `span_coordinates` when its span is proper.
 """
 from __future__ import annotations
 
@@ -207,6 +214,9 @@ class PolyhedralCone:
     together with membership in the span they cut out exactly the cone.
     """
 
+    kind = "polyhedral"
+    invariance = "generators-exact"
+
     ambient_dim: int
     generators: tuple[Vector, ...]
     facet_normals: tuple[Vector, ...]
@@ -249,6 +259,13 @@ class PolyhedralCone:
     def strictly_contains(self, x: Sequence) -> bool:
         return membership(self, x) is Membership.INTERIOR
 
+    def is_automorphism(self, m: QMatrix) -> bool:
+        """Whether the invertible map m carries the cone onto itself: a
+        pointed cone is generated by its extreme rays, so exactly when m
+        permutes them."""
+        rays = [self.generators[i] for i in self.extreme_ray_indices]
+        return {primitive_ints(m.apply(g)) for g in rays} == {primitive_ints(g) for g in rays}
+
 
 @dataclass(frozen=True)
 class Face:
@@ -269,27 +286,6 @@ class Face:
     @property
     def dim(self) -> int:
         return len(independent_rows(primitive_ints(g) for g in self.generators()))
-
-
-@dataclass
-class ConeOracle:
-    """Membership oracle for cones with no finite facet description.
-
-    `contains` / `strictly_contains` answer exact membership and relative
-    interior membership; `interior_sample` is a point with
-    strictly_contains(interior_sample()) true. `is_automorphism` decides
-    exactly whether an invertible map carries the cone onto itself.
-    """
-
-    dim: int
-    contains: Callable[[Sequence], bool]
-    strictly_contains: Callable[[Sequence], bool]
-    interior_sample: Callable[[], Vector]
-    is_automorphism: Callable[[QMatrix], bool]
-    description: str = "oracle"
-
-
-ConeLike = Union[PolyhedralCone, ConeOracle]
 
 
 # -- construction ---------------------------------------------------------------------
@@ -432,15 +428,6 @@ def enumerate_faces(c: PolyhedralCone) -> list[Face]:
     return faces
 
 
-def _subcone_contains(vs: Sequence[Vector]) -> Callable[[Vector], bool]:
-    """Exact membership test for cone(vs); the subcone is built once."""
-    nonzero = [v for v in vs if not is_zero_vector(v)]
-    if not nonzero:
-        return is_zero_vector
-    sub = build_cone(nonzero)
-    return lambda x: membership(sub, x) is not Membership.OUTSIDE
-
-
 def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]]) -> bool:
     """Whether f is an extremal face of c (u + v in f forces u, v in f).
 
@@ -457,10 +444,13 @@ def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]]) -> b
     for v in gens:
         if membership(c, v) is Membership.OUTSIDE:
             raise NotInConeError(f"proposed face generator {v} outside the cone")
-    minimal = minimal_extremal_face(c, gens)
-    in_f = _subcone_contains(gens)
-    # f is a face iff it coincides with the minimal face containing it
-    return all(in_f(c.generators[i]) for i in minimal.generator_indices)
+    on_face = set(minimal_extremal_face(c, gens).generator_indices)
+    # f is a face iff it is the minimal face F containing it. F is generated
+    # by the extreme rays of c on it, and such a ray lies in f only as a
+    # positive multiple of a generator of f, since f lies in F
+    rays = {primitive_ints(v) for v in gens}
+    return all(primitive_ints(c.generators[i]) in rays
+               for i in c.extreme_ray_indices if i in on_face)
 
 
 def _active_facets_at_all(c: PolyhedralCone, points: Sequence[Vector]) -> tuple[int, ...]:
@@ -468,7 +458,7 @@ def _active_facets_at_all(c: PolyhedralCone, points: Sequence[Vector]) -> tuple[
                  if all(dot(n, p) == 0 for p in points))
 
 
-# -- the positive semidefinite oracle ------------------------------------------------------
+# -- the positive semidefinite cone --------------------------------------------------------
 
 
 def _sym_from_vector(n: int, x: Sequence) -> QMatrix:
@@ -555,30 +545,53 @@ def _is_psd_congruence(n: int, m: QMatrix) -> bool:
                for i, j in pairs)
 
 
-def psd_cone_oracle(n: int, *, max_dim: int = MAX_AMBIENT_DIM) -> ConeOracle:
+@dataclass(frozen=True)
+class PsdCone:
     """The cone of positive semidefinite symmetric n x n rational matrices.
 
     Vectors are upper triangles, row major, with off-diagonal coordinates
     taken against the symmetrized basis elements e_i e_j^T + e_j e_i^T. The
-    ambient dimension n(n+1)/2 is held to the same cap as `build_cone`.
+    cone is full dimensional, so `dim` is the ambient dimension n(n+1)/2.
+    Membership is exact (`_is_psd`, `_is_pd`), and `is_automorphism`
+    recovers the map as a congruence (`_is_psd_congruence`).
     """
+
+    n: int
+    invariance = "congruence-exact"
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.n * (self.n + 1) // 2
+
+    dim = ambient_dim
+
+    @property
+    def kind(self) -> str:
+        return f"psd({self.n})"
+
+    def contains(self, x: Sequence) -> bool:
+        return _is_psd(_sym_from_vector(self.n, x))
+
+    def strictly_contains(self, x: Sequence) -> bool:
+        return _is_pd(_sym_from_vector(self.n, x))
+
+    def interior_sample(self) -> Vector:
+        return _sym_to_vector(QMatrix.identity(self.n))
+
+    def is_automorphism(self, m: QMatrix) -> bool:
+        return _is_psd_congruence(self.n, m)
+
+
+ConeLike = Union[PolyhedralCone, PsdCone]
+
+
+def psd_cone_oracle(n: int, *, max_dim: int = MAX_AMBIENT_DIM) -> PsdCone:
+    """The PSD cone of n x n matrices, its ambient dimension n(n+1)/2 held
+    to the same cap as `build_cone`."""
     if n < 1:
         raise ValueError("n must be positive")
-    dim = n * (n + 1) // 2
-    if dim > max_dim:
+    cone = PsdCone(n)
+    if cone.ambient_dim > max_dim:
         raise CapExceededError(
-            f"psd({n}) has ambient dimension {dim}, exceeding cap {max_dim}")
-
-    def contains(x: Sequence) -> bool:
-        return _is_psd(_sym_from_vector(n, x))
-
-    def strictly_contains(x: Sequence) -> bool:
-        return _is_pd(_sym_from_vector(n, x))
-
-    def interior_sample() -> Vector:
-        return _sym_to_vector(QMatrix.identity(n))
-
-    return ConeOracle(dim=dim, contains=contains, strictly_contains=strictly_contains,
-                      interior_sample=interior_sample,
-                      is_automorphism=lambda m: _is_psd_congruence(n, m),
-                      description=f"psd({n})")
+            f"psd({n}) has ambient dimension {cone.ambient_dim}, exceeding cap {max_dim}")
+    return cone

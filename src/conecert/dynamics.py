@@ -11,8 +11,10 @@ square-free part r of the characteristic polynomial, the one spectral
 quantity a decision computes (once, in `ConeMap.create`): the roots of r have
 modulus q and r(M) = 0, and then r is the minimal polynomial of M.
 
-Invariance is exact for both cone types (the map permutes the extreme rays
-of a polyhedral cone, else the oracle's exact automorphism test). If
+The module asks the cone only what `cones` gives for both cone types: its
+dimensions, membership, an interior sample, its span coordinates when the
+span is proper, and an exact automorphism test (the map permutes the
+extreme rays of a polyhedral cone, or is a congruence on the PSD cone). If
 M(C) = C and M / q is power bounded, the closure of the powers of M / q is
 a compact group preserving C whose Haar average, the spectral projector P
 onto the q-eigenspace, keeps the relative interior. So P(interior sample)
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import ConeLike, PolyhedralCone
+from .cones import ConeLike
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -47,10 +49,8 @@ from .exactalg import (
     evaluate_poly_at_matrix,
     has_positive_irrational_root,
     modulus_equals,
-    primitive_ints,
     primitive_vector,
     vec_scale,
-    vector,
 )
 from .exactalg.qpoly import _frac
 
@@ -64,10 +64,10 @@ Vector = tuple[Fraction, ...]
 class ConeMap:
     """An invertible map together with the cone it preserves.
 
-    `invariance` records how invariance was established, or is None when
-    the map does not carry the cone onto itself: "generators-exact" for
-    polyhedral cones (the map permutes the extreme rays) or
-    "congruence-exact" for the PSD oracle (the map is recovered as a
+    `invariance` is the cone's label for its automorphism test, or None
+    when `cone.is_automorphism(matrix)` fails: "generators-exact" for a
+    polyhedral cone (the map permutes the extreme rays) or
+    "congruence-exact" for the PSD cone (the map is recovered as a
     congruence X -> c B X B^T, see `cones._is_psd_congruence`).
     `char_poly` is char(matrix), computed once for the report and decision.
     """
@@ -79,27 +79,15 @@ class ConeMap:
 
     @staticmethod
     def create(matrix: QMatrix, cone: ConeLike) -> "ConeMap":
-        polyhedral = isinstance(cone, PolyhedralCone)
-        if polyhedral:
-            if not matrix.is_square:
-                raise DimensionMismatchError("map must be square")
-            if matrix.cols != cone.ambient_dim:
-                raise DimensionMismatchError("map and cone dimensions differ")
-        elif matrix.rows != cone.dim:
-            raise DimensionMismatchError("map and oracle dimensions differ")
+        if not matrix.is_square:
+            raise DimensionMismatchError("map must be square")
+        if matrix.cols != cone.ambient_dim:
+            raise DimensionMismatchError("map and cone dimensions differ")
         # the constant term is +-det, so no separate elimination is needed
         cp = char_poly(matrix)
         if cp.coeffs[0] == 0:
             raise SingularMatrixError("cone map must be invertible")
-        if polyhedral:
-            # an invertible map carries a pointed cone onto itself exactly
-            # when it permutes the extreme rays, which generate the cone
-            rays = [cone.generators[i] for i in cone.extreme_ray_indices]
-            invariant = ({primitive_ints(matrix.apply(g)) for g in rays}
-                         == {primitive_ints(g) for g in rays})
-            label = "generators-exact" if invariant else None
-        else:
-            label = "congruence-exact" if cone.is_automorphism(matrix) else None
+        label = cone.invariance if cone.is_automorphism(matrix) else None
         return ConeMap(matrix, cone, label, cp)
 
     @property
@@ -196,16 +184,11 @@ def _effective_map(cm: ConeMap) -> tuple[QMatrix, QPoly, Optional[QPoly]]:
     """Matrix of the map on the cone's span, its characteristic polynomial,
     and the transverse factor (None when the span is the whole space)."""
     m, cone = cm.matrix, cm.cone
-    if not isinstance(cone, PolyhedralCone) or cone.is_full_dimensional:
+    if cone.dim == cone.ambient_dim:
         return m, cm.char_poly, None
-    emb = QMatrix.from_columns([vector(b) for b in cone.span_basis])
-    cols = []
-    for j in range(emb.cols):
-        image = m.apply(emb.column(j))
-        coeff = emb.solve(image)
-        if coeff is None:
-            raise InvarianceNotVerifiedError("map does not preserve the cone's span")
-        cols.append(coeff)
+    cols = [cone.span_coordinates(m.apply(b)) for b in cone.span_basis]
+    if None in cols:
+        raise InvarianceNotVerifiedError("map does not preserve the cone's span")
     m_span = QMatrix.from_columns(cols)
     cp_span = char_poly(m_span)
     return m_span, cp_span, cm.char_poly.exact_div(cp_span)
@@ -215,9 +198,9 @@ def _interior_witness(cone: ConeLike, proj: QMatrix) -> Vector:
     """The primitive image of the interior sample under the q-eigenspace
     projector, which the cone lemma (module docstring) makes interior."""
     sample = cone.interior_sample()
-    if isinstance(cone, PolyhedralCone):
-        emb = QMatrix.from_columns([vector(b) for b in cone.span_basis])
-        candidate = emb.apply(proj.apply(emb.solve(sample)))
+    if cone.dim < cone.ambient_dim:
+        emb = QMatrix.from_columns(list(cone.span_basis))
+        candidate = emb.apply(proj.apply(cone.span_coordinates(sample)))
     else:
         candidate = proj.apply(sample)
     if not cone.strictly_contains(candidate):
@@ -289,8 +272,7 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
         eigenvalue_moduli_all_q=True,
         semisimple=True,
         invariance=cm.invariance,
-        cone_kind=("polyhedral" if isinstance(cm.cone, PolyhedralCone)
-                   else cm.cone.description),
+        cone_kind=cm.cone.kind,
         transverse_char_poly=transverse,
     )
     _check_certificate(cm, cert, m_eff)

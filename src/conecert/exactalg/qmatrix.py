@@ -11,7 +11,7 @@ eigenvalue, h = 0 on the complementary factor).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 from ..errors import (
@@ -20,7 +20,7 @@ from ..errors import (
     NotAnEigenvalueError,
     SingularMatrixError,
 )
-from .qpoly import QPoly, _frac
+from .qpoly import QPoly, _frac, primitive_ints
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -44,14 +44,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
 
 def is_zero_vector(u: Vector) -> bool:
     return all(a == 0 for a in u)
-
-
-def primitive_ints(u: Sequence[Scalar]) -> tuple[int, ...]:
-    """The positive multiple of u with coprime integer entries; zero stays zero."""
-    den = lcm(*(a.denominator for a in u))
-    ints = [a.numerator * (den // a.denominator) for a in u]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
 
 
 def primitive_vector(u: Vector) -> Vector:

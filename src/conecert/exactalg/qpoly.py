@@ -7,8 +7,8 @@ All arithmetic is exact. Nothing here ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 from ..errors import ZeroPolynomialError
 
@@ -23,6 +23,14 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact rational")
+
+
+def primitive_ints(u: Sequence[Scalar]) -> tuple[int, ...]:
+    """The positive multiple of u with coprime integer entries; zero stays zero."""
+    den = lcm(*(a.denominator for a in u))
+    ints = [a.numerator * (den // a.denominator) for a in u]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 class QPoly:
@@ -195,18 +203,8 @@ class QPoly:
 
     def content_normalized(self) -> "QPoly":
         """Primitive integer-coefficient form with positive leading coefficient."""
-        if self.is_zero:
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        return QPoly(tuple(Fraction(v, g) for v in ints))
+        ints = primitive_ints(self.coeffs)
+        return QPoly(-v for v in ints) if ints and ints[-1] < 0 else QPoly(ints)
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """Monic greatest common divisor."""

@@ -171,17 +171,11 @@ def _certified_spectral_radius(eigs) -> Optional[Fraction]:
         else:
             return None
     top = max(moduli_sq)
-    num = _integer_sqrt(top.numerator)
-    den = _integer_sqrt(top.denominator)
+    num = integer_nth_root(top.numerator, 2)
+    den = integer_nth_root(top.denominator, 2)
     if num is None or den is None:
         return None
     return Fraction(num, den)
-
-
-def _integer_sqrt(v: int) -> Optional[int]:
-    if v == 0:
-        return 0
-    return integer_nth_root(v, 2)
 
 
 def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:

@@ -93,10 +93,6 @@ def dumps_canonical(report: dict) -> str:
                       ensure_ascii=True) + "\n"
 
 
-def loads(text: str) -> dict:
-    return json.loads(text)
-
-
 # -- text rendering ----------------------------------------------------------------------
 
 

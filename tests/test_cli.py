@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conecert.errors import ConecertError
 from conecert.exactalg import AlgebraicNumber, qmatrix
-from conecert.report import dumps_canonical, loads
+from conecert.report import dumps_canonical
 from conecert.scenarios import BUILTIN_SCENARIOS, SCENARIO_SCHEMA, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -450,7 +450,7 @@ def test_all_builtin_scenarios_validate_and_roundtrip():
         report = run_scenario(doc, seed=3)
         jsonschema.validate(report, REPORT_SCHEMA)
         text = dumps_canonical(report)
-        assert dumps_canonical(loads(text)) == text
+        assert dumps_canonical(json.loads(text)) == text
 
 
 def test_verdict_fields_hold_no_numerics():
@@ -495,6 +495,17 @@ def test_selftest_exits_zero():
     result = run_cli("selftest", "--seed", "1")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "selftest passed" in result.stdout
+
+
+@pytest.mark.parametrize("max_dim", ["0", "1", "-3", "9", "11", "40", "2"])
+def test_selftest_max_dim_range(max_dim):
+    result = run_cli("selftest", "--max-dim", max_dim, timeout=120)
+    if max_dim == "2":
+        assert result.returncode == 0, result.stdout + result.stderr
+        return
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "--max-dim" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_scripts_run(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -25,7 +26,15 @@ from conecert.errors import (
     InternalCheckError,
     NotInConeError,
 )
-from conecert.exactalg import QMatrix, dot, is_zero_vector, primitive_ints, vec_add, vector
+from conecert.exactalg import (
+    QMatrix,
+    dot,
+    is_zero_vector,
+    primitive_ints,
+    vec_add,
+    vec_scale,
+    vector,
+)
 
 
 @pytest.fixture
@@ -171,6 +180,74 @@ def test_faces_are_extremal_on_random_cone_points():
                 else:
                     off_sums += 1
     assert in_sums > 100 and off_sums > 100
+
+
+def _subcone_reference(c, gens):
+    """The route `is_extremal_face` took before it read extreme rays: build
+    the proposed subcone, then test every generator of c on the minimal face
+    for membership in it."""
+    gens = [vector(v) for v in gens]
+    for v in gens:
+        if membership(c, v) is Membership.OUTSIDE:
+            raise NotInConeError(f"proposed face generator {v} outside the cone")
+    minimal = minimal_extremal_face(c, gens)
+    nonzero = [v for v in gens if not is_zero_vector(v)]
+    if not nonzero:
+        return all(is_zero_vector(c.generators[i]) for i in minimal.generator_indices)
+    sub = build_cone(nonzero)
+    return all(membership(sub, c.generators[i]) is not Membership.OUTSIDE
+               for i in minimal.generator_indices)
+
+
+def _outcome(fn, c, gens):
+    try:
+        return fn(c, gens)
+    except (NotInConeError, EmptyInputError) as exc:
+        return type(exc)
+
+
+def test_is_extremal_face_matches_the_subcone_reference():
+    """Generator lists on seeded pointed cones of dimension 2-4, some in a
+    proper subspace, with repeated, redundant and zero generators: faces,
+    their scaled and combined generators, random subsets, an empty list and
+    points off the cone all get the reference's answer or error."""
+    rng = random.Random(27182)
+    seen = Counter()
+    for _ in range(40):
+        d = rng.randrange(2, 5)
+        base = [(rng.randrange(1, 4), *(rng.randrange(-3, 4) for _ in range(d - 1)))
+                for _ in range(rng.randrange(d, d + 4))]
+        gens = base + [base[0], tuple(a + b for a, b in zip(base[0], base[1])), (0,) * d]
+        if rng.random() < 0.25:
+            gens = [g + (0,) for g in gens]
+        c = build_cone(gens)
+        faces = enumerate_faces(c)
+
+        def combo(pool):
+            coeffs = [rng.randrange(3) for _ in pool]
+            return vector(sum(a * g[k] for a, g in zip(coeffs, pool))
+                          for k in range(c.ambient_dim))
+
+        for _ in range(12):
+            face = list(rng.choice(faces).generators())
+            pool = face if face and rng.random() < 0.6 else list(c.generators)
+            kind = rng.randrange(5)
+            if kind == 0:
+                query = [vec_scale(g, Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
+                         for g in pool]
+            elif kind == 1:
+                query = rng.sample(pool, rng.randrange(len(pool) + 1))
+            elif kind == 2:
+                query = pool + [combo(pool) for _ in range(2)] + [(0,) * c.ambient_dim]
+            elif kind == 3:
+                query = [combo(pool) for _ in range(rng.randrange(1, 4))]
+            else:
+                query = pool + [vec_scale(combo(c.generators), -1)]
+            expected = _outcome(_subcone_reference, c, query)
+            assert _outcome(is_extremal_face, c, query) == expected, (gens, query)
+            seen[expected] += 1
+    assert seen[True] > 100 and seen[False] > 100, seen
+    assert seen[NotInConeError] > 10 and seen[EmptyInputError] > 0, seen
 
 
 def test_faces_ordered_and_complete(octant):

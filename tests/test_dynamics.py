@@ -20,6 +20,7 @@ from conecert.dynamics import (
     restricted_degree,
 )
 from conecert.errors import (
+    DimensionMismatchError,
     InternalCheckError,
     InvarianceNotVerifiedError,
     IrrationalCandidateOnlyError,
@@ -45,6 +46,15 @@ def test_verify_invariance(quadrant):
     assert ConeMap.create(QMatrix.from_rows([[1, -1], [0, 1]]), quadrant).invariance is None
     with pytest.raises(SingularMatrixError, match="cone map must be invertible"):
         ConeMap.create(QMatrix.zeros(2, 2), quadrant)
+
+
+@pytest.mark.parametrize("cone", [build_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                  psd_cone_oracle(2)], ids=["octant", "psd2"])
+def test_create_checks_the_map_size_against_the_cone(cone):
+    with pytest.raises(DimensionMismatchError, match="map must be square"):
+        ConeMap.create(QMatrix(3, 4, range(12)), cone)
+    with pytest.raises(DimensionMismatchError, match="map and cone dimensions differ"):
+        ConeMap.create(QMatrix.identity(2), cone)
 
 
 def _maps_both_ways_into(m, cone):
