@@ -53,6 +53,8 @@ Vector = tuple[Fraction, ...]
 
 MAX_AMBIENT_DIM = 8
 MAX_GENERATORS = 64
+# largest cyclic order `singularities` tabulates; its tables grow as order^3
+MAX_CYCLIC_ORDER = 64
 
 
 class Membership(enum.Enum):
@@ -233,10 +235,6 @@ class PolyhedralCone:
     def dim(self) -> int:
         return len(self.span_basis)
 
-    @property
-    def is_full_dimensional(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def span_coordinates(self, x: Sequence) -> Optional[Vector]:
         """Coordinates of x in the span basis, or None if x is outside the span."""
         x = vector(x)
@@ -357,7 +355,7 @@ def membership(c: PolyhedralCone, x: Sequence) -> Membership:
     if len(x) != c.ambient_dim:
         raise DimensionMismatchError(
             f"expected dimension {c.ambient_dim}, got {len(x)}")
-    if not c.is_full_dimensional and c.span_coordinates(x) is None:
+    if c.dim < c.ambient_dim and c.span_coordinates(x) is None:
         return Membership.OUTSIDE
     xi = primitive_ints(x)
     products = [sum(a * b for a, b in zip(n, xi)) for n in c._int_normals]

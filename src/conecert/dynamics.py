@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .cones import ConeLike
@@ -39,7 +40,6 @@ from .errors import (
     IrrationalCandidateOnlyError,
     NoIntegerRootError,
     NotPowerBoundedError,
-    ShapeMismatchError,
     SingularMatrixError,
 )
 from .exactalg import (
@@ -298,10 +298,14 @@ def _check_certificate(cm: ConeMap, cert: PolarizationCertificate,
 
 
 def integer_nth_root(value: int, n: int) -> Optional[int]:
-    """Exact n-th root of a positive integer, or None."""
+    """Exact n-th root of a positive integer, or None.
+
+    value < 2^b for b its bit length, so a root lies below 2^ceil(b / n) and
+    no power the search forms is much longer than value.
+    """
     if value < 1 or n < 1:
         return None
-    lo, hi = 1, max(2, value)
+    lo, hi = 1, (1 << -(-value.bit_length() // n)) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
         p = mid ** n
@@ -335,10 +339,19 @@ def restricted_degree(q: int, dim_z: int) -> int:
 
 def product_formula_check(dim_x: int, deg_f: int, dim_y: int, deg_g: int) -> bool:
     """Whether deg_f^dim_y = deg_g^dim_x, the degree relation across an
-    equivariant dominant map; a point base (dim_y = 0, deg_g = 1) passes."""
+    equivariant dominant map; a point base (dim_y = 0, deg_g = 1) passes.
+
+    With g = gcd(dim_x, dim_y) the relation holds exactly when one integer t
+    has deg_f = t^(dim_x / g) and deg_g = t^(dim_y / g), so it is decided
+    from two integer roots without forming either power.
+    """
     if dim_x < 0 or dim_y < 0 or deg_f < 1 or deg_g < 1:
         raise ValueError("dimensions must be nonnegative and degrees positive")
-    return deg_f ** dim_y == deg_g ** dim_x
+    if dim_x == 0 or dim_y == 0:
+        return (dim_y == 0 or deg_f == 1) and (dim_x == 0 or deg_g == 1)
+    g = gcd(dim_x, dim_y)
+    t = integer_nth_root(deg_f, dim_x // g)
+    return t is not None and t == integer_nth_root(deg_g, dim_y // g)
 
 
 class AbelianInvariantVerdict(enum.Enum):
@@ -357,9 +370,7 @@ def abelian_invariant_check(q: int, dim_x: int, dim_z: int) -> AbelianInvariantV
         raise ValueError("need 0 <= dim_z < dim_x")
     if q < 1:
         raise ValueError("q must be positive")
-    full = q ** dim_x
-    restricted = q ** dim_z
-    return (AbelianInvariantVerdict.CONSISTENT if full == restricted
+    return (AbelianInvariantVerdict.CONSISTENT if q == 1
             else AbelianInvariantVerdict.CONTRADICTION)
 
 
@@ -367,7 +378,7 @@ def product_endo_degree(a: QMatrix) -> int:
     """Topological degree of the torus-product endomorphism given by an
     integer matrix: det(a) squared."""
     if not a.is_square:
-        raise ShapeMismatchError("endomorphism matrix must be square")
+        raise DimensionMismatchError("endomorphism matrix must be square")
     if not a.is_integer:
         raise ValueError("endomorphism matrix must be integral")
     d = a.det()

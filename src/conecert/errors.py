@@ -100,15 +100,7 @@ class NoIntegerRootError(ConecertError):
     pass
 
 
-class ShapeMismatchError(ConecertError):
-    pass
-
-
 # -- lattice / singularities ---------------------------------------------------
-
-class SingularEndomorphismError(ConecertError):
-    pass
-
 
 class TrivialElementError(ConecertError):
     pass

@@ -24,24 +24,4 @@ from .algnum import (
     roots_with_multiplicity,
 )
 
-__all__ = [
-    "QPoly",
-    "QMatrix",
-    "AlgebraicNumber",
-    "char_poly",
-    "min_poly",
-    "spectral_projector",
-    "evaluate_poly_at_matrix",
-    "roots_with_multiplicity",
-    "has_positive_irrational_root",
-    "factor_rational",
-    "modulus_equals",
-    "vector",
-    "vec_add",
-    "vec_scale",
-    "dot",
-    "is_zero_vector",
-    "independent_rows",
-    "primitive_ints",
-    "primitive_vector",
-]
+__all__ = [name for name in dir() if not name.startswith("_")]

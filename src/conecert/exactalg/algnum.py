@@ -22,6 +22,7 @@ Collins-Krandick via sympy, for complex ones).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -148,6 +149,7 @@ def factor_rational(p: QPoly) -> list[tuple[QPoly, int]]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class AlgebraicNumber:
     """A root of an irreducible rational polynomial, pinned by a rectangle.
 
@@ -156,15 +158,13 @@ class AlgebraicNumber:
     new number with a strictly smaller box.
     """
 
-    __slots__ = ("minpoly", "box", "is_real")
+    minpoly: QPoly
+    box: tuple[Fraction, Fraction, Fraction, Fraction]
+    is_real: bool
 
-    def __init__(self, minpoly: QPoly, box, is_real: bool):
-        object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "box", tuple(_frac(b) for b in box))
-        object.__setattr__(self, "is_real", bool(is_real))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraicNumber is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "box", tuple(_frac(b) for b in self.box))
+        object.__setattr__(self, "is_real", bool(self.is_real))
 
     @staticmethod
     def from_rational(r) -> "AlgebraicNumber":
@@ -191,13 +191,6 @@ class AlgebraicNumber:
     def approx(self) -> complex:
         a, b, c, d = self.box
         return complex((a + b) / 2, (c + d) / 2)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraicNumber) and self.minpoly == other.minpoly
-                and self.box == other.box and self.is_real == other.is_real)
-
-    def __hash__(self) -> int:
-        return hash((self.minpoly, self.box, self.is_real))
 
     def __repr__(self) -> str:
         if self.is_rational:

@@ -174,9 +174,6 @@ class QMatrix:
         c = _frac(c)
         return QMatrix(self.rows, self.cols, [c * e for e in self.entries])
 
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        return self.__mul__(other)
-
     def __mul__(self, other) -> "QMatrix":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

@@ -66,10 +66,6 @@ class QPoly:
         return QPoly((c,))
 
     @staticmethod
-    def monomial(power: int, c: Scalar = 1) -> "QPoly":
-        return QPoly((0,) * power + (c,))
-
-    @staticmethod
     def linear_root(r: Scalar) -> "QPoly":
         """t - r."""
         return QPoly((-_frac(r), 1))
@@ -171,9 +167,6 @@ class QPoly:
                 rem[k + i] -= f * c
             rem.pop()
         return QPoly(q), QPoly(rem)
-
-    def __floordiv__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[1]

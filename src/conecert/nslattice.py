@@ -29,10 +29,11 @@ from .dynamics import (
     q_from_degree,
 )
 from .errors import (
+    DimensionMismatchError,
     InternalCheckError,
     IrrationalCandidateOnlyError,
-    ShapeMismatchError,
-    SingularEndomorphismError,
+    PreconditionViolatedError,
+    SingularMatrixError,
 )
 from .exactalg import (
     AlgebraicNumber,
@@ -96,7 +97,9 @@ def is_ample(h: SymClass) -> bool:
 
 
 def pullback_class(a: QMatrix, h: SymClass) -> SymClass:
-    """a^T H a as an exact symmetric class."""
+    """a^T H a as an exact symmetric class; a must be an integer matrix."""
+    if not a.is_integer:
+        raise PreconditionViolatedError("endomorphism matrix must be integral")
     m = a.transpose() * h.matrix() * a
     return SymClass(int(m.entry(0, 0)), int(m.entry(0, 1)), int(m.entry(1, 1)))
 
@@ -119,9 +122,9 @@ def pullback_action(a) -> EndoAction:
     if not isinstance(a, QMatrix):
         a = QMatrix.from_rows(a)
     if not a.is_square or a.rows != 2:
-        raise ShapeMismatchError("endomorphism matrix must be 2 x 2")
+        raise DimensionMismatchError("endomorphism matrix must be 2 x 2")
     if a.det() == 0:
-        raise SingularEndomorphismError("endomorphism matrix must be invertible")
+        raise SingularMatrixError("endomorphism matrix must be invertible")
     basis = (FIBRE_FIRST, DIAGONAL_MIXED, FIBRE_SECOND)
     cols = [pullback_class(a, e).as_vector() for e in basis]
     ns = QMatrix.from_columns(cols)
@@ -185,7 +188,7 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     against the positive semidefinite cone, and the degree cross-checks. Any
     failed internal cross-check raises with the failing clause.
     """
-    action = pullback_action(QMatrix.from_rows(endo) if not isinstance(endo, QMatrix) else endo)
+    action = pullback_action(endo)
     m = action.ns_matrix
     rho = m.rows
     cm = ConeMap.create(m, psd_cone_oracle(2))

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .dynamics import PolarizationResult
+from .errors import ScenarioError
 from .exactalg import AlgebraicNumber, QMatrix, QPoly
 
 SCHEMA_VERSION = "1"
@@ -43,7 +44,10 @@ def _exact_payload(value):
 
 def _rat_str(x) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise ScenarioError(f"result cannot be printed: {exc}") from None
 
 
 def approx(value: float) -> dict:

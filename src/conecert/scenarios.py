@@ -57,6 +57,8 @@ def _parse_entry(v) -> Fraction:
         return Fraction(v)
     except ZeroDivisionError:
         raise ScenarioError(f"entry {v!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise ScenarioError(f"entry cannot be read: {exc}") from None
 
 
 def _parse_matrix(rows) -> QMatrix:

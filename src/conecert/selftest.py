@@ -61,24 +61,14 @@ def empirical_growth_max(m: QMatrix, q: Fraction) -> Fraction:
     arithmetic throughout, used only as a test oracle.
     """
     best = Fraction(1)
-    power = QMatrix.identity(m.rows)
-    scale = Fraction(1)
-    for _ in range(GROWTH_RANGE):
-        power = power * m
-        scale *= q
-        best = max(best, power.max_abs_entry() / scale)
-    inv = m.inverse()
-    power = QMatrix.identity(m.rows)
-    scale = Fraction(1)
-    for _ in range(GROWTH_RANGE):
-        power = power * inv
-        scale *= q
-        best = max(best, power.max_abs_entry() * scale)
+    for step, factor in ((m, 1 / q), (m.inverse(), q)):
+        power = QMatrix.identity(m.rows)
+        scale = Fraction(1)
+        for _ in range(GROWTH_RANGE):
+            power = power * step
+            scale *= factor
+            best = max(best, power.max_abs_entry() * scale)
     return best
-
-
-def empirical_growth_bounded(m: QMatrix, q: Fraction) -> bool:
-    return empirical_growth_max(m, q) < GROWTH_THRESHOLD
 
 
 # -- instance generation for the cone equivalence suite ------------------------------
@@ -233,7 +223,7 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
             irrational_only = True
 
         growth_bounded = [q for q in sorted(set(rational_candidates))
-                          if empirical_growth_bounded(inst.matrix, q)]
+                          if empirical_growth_max(inst.matrix, q) < GROWTH_THRESHOLD]
         spectral_bounded = [q for q in sorted(set(rational_candidates))
                             if is_power_bounded(inst.matrix, q)]
         if growth_bounded != spectral_bounded:

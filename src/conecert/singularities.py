@@ -21,8 +21,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from .cones import MAX_CYCLIC_ORDER
 from .dynamics import restricted_degree
-from .errors import PreconditionViolatedError, TrivialElementError
+from .errors import CapExceededError, PreconditionViolatedError, TrivialElementError
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ def projective_cycle_fixed_data(m: int) -> dict[int, list[FixedComponent]]:
     """
     if m < 2:
         raise PreconditionViolatedError("need order at least 2")
+    if m > MAX_CYCLIC_ORDER:
+        raise CapExceededError(f"order {m} exceeds cap {MAX_CYCLIC_ORDER}")
     table: dict[int, list[FixedComponent]] = {}
     for k in range(1, m):
         g = gcd(k, m)

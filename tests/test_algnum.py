@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conecert.errors import ZeroPolynomialError
 from conecert.exactalg import (
+    AlgebraicNumber,
     QPoly,
     factor_rational,
     has_positive_irrational_root,
@@ -62,6 +63,23 @@ def test_mixed_spectrum():
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
         roots_with_multiplicity(QPoly([]))
+
+
+def test_algebraic_number_is_a_value():
+    p = QPoly([-2, 0, 1])
+    root = AlgebraicNumber(p, (1, 2, 0, 0), 1)
+    same = AlgebraicNumber(QPoly([-2, 0, 1]), (Fraction(1), Fraction(2), 0, 0), True)
+    assert root == same and hash(root) == hash(same)
+    assert root.box == (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
+    assert all(type(c) is Fraction for c in root.box)
+    assert root.is_real is True
+    assert root != AlgebraicNumber(p, (1, Fraction(3, 2), 0, 0), True)
+    assert root != AlgebraicNumber(p, (1, 2, 0, 0), False)
+    assert len({root, same, AlgebraicNumber(p, (-2, -1, 0, 0), True)}) == 2
+    for name, value in (("minpoly", p), ("box", (0, 1, 0, 0)), ("is_real", False)):
+        with pytest.raises(AttributeError):
+            setattr(root, name, value)
+    assert repr(AlgebraicNumber.from_rational(Fraction(3, 2))) == "AlgebraicNumber(3/2)"
 
 
 def test_refinement_nests_and_shrinks():

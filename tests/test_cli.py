@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecert.cones import MAX_CYCLIC_ORDER
 from conecert.errors import ConecertError
 from conecert.exactalg import AlgebraicNumber, qmatrix
 from conecert.report import dumps_canonical
@@ -374,6 +375,10 @@ def test_semantically_bad_scenario_exits_2(tmp_path):
 
 
 QUADRANT = {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}
+OCTANT = {"type": "polyhedral", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+# Python reads and prints integers of at most 4,300 digits
+LONG = "7" * 5000
+WIDE = "1" + "0" * 1500
 
 
 @pytest.mark.parametrize("kind, payload", [
@@ -382,8 +387,12 @@ QUADRANT = {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}
     ("cone_dynamics", {"matrix": [["1/0", 0], [0, 1]], "cone": QUADRANT}),
     ("cone_dynamics", {"matrix": [[0, 2], [2, 0]], "q_hint": "3/0", "cone": QUADRANT}),
     ("ns_example", {"endomorphism": [["1/2", -5], [1, 1]]}),
+    ("cone_dynamics", {"matrix": [[LONG, 0], [0, 1]], "cone": QUADRANT}),
+    ("cone_dynamics", {"matrix": [[0, 2], [2, 0]], "q_hint": "1/" + LONG, "cone": QUADRANT}),
+    ("cone_dynamics", {"matrix": [[WIDE, 0, 0], [0, WIDE, 0], [0, 0, WIDE]], "cone": OCTANT}),
 ], ids=["ragged-matrix", "ragged-endomorphism", "zero-denominator",
-        "zero-denominator-hint", "non-integer-endomorphism"])
+        "zero-denominator-hint", "non-integer-endomorphism", "over-long-entry",
+        "over-long-hint", "over-long-result"])
 def test_schema_valid_bad_data_exits_2(tmp_path, kind, payload):
     doc = {"schema_version": "1", "kind": kind, "payload": payload}
     jsonschema.validate(doc, SCENARIO_SCHEMA)
@@ -394,11 +403,22 @@ def test_schema_valid_bad_data_exits_2(tmp_path, kind, payload):
     assert result.stderr.startswith("scenario error:")
 
 
+def test_age_order_past_the_cap_exits_2(tmp_path):
+    payload = {"order": MAX_CYCLIC_ORDER + 1, "projective_m": MAX_CYCLIC_ORDER + 1,
+               "scale_r": 2, "abelian_weights": [1, 1, 1]}
+    path = tmp_path / "age.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "age_check",
+                                "payload": payload}))
+    result = run_cli("analyze", str(path), "--max-dim", "200")
+    assert result.returncode == 2, result.stderr
+    assert f"exceeds cap {MAX_CYCLIC_ORDER}" in result.stderr
+
+
 def test_scenario_schema_is_valid_draft7():
     jsonschema.Draft7Validator.check_schema(SCENARIO_SCHEMA)
 
 
-entries = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/2", "4/2", "1/0"])
+entries = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/2", "4/2", "1/0", LONG])
 ragged = st.lists(st.lists(entries, min_size=1, max_size=3), min_size=1, max_size=3)
 
 

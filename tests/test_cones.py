@@ -99,7 +99,7 @@ def test_membership_relative_to_span():
     # a wedge in the plane z = x + y; (1, 1, 1) and (1, 1, 5/2) satisfy every
     # facet inequality but lie off the span
     wedge = build_cone([[1, 0, 1], [0, 1, 1]])
-    assert not wedge.is_full_dimensional
+    assert wedge.dim < wedge.ambient_dim
     assert membership(wedge, [1, 1, 2]) is Membership.INTERIOR
     assert membership(wedge, [1, 0, 1]) is Membership.BOUNDARY
     for off_span in ((1, 1, 1), (1, 1, Fraction(5, 2))):
@@ -395,7 +395,7 @@ def test_enumerate_faces_matches_subset_loop():
     kinds = set()
     for cone in _random_face_test_cones(random.Random(5)):
         assert len(cone.generators) <= 8
-        kinds.add((cone.is_full_dimensional, cone.dim))
+        kinds.add((cone.dim == cone.ambient_dim, cone.dim))
         expected = [(f.dim, f.generator_indices, f.active_facets)
                     for f in _faces_by_subsets(cone)]
         assert [(f.dim, f.generator_indices, f.active_facets)
@@ -463,7 +463,7 @@ SQUARE_PYRAMID = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
 def _int_facets(gens):
     """Primitive integer generators and facet normals of a full-dimensional cone."""
     cone = build_cone(gens)
-    assert cone.is_full_dimensional
+    assert cone.dim == cone.ambient_dim
     return ([primitive_ints(g) for g in cone.generators],
             [primitive_ints(n) for n in cone.facet_normals])
 
@@ -577,7 +577,7 @@ def test_extreme_rays_match_the_round_trip_reference():
             continue
         assert cone.extreme_ray_indices == _reference_extreme_rays(cone)
         ints = [primitive_ints(g) for g in cone.generators]
-        seen["proper"] += not cone.is_full_dimensional
+        seen["proper"] += cone.dim < cone.ambient_dim
         seen["duplicates"] += len(set(ints)) < len(ints)
         seen["non-simplicial"] += any(
             len({g for g in ints if dot(vector(n), vector(g)) == 0}) > cone.dim - 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from conecert.dynamics import (
     PolarizationStatus,
     abelian_invariant_check,
     decide_polarization,
+    integer_nth_root,
     interior_eigenvector,
     is_power_bounded,
     product_endo_degree,
@@ -456,6 +458,41 @@ def test_product_formula():
     assert product_formula_check(2, 36, 1, 6)
     assert not product_formula_check(2, 36, 1, 5)
     assert product_formula_check(3, 99, 0, 1)
+
+
+def test_integer_nth_root_matches_the_table_of_powers():
+    for n in range(1, 13):
+        powers = {r ** n: r for r in range(1, 5001)}
+        for value in range(1, 5001):
+            assert integer_nth_root(value, n) == powers.get(value), (value, n)
+        for r in (2 ** 40 - 1, 2 ** 40, 2 ** 40 + 1, 10 ** 30):
+            assert integer_nth_root(r ** n, n) == r
+            if n > 1:
+                assert integer_nth_root(r ** n + 1, n) is None
+
+
+def test_product_formula_matches_the_power_form():
+    for dim_x, dim_y in itertools.product(range(7), repeat=2):
+        for deg_f, deg_g in itertools.product(range(1, 101), repeat=2):
+            if product_formula_check(dim_x, deg_f, dim_y, deg_g) != (
+                    deg_f ** dim_y == deg_g ** dim_x):
+                pytest.fail(f"disagrees at {(dim_x, deg_f, dim_y, deg_g)}")
+
+
+def test_degree_calculus_answers_huge_dimensions_at_once():
+    # the powers these relations name have billions of digits; none is formed
+    big = 10 ** 9
+    started = time.perf_counter()
+    assert integer_nth_root(10 ** 60, 200_000) is None
+    assert q_from_degree(1, big) == 1
+    with pytest.raises(NoIntegerRootError):
+        q_from_degree(2, big)
+    assert product_formula_check(big, 8, big, 8)
+    assert product_formula_check(2 * big, 4, big, 2)
+    assert not product_formula_check(big, 6, big + 1, 6)
+    assert not product_formula_check(3, 10 ** 6, 10 ** 7, 7)
+    assert abelian_invariant_check(2, big, big - 1) is AbelianInvariantVerdict.CONTRADICTION
+    assert time.perf_counter() - started < 1
 
 
 def test_abelian_invariant():

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.errors import ShapeMismatchError, SingularEndomorphismError
+from conecert.errors import (
+    DimensionMismatchError,
+    PreconditionViolatedError,
+    SingularMatrixError,
+)
 from conecert.exactalg import QMatrix, QPoly
 from conecert.nslattice import (
     FIBRE_FIRST,
@@ -75,14 +79,23 @@ def test_pullback_action_scalars():
 
 
 def test_pullback_rejects_singular():
-    with pytest.raises(SingularEndomorphismError):
+    with pytest.raises(SingularMatrixError):
         pullback_action([[1, 1], [1, 1]])
 
 
 def test_pullback_rejects_non_2x2():
     for rows in ([[2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2, 3], [4, 5, 6]]):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimensionMismatchError):
             pullback_action(rows)
+
+
+def test_pullback_rejects_non_integral():
+    half = QMatrix.from_rows([["1/2", 0], [0, 1]])
+    for call in (lambda: pullback_class(half, FIBRE_FIRST),
+                 lambda: pullback_action(half),
+                 lambda: elliptic_product_report(half)):
+        with pytest.raises(PreconditionViolatedError):
+            call()
 
 
 def test_determinant_cube_identity_seeded():
