@@ -21,7 +21,6 @@ polyhedral cone also gives `span_coordinates` when its span is proper.
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,6 +43,7 @@ from .exactalg import (
     is_zero_vector,
     primitive_ints,
     primitive_vector,
+    rational_nth_root,
     vec_add,
     vec_scale,
     vector,
@@ -499,12 +499,6 @@ def _is_pd(m: QMatrix) -> bool:
     return True
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """The positive rational square root of x > 0, or None."""
-    root = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
-    return root if root * root == x else None
-
-
 def _is_psd_congruence(n: int, m: QMatrix) -> bool:
     """Whether the map m on flattened symmetric n x n matrices is
     X -> c B X B^T for a rational c > 0 and a rational B.
@@ -532,7 +526,7 @@ def _is_psd_congruence(n: int, m: QMatrix) -> bool:
         if k is None:
             return False
         d0 = d0 or image.entry(k, k)
-        s = _rational_sqrt(d0 / image.entry(k, k))
+        s = rational_nth_root(d0 / image.entry(k, k), 2)
         if s is None:
             return False
         bi = vec_scale(image.column(k), s)

@@ -48,8 +48,10 @@ from .exactalg import (
     char_poly,
     evaluate_poly_at_matrix,
     has_positive_irrational_root,
+    integer_nth_root,
     modulus_equals,
     primitive_vector,
+    rational_nth_root,
     vec_scale,
 )
 from .exactalg.qpoly import _frac
@@ -224,15 +226,6 @@ def interior_eigenvector(cm: ConeMap, q) -> Vector:
     return _interior_witness(cm.cone, projector)
 
 
-def _det_root_candidate(cp: QPoly) -> Optional[Fraction]:
-    """The rational n-th root of |det| for cp = char(m) of degree n, or None."""
-    n = cp.degree
-    det = abs(cp.coeffs[0])
-    num = integer_nth_root(det.numerator, n)
-    den = integer_nth_root(det.denominator, n)
-    return None if num is None or den is None else Fraction(num, den)
-
-
 def decide_polarization(cm: ConeMap) -> PolarizationResult:
     """Decide whether the cone map has an interior eigenvector, with certificate.
 
@@ -250,7 +243,7 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
 
     m_eff, cp, transverse = _effective_map(cm)
-    q = _det_root_candidate(cp)
+    q = rational_nth_root(abs(cp.coeffs[0]), cp.degree)
     projector = None if q is None else _bounded_projector(m_eff, cp, q)
     if projector is None:
         if has_positive_irrational_root(cp):
@@ -295,27 +288,6 @@ def _check_certificate(cm: ConeMap, cert: PolarizationCertificate,
 
 
 # -- degree calculus -------------------------------------------------------------------
-
-
-def integer_nth_root(value: int, n: int) -> Optional[int]:
-    """Exact n-th root of a positive integer, or None.
-
-    value < 2^b for b its bit length, so a root lies below 2^ceil(b / n) and
-    no power the search forms is much longer than value.
-    """
-    if value < 1 or n < 1:
-        return None
-    lo, hi = 1, (1 << -(-value.bit_length() // n)) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** n
-        if p == value:
-            return mid
-        if p < value:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
 
 
 def q_from_degree(deg: int, n: int) -> int:

@@ -19,10 +19,6 @@ class InternalCheckError(ConecertError):
 
 # -- exact algebra ------------------------------------------------------------
 
-class NonSquareError(ConecertError):
-    pass
-
-
 class SingularMatrixError(ConecertError):
     pass
 

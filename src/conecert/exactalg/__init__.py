@@ -1,6 +1,6 @@
 """Exact rational linear algebra and certified algebraic-number kernel."""
 
-from .qpoly import QPoly
+from .qpoly import QPoly, integer_nth_root, rational_nth_root
 from .qmatrix import (
     QMatrix,
     char_poly,

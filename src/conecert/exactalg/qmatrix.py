@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from ..errors import (
-    NonSquareError,
+    DimensionMismatchError,
     NonSemisimpleAtQError,
     NotAnEigenvalueError,
     SingularMatrixError,
@@ -160,13 +160,13 @@ class QMatrix:
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+            raise DimensionMismatchError("shape mismatch")
         return QMatrix(self.rows, self.cols,
                        [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+            raise DimensionMismatchError("shape mismatch")
         return QMatrix(self.rows, self.cols,
                        [a - b for a, b in zip(self.entries, other.entries)])
 
@@ -180,7 +180,7 @@ class QMatrix:
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
+            raise DimensionMismatchError("shape mismatch in product")
         out = [Fraction(0)] * (self.rows * other.cols)
         for i in range(self.rows):
             ro = i * self.cols
@@ -197,7 +197,7 @@ class QMatrix:
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
+            raise DimensionMismatchError("vector length mismatch")
         v = vector(v)
         return tuple(dot(self.row(i), v) for i in range(self.rows))
 
@@ -207,7 +207,7 @@ class QMatrix:
 
     def trace(self) -> Fraction:
         if not self.is_square:
-            raise NonSquareError("trace of a non-square matrix")
+            raise DimensionMismatchError("trace of a non-square matrix")
         return sum((self.entry(i, i) for i in range(self.rows)), Fraction(0))
 
     def max_abs_entry(self) -> Fraction:
@@ -248,14 +248,14 @@ class QMatrix:
 
     def det(self) -> Fraction:
         if not self.is_square:
-            raise NonSquareError("determinant of a non-square matrix")
+            raise DimensionMismatchError("determinant of a non-square matrix")
         _, pivots, det = self._echelon()
         return det if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> "QMatrix":
         """The right half of the reduced echelon form of [self | I]."""
         if not self.is_square:
-            raise NonSquareError("inverse of a non-square matrix")
+            raise DimensionMismatchError("inverse of a non-square matrix")
         n = self.rows
         eye = QMatrix.identity(n)
         aug = QMatrix.from_rows([self.row(i) + eye.row(i) for i in range(n)])
@@ -267,7 +267,7 @@ class QMatrix:
     def solve(self, b: Sequence[Scalar]):
         """One exact solution of self x = b, or None if inconsistent."""
         if len(b) != self.rows:
-            raise ValueError("rhs length mismatch")
+            raise DimensionMismatchError("rhs length mismatch")
         aug = QMatrix(self.rows, self.cols + 1,
                       [x for i in range(self.rows) for x in (*self.row(i), _frac(b[i]))])
         m, pivots, _ = aug._echelon()
@@ -296,7 +296,7 @@ class QMatrix:
 def char_poly(m: QMatrix) -> QPoly:
     """det(tI - m) by the Faddeev-LeVerrier recursion; monic, exact."""
     if not m.is_square:
-        raise NonSquareError("characteristic polynomial of a non-square matrix")
+        raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
     n = m.rows
     coeffs = [Fraction(1)]  # c_0 = 1, descending powers
     mk = m
@@ -315,7 +315,7 @@ def min_poly(m: QMatrix) -> QPoly:
     elimination on flattened powers.
     """
     if not m.is_square:
-        raise NonSquareError("minimal polynomial of a non-square matrix")
+        raise DimensionMismatchError("minimal polynomial of a non-square matrix")
     n = m.rows
     powers = [QMatrix.identity(n)]
     for k in range(1, n + 1):
@@ -330,7 +330,7 @@ def min_poly(m: QMatrix) -> QPoly:
 
 def evaluate_poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
     if not m.is_square:
-        raise NonSquareError("polynomial of a non-square matrix")
+        raise DimensionMismatchError("polynomial of a non-square matrix")
     out = QMatrix.zeros(m.rows, m.rows)
     for c in reversed(p.coeffs):
         out = out * m + QMatrix.identity(m.rows).scale(c)

@@ -1,4 +1,5 @@
-"""Exact univariate polynomials over the rationals.
+"""Exact univariate polynomials over the rationals, and exact integer and
+rational n-th roots.
 
 Coefficients are stored lowest degree first as `fractions.Fraction` values
 with no trailing zeros; the zero polynomial has an empty coefficient tuple.
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import ZeroPolynomialError
 
@@ -31,6 +32,35 @@ def primitive_ints(u: Sequence[Scalar]) -> tuple[int, ...]:
     ints = [a.numerator * (den // a.denominator) for a in u]
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
+
+
+def integer_nth_root(value: int, n: int) -> Optional[int]:
+    """Exact n-th root of a positive integer, or None.
+
+    value < 2^b for b its bit length, so a root lies below 2^ceil(b / n) and
+    no power the search forms is much longer than value.
+    """
+    if value < 1 or n < 1:
+        return None
+    lo, hi = 1, (1 << -(-value.bit_length() // n)) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        p = mid ** n
+        if p == value:
+            return mid
+        if p < value:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
+def rational_nth_root(x: Scalar, n: int) -> Optional[Fraction]:
+    """Exact positive n-th root of a positive rational, or None."""
+    x = _frac(x)
+    num = integer_nth_root(x.numerator, n)
+    den = integer_nth_root(x.denominator, n)
+    return None if num is None or den is None else Fraction(num, den)
 
 
 class QPoly:

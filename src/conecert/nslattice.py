@@ -24,7 +24,6 @@ from .dynamics import (
     PolarizationResult,
     PolarizationStatus,
     decide_polarization,
-    integer_nth_root,
     product_endo_degree,
     q_from_degree,
 )
@@ -39,6 +38,7 @@ from .exactalg import (
     AlgebraicNumber,
     QMatrix,
     QPoly,
+    rational_nth_root,
     roots_with_multiplicity,
     vec_scale,
     vector,
@@ -145,8 +145,7 @@ class EllipticProductReport:
     char_poly: QPoly
     eigenvalues: tuple[tuple[AlgebraicNumber, int], ...]
     real_eigenvalue_count: int
-    spectral_radius: Optional[Fraction]      # None when not certified rational
-    spectral_radius_approx: Optional[float]  # only when spectral_radius is None
+    spectral_radius: Optional[Fraction]  # None when not certified rational
     polarization: PolarizationResult
     witness_class: Optional[SymClass]
     witness_is_ample: bool
@@ -173,12 +172,7 @@ def _certified_spectral_radius(eigs) -> Optional[Fraction]:
             moduli_sq.append(p.coeffs[0] / p.coeffs[2])
         else:
             return None
-    top = max(moduli_sq)
-    num = integer_nth_root(top.numerator, 2)
-    den = integer_nth_root(top.denominator, 2)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
+    return rational_nth_root(max(moduli_sq), 2)
 
 
 def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
@@ -197,9 +191,6 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     real_count = sum(mult for root, mult in eigs if root.is_real)
 
     radius = _certified_spectral_radius(eigs)
-    radius_approx = None
-    if radius is None:
-        radius_approx = max(abs(root.approx()) for root, _ in eigs)
 
     witness_class = None
     witness_ample = False
@@ -244,7 +235,6 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
         eigenvalues=eigs,
         real_eigenvalue_count=real_count,
         spectral_radius=radius,
-        spectral_radius_approx=radius_approx,
         polarization=result,
         witness_class=witness_class,
         witness_is_ample=witness_ample,

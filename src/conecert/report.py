@@ -6,15 +6,15 @@ integers serialized as strings, or {"tag": "approx", "value": <float>} for
 decimal conveniences. Verdict fields are strings and booleans only, so no
 approximate value can ever flow into a verdict. Serialization is canonical
 (sorted keys, fixed separators) so identical analyses produce identical
-bytes; wall-clock timing therefore appears only in the text rendering.
+bytes; wall-clock timing therefore appears only in the text rendering. A
+value too long to print or past the float range raises ScenarioError.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Optional
 
-from .dynamics import PolarizationResult
 from .errors import ScenarioError
 from .exactalg import AlgebraicNumber, QMatrix, QPoly
 
@@ -55,7 +55,10 @@ def approx(value: float) -> dict:
 
 
 def algebraic_number_doc(root: AlgebraicNumber, multiplicity: int) -> dict:
-    z = root.approx()
+    try:
+        z = root.approx()
+    except OverflowError as exc:
+        raise ScenarioError(f"result cannot be printed: {exc}") from None
     return {
         "minpoly": exact(root.minpoly),
         "minpoly_str": str(root.minpoly),
@@ -65,28 +68,6 @@ def algebraic_number_doc(root: AlgebraicNumber, multiplicity: int) -> dict:
         "approx_re": approx(z.real),
         "approx_im": approx(z.imag),
     }
-
-
-def polarization_doc(result: PolarizationResult) -> dict:
-    doc: dict[str, Any] = {
-        "status": result.status.value,
-        "reason": result.reason,
-    }
-    cert = result.certificate
-    if cert is not None:
-        doc.update({
-            "q": exact(cert.q),
-            "q_is_integer": cert.q_is_integer,
-            "witness": exact(list(cert.witness)),
-            "projector": exact(cert.projector),
-            "eigenvalue_moduli_all_q": cert.eigenvalue_moduli_all_q,
-            "semisimple": cert.semisimple,
-            "invariance": cert.invariance,
-            "cone_kind": cert.cone_kind,
-        })
-        if cert.transverse_char_poly is not None:
-            doc["transverse_char_poly"] = exact(cert.transverse_char_poly)
-    return doc
 
 
 # -- canonical serialization -----------------------------------------------------------

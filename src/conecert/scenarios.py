@@ -32,13 +32,7 @@ from .dynamics import (
 from .errors import ConecertError, IrrationalCandidateOnlyError, ScenarioError
 from .exactalg import QMatrix, roots_with_multiplicity
 from .nslattice import elliptic_product_report, quotient_image_selfintersection
-from .report import (
-    SCHEMA_VERSION,
-    algebraic_number_doc,
-    approx,
-    exact,
-    polarization_doc,
-)
+from .report import SCHEMA_VERSION, algebraic_number_doc, approx, exact
 from .singularities import product_quotient_report
 
 SCENARIO_SCHEMA: dict[str, Any] = json.loads(
@@ -158,17 +152,22 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
         report["verdicts"]["reason"] = f"{exc}; minimal polynomial {minpoly}"
         report["data"]["candidate_minpoly"] = exact(minpoly)
         return
-    doc = polarization_doc(result)
-    report["verdicts"]["status"] = doc.pop("status")
-    report["verdicts"]["reason"] = doc.pop("reason")
-    for flag in ("q_is_integer", "eigenvalue_moduli_all_q", "semisimple",
-                 "invariance", "cone_kind"):
-        if flag in doc:
-            report["verdicts"][flag] = doc.pop(flag)
-    report["data"].update(doc)
-    if hint is not None and result.certificate is not None:
-        report["verdicts"]["q_matches_hint"] = result.certificate.q == hint
-        report["data"]["q_hint"] = exact(hint)
+    verdicts, data = report["verdicts"], report["data"]
+    verdicts["status"] = result.status.value
+    verdicts["reason"] = result.reason
+    cert = result.certificate
+    if cert is None:
+        return
+    verdicts.update(q_is_integer=cert.q_is_integer, semisimple=cert.semisimple,
+                    eigenvalue_moduli_all_q=cert.eigenvalue_moduli_all_q,
+                    invariance=cert.invariance, cone_kind=cert.cone_kind)
+    data.update(q=exact(cert.q), witness=exact(list(cert.witness)),
+                projector=exact(cert.projector))
+    if cert.transverse_char_poly is not None:
+        data["transverse_char_poly"] = exact(cert.transverse_char_poly)
+    if hint is not None:
+        verdicts["q_matches_hint"] = cert.q == hint
+        data["q_hint"] = exact(hint)
 
 
 def _run_ns_example(payload: dict, report: dict, max_dim: Optional[int]) -> None:
@@ -189,7 +188,7 @@ def _run_ns_example(payload: dict, report: dict, max_dim: Optional[int]) -> None
     if rep.spectral_radius is not None:
         data["spectral_radius"] = exact(rep.spectral_radius)
     else:
-        data["spectral_radius"] = approx(rep.spectral_radius_approx)
+        data["spectral_radius"] = approx(max(abs(root.approx()) for root, _ in rep.eigenvalues))
     if rep.q is not None:
         data["q"] = exact(rep.q)
     if rep.witness_class is not None:

@@ -51,7 +51,7 @@ class CyclicActionElement:
 
 def age(e: CyclicActionElement) -> Fraction:
     """Reid-Tai sum of the normalized residues."""
-    return sum((Fraction(r, e.order) for r in e.residues()), Fraction(0))
+    return Fraction(sum(e.residues()), e.order)
 
 
 def is_pseudo_reflection(e: CyclicActionElement) -> bool:
@@ -97,8 +97,7 @@ def projective_cycle_fixed_data(m: int) -> dict[int, list[FixedComponent]]:
             weights = tuple(sorted((k * (i - j0)) % m
                                    for i in range(m) if i not in indices))
             components.append(FixedComponent(
-                eigenclass=c, dim=g - 1, weights=weights,
-                age=sum((Fraction(w, m) for w in weights), Fraction(0))))
+                eigenclass=c, dim=g - 1, weights=weights, age=Fraction(sum(weights), m)))
         table[k] = components
     return table
 
@@ -128,21 +127,20 @@ class AgeReport:
     verdict: SingularityVerdict
 
 
-def _verdict_from(entries: Sequence[AgeEntry], group_trivial: bool,
-                  pseudo_reflection: bool) -> AgeReport:
-    if group_trivial or not entries:
-        return AgeReport(entries=tuple(entries), min_age_nontrivial=None,
+def _verdict_from(entries: Sequence[AgeEntry]) -> AgeReport:
+    """The age criterion; no entries means the group is trivial."""
+    if not entries:
+        return AgeReport(entries=(), min_age_nontrivial=None,
                          pseudo_reflection_found=False,
                          verdict=SingularityVerdict.SMOOTH)
     min_age = min(e.total_age for e in entries)
-    if pseudo_reflection:
+    pseudo_reflection = any(e.nonzero_weights <= 1 for e in entries)
+    if pseudo_reflection or min_age < 1:
         verdict = SingularityVerdict.NEITHER
     elif min_age > 1:
         verdict = SingularityVerdict.TERMINAL
-    elif min_age >= 1:
-        verdict = SingularityVerdict.CANONICAL
     else:
-        verdict = SingularityVerdict.NEITHER
+        verdict = SingularityVerdict.CANONICAL
     return AgeReport(entries=tuple(entries), min_age_nontrivial=min_age,
                      pseudo_reflection_found=pseudo_reflection, verdict=verdict)
 
@@ -184,50 +182,35 @@ def product_quotient_report(m: int, n: int, r: int,
     if r < 2:
         raise PreconditionViolatedError("scaling factor must be at least 2")
     q = r * r
-    if m == 1:
-        dim_x = n  # no projective factor left, the action is trivial
-        return ProductQuotientReport(
-            m=m, n=n, r=r, dim_x=dim_x, q=q,
-            deg_f=restricted_degree(q, dim_x),
-            age_report=_verdict_from((), group_trivial=True, pseudo_reflection=False),
-            pseudo_reflection_free=True,
-            inside_certified_window=False,
-            verdict=SingularityVerdict.SMOOTH,
-            reported_not_verified={},
-        )
-    if not 0 < n < m:
-        raise PreconditionViolatedError("need 0 < n < m torus factors")
     weights = tuple(w % m for w in a_weights)
-    if len(weights) != n or any(w == 0 for w in weights):
-        raise PreconditionViolatedError("need n nonzero torus weights mod m")
+    if m > 1:
+        if not 0 < n < m:
+            raise PreconditionViolatedError("need 0 < n < m torus factors")
+        if len(weights) != n or any(w == 0 for w in weights):
+            raise PreconditionViolatedError("need n nonzero torus weights mod m")
 
-    table = projective_cycle_fixed_data(m)
+    # order 1 has no projective factor left and no nontrivial element
+    table = projective_cycle_fixed_data(m) if m > 1 else {}
     entries = []
-    pseudo_reflection = False
-    for k in range(1, m):
+    for k, components in table.items():
         abelian_residues = tuple((k * w) % m for w in weights)
-        abelian_age = sum((Fraction(x, m) for x in abelian_residues), Fraction(0))
+        abelian_age = Fraction(sum(abelian_residues), m)
         abelian_nonzero = sum(1 for x in abelian_residues if x != 0)
-        for comp in table[k]:
-            total = comp.age + abelian_age
-            nonzero = comp.codim + abelian_nonzero
-            entries.append(AgeEntry(power=k, component=comp,
-                                    total_age=total, nonzero_weights=nonzero))
-        if min(comp.codim for comp in table[k]) + abelian_nonzero <= 1:
-            pseudo_reflection = True
+        entries += [AgeEntry(power=k, component=comp, total_age=comp.age + abelian_age,
+                             nonzero_weights=comp.codim + abelian_nonzero)
+                    for comp in components]
 
-    report = _verdict_from(entries, group_trivial=False,
-                           pseudo_reflection=pseudo_reflection)
+    report = _verdict_from(entries)
     dim_x = m + n - 1
     return ProductQuotientReport(
         m=m, n=n, r=r, dim_x=dim_x, q=q,
         deg_f=restricted_degree(q, dim_x),
         age_report=report,
-        pseudo_reflection_free=not pseudo_reflection,
+        pseudo_reflection_free=not report.pseudo_reflection_found,
         inside_certified_window=m in CERTIFIED_PROJECTIVE_ORDERS,
         verdict=report.verdict,
         reported_not_verified={
             "anticanonical_iitaka_dimension": m - 1,
             "max_quasi_etale_cover_irregularity": n,
-        },
+        } if m > 1 else {},
     )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conecert.cones import MAX_CYCLIC_ORDER
 from conecert.errors import ConecertError
 from conecert.exactalg import AlgebraicNumber, qmatrix
-from conecert.report import dumps_canonical
+from conecert.report import dumps_canonical, render_text
 from conecert.scenarios import BUILTIN_SCENARIOS, SCENARIO_SCHEMA, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -379,6 +379,8 @@ OCTANT = {"type": "polyhedral", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 # Python reads and prints integers of at most 4,300 digits
 LONG = "7" * 5000
 WIDE = "1" + "0" * 1500
+# past the float range (about 1.8e308) but printable as an exact integer
+HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("kind, payload", [
@@ -390,9 +392,12 @@ WIDE = "1" + "0" * 1500
     ("cone_dynamics", {"matrix": [[LONG, 0], [0, 1]], "cone": QUADRANT}),
     ("cone_dynamics", {"matrix": [[0, 2], [2, 0]], "q_hint": "1/" + LONG, "cone": QUADRANT}),
     ("cone_dynamics", {"matrix": [[WIDE, 0, 0], [0, WIDE, 0], [0, 0, WIDE]], "cone": OCTANT}),
+    ("cone_dynamics", {"matrix": [[HUGE, 0], [0, 1]], "cone": QUADRANT}),
+    ("ns_example", {"endomorphism": [["1" + "0" * 300, 0], [0, 1]]}),
 ], ids=["ragged-matrix", "ragged-endomorphism", "zero-denominator",
         "zero-denominator-hint", "non-integer-endomorphism", "over-long-entry",
-        "over-long-hint", "over-long-result"])
+        "over-long-hint", "over-long-result", "float-range-eigenvalue",
+        "float-range-pullback-eigenvalue"])
 def test_schema_valid_bad_data_exits_2(tmp_path, kind, payload):
     doc = {"schema_version": "1", "kind": kind, "payload": payload}
     jsonschema.validate(doc, SCENARIO_SCHEMA)
@@ -412,6 +417,21 @@ def test_age_order_past_the_cap_exits_2(tmp_path):
     result = run_cli("analyze", str(path), "--max-dim", "200")
     assert result.returncode == 2, result.stderr
     assert f"exceeds cap {MAX_CYCLIC_ORDER}" in result.stderr
+
+
+@pytest.mark.parametrize("weights", [[], [1, 2]])
+def test_age_order_one_is_smooth(tmp_path, weights):
+    # the trivial group: no ages, no unverified claims, only the torus factors
+    payload = {"order": 1, "projective_m": 1, "scale_r": 2, "abelian_weights": weights}
+    path, out = tmp_path / "age.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "age_check",
+                                "payload": payload}))
+    result = run_cli("analyze", str(path), "--json", str(out))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["verdict"] == "smooth"
+    assert report["data"]["reported_not_verified"] == {}
+    assert report["data"]["dim_x"] == {"tag": "exact", "value": str(len(weights))}
 
 
 def test_scenario_schema_is_valid_draft7():
@@ -459,7 +479,9 @@ scenario_docs = st.sampled_from(sorted(payloads)).flatmap(
 @given(scenario_docs)
 def test_run_scenario_returns_or_raises_library_error(doc):
     try:
-        run_scenario(doc)
+        report = run_scenario(doc)
+        dumps_canonical(report)
+        render_text(report)
     except ConecertError:
         pass
 

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert.errors import (
+    DimensionMismatchError,
     NonSemisimpleAtQError,
-    NonSquareError,
     NotAnEigenvalueError,
     SingularMatrixError,
 )
@@ -34,7 +34,7 @@ def test_char_poly_examples():
 
 
 def test_char_poly_rejects_non_square():
-    with pytest.raises(NonSquareError):
+    with pytest.raises(DimensionMismatchError):
         char_poly(QMatrix.zeros(2, 3))
 
 
@@ -68,7 +68,7 @@ def test_det_row_swaps_and_singular():
     # column 0 pivots on row 1, column 1 on row 2: two swaps, sign +
     assert QMatrix.from_rows([[0, 0, 3], [2, 0, 0], [0, 5, 1]]).det() == 30
     assert QMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).det() == 0
-    with pytest.raises(NonSquareError):
+    with pytest.raises(DimensionMismatchError):
         QMatrix.zeros(2, 3).det()
 
 
@@ -82,7 +82,7 @@ def test_inverse_round_trip():
         QMatrix.zeros(2, 2).inverse()
     with pytest.raises(SingularMatrixError):
         QMatrix.from_rows([[1, 2], [2, 4]]).inverse()
-    with pytest.raises(NonSquareError):
+    with pytest.raises(DimensionMismatchError):
         QMatrix.zeros(3, 2).inverse()
 
 
