@@ -48,6 +48,7 @@ from .exactalg import (
     vec_scale,
     vector,
 )
+from .exactalg.qpoly import _frac
 
 Vector = tuple[Fraction, ...]
 
@@ -334,7 +335,7 @@ def build_cone(generators: Sequence[Sequence], *,
             extreme_idx.append(i)
     # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc keeps
     # every sign on the span; a full-dimensional span needs no lift
-    normals = tuple(tuple(Fraction(x) for x in n) for n in normals_local)
+    normals = tuple(tuple(_frac(x) for x in n) for n in normals_local)
     if d < ambient:
         emb = QMatrix.from_columns([vector(b) for b in span_basis])
         lift = emb * (emb.transpose() * emb).inverse()

@@ -7,9 +7,9 @@ certificate: the scaling factor, the witness vector, the spectral projector
 onto the q-eigenspace, and the two spectral flags (all eigenvalue moduli
 equal q, and semisimplicity) that characterize power boundedness of the
 normalized iterates in both directions. Both flags are read off the
-square-free part r of the characteristic polynomial, the one spectral
-quantity a decision computes (once, in `ConeMap.create`): the roots of r have
-modulus q and r(M) = 0, and then r is the minimal polynomial of M.
+square-free part r of the characteristic polynomial (which `ConeMap.create`
+computes once), taken once per decision: the roots of r have modulus q and
+r(M) = 0, and then r is the minimal polynomial of M.
 
 The module asks the cone only what `cones` gives for both cone types: its
 dimensions, membership, an interior sample, its span coordinates when the
@@ -40,6 +40,7 @@ from .errors import (
     IrrationalCandidateOnlyError,
     NoIntegerRootError,
     NotPowerBoundedError,
+    PreconditionViolatedError,
     SingularMatrixError,
 )
 from .exactalg import (
@@ -47,13 +48,12 @@ from .exactalg import (
     QPoly,
     char_poly,
     evaluate_poly_at_matrix,
-    has_positive_irrational_root,
     integer_nth_root,
-    modulus_equals,
     primitive_vector,
     rational_nth_root,
     vec_scale,
 )
+from .exactalg.algnum import _has_positive_irrational_root_sf, _modulus_equals_sf
 from .exactalg.qpoly import _frac
 
 Vector = tuple[Fraction, ...]
@@ -114,22 +114,19 @@ def is_power_bounded(m: QMatrix, q) -> bool:
     if cp.coeffs[0] == 0:
         raise SingularMatrixError("power boundedness needs an invertible map")
     r = cp.square_free_part()
-    return modulus_equals(r, q) and not any(evaluate_poly_at_matrix(r, m).entries)
+    return _modulus_equals_sf(r, q) and not any(evaluate_poly_at_matrix(r, m).entries)
 
 
-def _bounded_projector(m: QMatrix, cp: QPoly, q: Fraction) -> Optional[QMatrix]:
+def _bounded_projector(m: QMatrix, r: QPoly, q: Fraction) -> Optional[QMatrix]:
     """The spectral projector onto the q-eigenspace if m / q is power
     bounded and q is an eigenvalue, else None.
 
-    The square-free part r = (t - q) g of cp = char(m) has every eigenvalue
-    of m as a simple root, so r is the minimal polynomial exactly when
+    The square-free part r of char(m) has every eigenvalue of m as a simple
+    root, so if r = (t - q) g, r is the minimal polynomial exactly when
     r(m) = (m - q) g(m) vanishes, which makes m diagonalizable. Then g(m)
     / g(q) is the projector, g(q) being nonzero at the simple root q.
     """
-    if cp(q) != 0:
-        return None
-    r = cp.square_free_part()
-    if not modulus_equals(r, q):
+    if r(q) != 0 or not _modulus_equals_sf(r, q):
         return None
     g = r.exact_div(QPoly.linear_root(q))
     gm = evaluate_poly_at_matrix(g, m)
@@ -220,7 +217,7 @@ def interior_eigenvector(cm: ConeMap, q) -> Vector:
     if q <= 0:
         raise ValueError("q must be positive")
     m_eff, cp, _ = _effective_map(cm)
-    projector = _bounded_projector(m_eff, cp, q)
+    projector = _bounded_projector(m_eff, cp.square_free_part(), q)
     if projector is None:
         raise NotPowerBoundedError(f"normalized iterates unbounded at q = {q}")
     return _interior_witness(cm.cone, projector)
@@ -243,10 +240,11 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
 
     m_eff, cp, transverse = _effective_map(cm)
+    r = cp.square_free_part()   # the one square-free part a decision computes
     q = rational_nth_root(abs(cp.coeffs[0]), cp.degree)
-    projector = None if q is None else _bounded_projector(m_eff, cp, q)
+    projector = None if q is None else _bounded_projector(m_eff, r, q)
     if projector is None:
-        if has_positive_irrational_root(cp):
+        if _has_positive_irrational_root_sf(r):
             raise IrrationalCandidateOnlyError(cp)
         return PolarizationResult(
             PolarizationStatus.NOT_POLARIZED,
@@ -293,7 +291,7 @@ def _check_certificate(cm: ConeMap, cert: PolarizationCertificate,
 def q_from_degree(deg: int, n: int) -> int:
     """The integer q with q^n = deg (deg f = q^dim for a polarized map)."""
     if deg < 1 or n < 1:
-        raise ValueError("degree and dimension must be positive")
+        raise PreconditionViolatedError("degree and dimension must be positive")
     q = integer_nth_root(deg, n)
     if q is None:
         raise NoIntegerRootError(f"{deg} is not a perfect {n}-th power")
@@ -352,7 +350,7 @@ def product_endo_degree(a: QMatrix) -> int:
     if not a.is_square:
         raise DimensionMismatchError("endomorphism matrix must be square")
     if not a.is_integer:
-        raise ValueError("endomorphism matrix must be integral")
+        raise PreconditionViolatedError("endomorphism matrix must be integral")
     d = a.det()
     if d == 0:
         raise SingularMatrixError("endomorphism matrix must be invertible")

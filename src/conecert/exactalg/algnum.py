@@ -281,13 +281,17 @@ def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
 
 
 def has_positive_irrational_root(p: QPoly) -> bool:
-    """Whether the polynomial p with p(0) != 0 has a positive irrational real root.
+    """Whether the polynomial p with p(0) != 0 has a positive irrational real root."""
+    return _has_positive_irrational_root_sf(p.square_free_part())
 
-    A Sturm count of the distinct roots of the square-free part r in
-    (0, B), B = 1 + max |coefficient| of the monic r (Cauchy's bound, so no
-    root lies at or beyond B), minus the positive rational roots of r.
+
+def _has_positive_irrational_root_sf(r: QPoly) -> bool:
+    """`has_positive_irrational_root` of the monic square-free r.
+
+    A Sturm count of the distinct roots of r in (0, B), B = 1 + max
+    |coefficient| of r (Cauchy's bound, so no root lies at or beyond B),
+    minus the positive rational roots of r.
     """
-    r = p.square_free_part()
     positive = r.count_real_roots(0, 1 + max(abs(c) for c in r.coeffs))
     return positive > 0 and positive > sum(
         1 for x in _rational_roots(primitive_ints(r.coeffs)) if x > 0)
@@ -297,18 +301,22 @@ def has_positive_irrational_root(p: QPoly) -> bool:
 
 
 def modulus_equals(p: QPoly, q) -> bool:
-    """Decide exactly whether every root of the nonzero polynomial p has modulus q > 0.
-
-    Kronecker's reduction: take the square-free part and divide out t - q and
-    t + q. Every root of the rest r, of degree 2m, lies on |t| = q exactly
-    when r is q-reciprocal (a_{m-j} = q^{2j} a_{m+j}, so r(t) = t^m h(t + q^2/t))
-    and the trace polynomial h has m distinct real roots in (-2q, 2q): each
-    such root s gives the conjugate pair of t^2 - s t + q^2, of modulus q.
-    """
+    """Decide exactly whether every root of the nonzero polynomial p has modulus q > 0."""
     q = _frac(q)
     if q <= 0:
         raise ValueError("modulus test requires q > 0")
-    r = p.square_free_part()
+    return _modulus_equals_sf(p.square_free_part(), q)
+
+
+def _modulus_equals_sf(r: QPoly, q: Fraction) -> bool:
+    """`modulus_equals` of the square-free r at the rational q > 0.
+
+    Kronecker's reduction: divide out t - q and t + q. Every root of the
+    rest r, of degree 2m, lies on |t| = q exactly when r is q-reciprocal
+    (a_{m-j} = q^{2j} a_{m+j}, so r(t) = t^m h(t + q^2/t)) and the trace
+    polynomial h has m distinct real roots in (-2q, 2q): each such root s
+    gives the conjugate pair of t^2 - s t + q^2, of modulus q.
+    """
     for root in (q, -q):
         if r(root) == 0:
             r = r.exact_div(QPoly.linear_root(root))

@@ -1,21 +1,25 @@
 """Dense exact rational matrices and the spectral operations built on them.
 
-Dimensions here are desk scale (at most ~10), so everything is a plain dense
-Gaussian-elimination implementation over `fractions.Fraction`; ranks of
-integer vectors use fraction-free elimination (`independent_rows`). Characteristic
-polynomials come from the Faddeev-LeVerrier recursion, minimal polynomials
-from the first linear dependence among matrix powers, and spectral projectors
-from polynomial interpolation on the minimal polynomial (h = 1 at the chosen
-eigenvalue, h = 0 on the complementary factor).
+Dimensions here are desk scale (at most ~10). Entries are `Fraction`s, but
+products, characteristic polynomials (Faddeev-LeVerrier) and polynomial
+evaluation run over integer numerators with one common denominator (`_ints`,
+`_int_product`). Elimination (`_echelon`) stays on `Fraction`; ranks of
+integer vectors are fraction free (`independent_rows`). Minimal polynomials
+come from the first linear dependence among matrix powers, and spectral
+projectors from polynomial interpolation on the minimal polynomial (h = 1 at
+the chosen eigenvalue, h = 0 on the complementary factor).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from ..errors import (
     DimensionMismatchError,
+    EmptyInputError,
+    InternalCheckError,
     NonSemisimpleAtQError,
     NotAnEigenvalueError,
     SingularMatrixError,
@@ -51,7 +55,7 @@ def primitive_vector(u: Vector) -> Vector:
 
     Preserves direction, so it is the canonical representative of a ray.
     """
-    return tuple(Fraction(x) for x in primitive_ints(u))
+    return tuple(_frac(x) for x in primitive_ints(u))
 
 
 def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
@@ -81,6 +85,20 @@ def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
     return picked
 
 
+def _ints(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator D, the lcm of the
+    entry denominators: entries[i] == ints[i] / D."""
+    d = lcm(*(e.denominator for e in entries))
+    return [e.numerator * (d // e.denominator) for e in entries], d
+
+
+def _int_product(a: list[int], b: list[int], inner: int, cols: int) -> list[int]:
+    """Row-major product of integer matrices a (rows x inner) and b (inner x cols)."""
+    b_cols = [b[j::cols] for j in range(cols)]
+    return [sum(map(mul, a[i:i + inner], col))
+            for i in range(0, len(a), inner) for col in b_cols]
+
+
 class QMatrix:
     """An immutable rows x cols matrix of exact rationals, row major."""
 
@@ -89,9 +107,9 @@ class QMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
         entries = tuple(_frac(e) for e in entries)
         if rows <= 0 or cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
+            raise DimensionMismatchError("matrix dimensions must be positive")
         if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
+            raise DimensionMismatchError("entry count does not match dimensions")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -105,10 +123,10 @@ class QMatrix:
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "QMatrix":
         r = len(rows)
         if r == 0:
-            raise ValueError("no rows")
+            raise EmptyInputError("no rows")
         c = len(rows[0])
         if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
+            raise DimensionMismatchError("ragged rows")
         return QMatrix(r, c, [x for row in rows for x in row])
 
     @staticmethod
@@ -181,34 +199,22 @@ class QMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatchError("shape mismatch in product")
-        out = [Fraction(0)] * (self.rows * other.cols)
-        for i in range(self.rows):
-            ro = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[ro + k]
-                if a:
-                    co = k * other.cols
-                    oo = i * other.cols
-                    for j in range(other.cols):
-                        out[oo + j] += a * other.entries[co + j]
-        return QMatrix(self.rows, other.cols, out)
+        a, da = _ints(self.entries)
+        b, db = _ints(other.entries)
+        d = da * db
+        return QMatrix(self.rows, other.cols,
+                       [Fraction(x, d) for x in _int_product(a, b, self.cols, other.cols)])
 
     __rmul__ = __mul__
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length mismatch")
-        v = vector(v)
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
+        return (self * QMatrix(self.cols, 1, v)).entries
 
     def transpose(self) -> "QMatrix":
         return QMatrix(self.cols, self.rows,
                        [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise DimensionMismatchError("trace of a non-square matrix")
-        return sum((self.entry(i, i) for i in range(self.rows)), Fraction(0))
 
     def max_abs_entry(self) -> Fraction:
         return max(abs(e) for e in self.entries)
@@ -294,17 +300,26 @@ class QMatrix:
 
 
 def char_poly(m: QMatrix) -> QPoly:
-    """det(tI - m) by the Faddeev-LeVerrier recursion; monic, exact."""
+    """det(tI - m) by the Faddeev-LeVerrier recursion on the integer matrix
+    a = D m (`_ints`), whose char poly has integer coefficients c_k (of
+    t^(n-k)), so each division by k is exact; char(m) has c_k / D^k."""
     if not m.is_square:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
     n = m.rows
+    a, d = _ints(m.entries)
+    diagonal = range(0, n * n, n + 1)
     coeffs = [Fraction(1)]  # c_0 = 1, descending powers
-    mk = m
+    mk, dk = list(a), 1
     for k in range(1, n + 1):
-        ck = -mk.trace() / k
-        coeffs.append(ck)
+        ck, rem = divmod(-sum(mk[i] for i in diagonal), k)
+        if rem:
+            raise InternalCheckError(f"Faddeev-LeVerrier trace not divisible by {k}")
+        dk *= d
+        coeffs.append(Fraction(ck, dk))
         if k < n:
-            mk = m * (mk + QMatrix.identity(n).scale(ck))
+            for i in diagonal:
+                mk[i] += ck
+            mk = _int_product(a, mk, n, n)
     return QPoly(list(reversed(coeffs)))
 
 
@@ -329,12 +344,26 @@ def min_poly(m: QMatrix) -> QPoly:
 
 
 def evaluate_poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
+    """p(m), with p = content h for h primitive and m = a / D (`_ints`):
+    integer Horner, b <- b a + h_i D^(deg - i) I, gives D^deg h(m)."""
     if not m.is_square:
         raise DimensionMismatchError("polynomial of a non-square matrix")
-    out = QMatrix.zeros(m.rows, m.rows)
-    for c in reversed(p.coeffs):
-        out = out * m + QMatrix.identity(m.rows).scale(c)
-    return out
+    n = m.rows
+    if p.is_zero:
+        return QMatrix.zeros(n, n)
+    h = primitive_ints(p.coeffs)
+    content = p.leading / h[-1]
+    a, d = _ints(m.entries)
+    diagonal = range(0, n * n, n + 1)
+    b = [h[-1] if i % (n + 1) == 0 else 0 for i in range(n * n)]
+    scale = 1
+    for c in reversed(h[:-1]):
+        scale *= d
+        b = _int_product(b, a, n, n)
+        for i in diagonal:
+            b[i] += c * scale
+    num, den = content.numerator, content.denominator * scale
+    return QMatrix(n, n, [Fraction(num * x, den) for x in b])
 
 
 def spectral_projector(m: QMatrix, q: Scalar) -> QMatrix:

@@ -16,11 +16,15 @@ from ..errors import ZeroPolynomialError
 Scalar = Union[int, Fraction]
 
 
+# one shared (immutable) instance per small integer, which fills most cone data
+_SMALL = tuple(Fraction(i) for i in range(-256, 257))
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return _SMALL[x + 256] if -256 <= x <= 256 else Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact rational")

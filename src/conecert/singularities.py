@@ -36,7 +36,7 @@ class CyclicActionElement:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("group order must be positive")
+            raise PreconditionViolatedError("group order must be positive")
         object.__setattr__(self, "power", self.power % self.order)
         object.__setattr__(self, "weights",
                           tuple(w % self.order for w in self.weights))

@@ -28,6 +28,7 @@ from conecert.errors import (
     IrrationalCandidateOnlyError,
     NoIntegerRootError,
     NotPowerBoundedError,
+    PreconditionViolatedError,
     SingularMatrixError,
 )
 from conecert.exactalg import QMatrix, QPoly, min_poly, modulus_equals, roots_with_multiplicity
@@ -504,3 +505,32 @@ def test_abelian_invariant():
 def test_product_endo_degree():
     assert product_endo_degree(QMatrix.from_rows([[1, -5], [1, 1]])) == 36
     assert product_endo_degree(QMatrix.from_rows([[2, 0], [0, 2]])) == 16
+
+
+def test_one_square_free_part_per_decision(monkeypatch, quadrant):
+    calls = []
+    square_free_part = QPoly.square_free_part
+
+    def recorder(self):
+        calls.append(self)
+        return square_free_part(self)
+
+    monkeypatch.setattr(QPoly, "square_free_part", recorder)
+    polarized = ConeMap.create(SWAP2, quadrant)
+    assert decide_polarization(polarized).is_polarized
+    assert len(calls) == 1
+    calls.clear()
+    # eigenvalues 2, 4 and +-sqrt 2: q = 16^(1/4) = 2 is an eigenvalue, the
+    # modulus test fails, and the refusal looks for an irrational root
+    rows = [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+    irrational = ConeMap.create(QMatrix.from_rows(rows), build_cone(QMatrix.identity(4).to_rows()))
+    with pytest.raises(IrrationalCandidateOnlyError):
+        decide_polarization(irrational)
+    assert len(calls) == 1
+
+
+def test_degree_preconditions_raise_library_errors():
+    with pytest.raises(PreconditionViolatedError, match="endomorphism matrix must be integral"):
+        product_endo_degree(QMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]]))
+    with pytest.raises(PreconditionViolatedError, match="degree and dimension must be positive"):
+        q_from_degree(0, 2)

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert.errors import (
     DimensionMismatchError,
+    EmptyInputError,
     NonSemisimpleAtQError,
     NotAnEigenvalueError,
     SingularMatrixError,
@@ -133,3 +136,97 @@ def test_spectral_projector_errors():
         spectral_projector(QMatrix.identity(2), 3)
     with pytest.raises(NonSemisimpleAtQError):
         spectral_projector(QMatrix.from_rows([[1, 1], [0, 1]]), 1)
+
+
+# -- differential tests: the integer kernels against plain Fraction loops ------------
+
+
+def ref_mul(a: QMatrix, b: QMatrix) -> QMatrix:
+    out = [Fraction(0)] * (a.rows * b.cols)
+    for i in range(a.rows):
+        for k in range(a.cols):
+            x = a.entry(i, k)
+            for j in range(b.cols):
+                out[i * b.cols + j] += x * b.entry(k, j)
+    return QMatrix(a.rows, b.cols, out)
+
+
+def ref_apply(m: QMatrix, v) -> tuple:
+    return tuple(sum((x * y for x, y in zip(m.row(i), v)), Fraction(0))
+                 for i in range(m.rows))
+
+
+def ref_char_poly(m: QMatrix) -> QPoly:
+    n = m.rows
+    coeffs = [Fraction(1)]
+    mk = m
+    for k in range(1, n + 1):
+        ck = -sum((mk.entry(i, i) for i in range(n)), Fraction(0)) / k
+        coeffs.append(ck)
+        if k < n:
+            mk = ref_mul(m, mk + QMatrix.identity(n).scale(ck))
+    return QPoly(list(reversed(coeffs)))
+
+
+def ref_evaluate(p: QPoly, m: QMatrix) -> QMatrix:
+    out = QMatrix.zeros(m.rows, m.rows)
+    for c in reversed(p.coeffs):
+        out = ref_mul(out, m) + QMatrix.identity(m.rows).scale(c)
+    return out
+
+
+# numerators up to 10^60 over denominators up to 10^6, with zeros and small integers
+ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
+                  st.builds(Fraction, st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 6)))
+
+
+def matrices(rows, cols):
+    return st.lists(ENTRY, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: QMatrix(rows, cols, es))
+
+
+def singular(m: QMatrix) -> QMatrix:
+    """m with its last row replaced by a multiple of its first (zero when n = 1)."""
+    rows = m.to_rows()
+    rows[-1] = [3 * x for x in rows[0]] if m.rows > 1 else [0] * m.cols
+    return QMatrix.from_rows(rows)
+
+
+SQUARE = st.integers(1, 8).flatmap(lambda n: st.one_of(
+    matrices(n, n), matrices(n, n).map(singular), st.just(QMatrix.zeros(n, n))))
+POLY = st.lists(ENTRY, max_size=5).map(QPoly)
+
+
+@given(SQUARE)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_char_poly_matches_fraction_loop_and_annihilates(m):
+    cp = char_poly(m)
+    assert cp == ref_char_poly(m)
+    assert evaluate_poly_at_matrix(cp, m) == QMatrix.zeros(m.rows, m.rows)
+
+
+@given(SQUARE, POLY)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_evaluate_poly_matches_fraction_loop(m, p):
+    assert evaluate_poly_at_matrix(p, m) == ref_evaluate(p, m)
+
+
+@given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2]),
+                        st.lists(ENTRY, min_size=s[1], max_size=s[1]))))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_product_and_apply_match_fraction_loops(args):
+    a, b, v = args
+    assert a * b == ref_mul(a, b)
+    assert a.apply(v) == ref_apply(a, v)
+
+
+def test_constructor_preconditions_raise_library_errors():
+    with pytest.raises(DimensionMismatchError, match="matrix dimensions must be positive"):
+        QMatrix(0, 2, [])
+    with pytest.raises(DimensionMismatchError, match="entry count does not match"):
+        QMatrix(2, 2, [1, 2, 3])
+    with pytest.raises(DimensionMismatchError, match="ragged rows"):
+        QMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(EmptyInputError, match="no rows"):
+        QMatrix.from_rows([])

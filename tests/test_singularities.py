@@ -128,3 +128,8 @@ def test_preconditions():
         product_quotient_report(4, 4, 2, (1, 1, 1, 1))
     with pytest.raises(PreconditionViolatedError):
         product_quotient_report(4, 3, 1, (1, 1, 1))
+
+
+def test_nonpositive_order_raises_library_error():
+    with pytest.raises(PreconditionViolatedError, match="group order must be positive"):
+        CyclicActionElement(0, 1, (1,))
