@@ -479,25 +479,23 @@ def _sym_to_vector(m: QMatrix) -> Vector:
     return tuple(m.entry(i, j) for i in range(n) for j in range(i, n))
 
 
-def _is_psd(m: QMatrix) -> bool:
-    """Exact PSD test: det(tI - m) must have weakly alternating signs."""
+def _minor_sums(m: QMatrix) -> list[Fraction]:
+    """e_1, ..., e_n, e_k the sum of the k x k principal minors: (-1)^k times
+    the coefficient of t^(n-k) in det(tI - m). For a symmetric m they are
+    the elementary symmetric functions of its real eigenvalues."""
     cp = char_poly(m)
     n = m.rows
-    for k in range(1, n + 1):
-        # coefficient of t^{n-k} times (-1)^k is the k-th minor sum
-        if cp.coeff(n - k) * (-1) ** k < 0:
-            return False
-    return True
+    return [cp.coeff(n - k) * (-1) ** k for k in range(1, n + 1)]
+
+
+def _is_psd(m: QMatrix) -> bool:
+    """Exact PSD test: every eigenvalue is >= 0 exactly when every e_k >= 0."""
+    return all(e >= 0 for e in _minor_sums(m))
 
 
 def _is_pd(m: QMatrix) -> bool:
-    """Sylvester: all leading principal minors positive."""
-    n = m.rows
-    for k in range(1, n + 1):
-        sub = QMatrix(k, k, [m.entry(i, j) for i in range(k) for j in range(k)])
-        if sub.det() <= 0:
-            return False
-    return True
+    """Exact PD test: every eigenvalue is > 0 exactly when every e_k > 0."""
+    return all(e > 0 for e in _minor_sums(m))
 
 
 def _is_psd_congruence(n: int, m: QMatrix) -> bool:

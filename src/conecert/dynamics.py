@@ -8,8 +8,8 @@ onto the q-eigenspace, and the two spectral flags (all eigenvalue moduli
 equal q, and semisimplicity) that characterize power boundedness of the
 normalized iterates in both directions. Both flags are read off the
 square-free part r of the characteristic polynomial (which `ConeMap.create`
-computes once), taken once per decision: the roots of r have modulus q and
-r(M) = 0, and then r is the minimal polynomial of M.
+computes once), kept by the polynomial with its Sturm chain: the roots of r
+have modulus q and r(M) = 0, and then r is the minimal polynomial of M.
 
 The module asks the cone only what `cones` gives for both cone types: its
 dimensions, membership, an interior sample, its span coordinates when the
@@ -48,12 +48,13 @@ from .exactalg import (
     QPoly,
     char_poly,
     evaluate_poly_at_matrix,
+    has_positive_irrational_root,
     integer_nth_root,
+    modulus_equals,
     primitive_vector,
     rational_nth_root,
     vec_scale,
 )
-from .exactalg.algnum import _has_positive_irrational_root_sf, _modulus_equals_sf
 from .exactalg.qpoly import _frac
 
 Vector = tuple[Fraction, ...]
@@ -113,22 +114,22 @@ def is_power_bounded(m: QMatrix, q) -> bool:
     cp = char_poly(m)
     if cp.coeffs[0] == 0:
         raise SingularMatrixError("power boundedness needs an invertible map")
-    r = cp.square_free_part()
-    return _modulus_equals_sf(r, q) and not any(evaluate_poly_at_matrix(r, m).entries)
+    return modulus_equals(cp, q) and not any(
+        evaluate_poly_at_matrix(cp.square_free_part(), m).entries)
 
 
-def _bounded_projector(m: QMatrix, r: QPoly, q: Fraction) -> Optional[QMatrix]:
+def _bounded_projector(m: QMatrix, cp: QPoly, q: Fraction) -> Optional[QMatrix]:
     """The spectral projector onto the q-eigenspace if m / q is power
     bounded and q is an eigenvalue, else None.
 
-    The square-free part r of char(m) has every eigenvalue of m as a simple
-    root, so if r = (t - q) g, r is the minimal polynomial exactly when
-    r(m) = (m - q) g(m) vanishes, which makes m diagonalizable. Then g(m)
-    / g(q) is the projector, g(q) being nonzero at the simple root q.
+    The square-free part r of cp = char(m) has every eigenvalue of m as a
+    simple root, so if r = (t - q) g, r is the minimal polynomial exactly
+    when r(m) = (m - q) g(m) vanishes, which makes m diagonalizable. Then
+    g(m) / g(q) is the projector, g(q) being nonzero at the simple root q.
     """
-    if r(q) != 0 or not _modulus_equals_sf(r, q):
+    if cp(q) != 0 or not modulus_equals(cp, q):
         return None
-    g = r.exact_div(QPoly.linear_root(q))
+    g = cp.square_free_part().exact_div(QPoly.linear_root(q))
     gm = evaluate_poly_at_matrix(g, m)
     if m * gm != gm.scale(q):
         return None
@@ -217,7 +218,7 @@ def interior_eigenvector(cm: ConeMap, q) -> Vector:
     if q <= 0:
         raise ValueError("q must be positive")
     m_eff, cp, _ = _effective_map(cm)
-    projector = _bounded_projector(m_eff, cp.square_free_part(), q)
+    projector = _bounded_projector(m_eff, cp, q)
     if projector is None:
         raise NotPowerBoundedError(f"normalized iterates unbounded at q = {q}")
     return _interior_witness(cm.cone, projector)
@@ -240,11 +241,10 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
 
     m_eff, cp, transverse = _effective_map(cm)
-    r = cp.square_free_part()   # the one square-free part a decision computes
     q = rational_nth_root(abs(cp.coeffs[0]), cp.degree)
-    projector = None if q is None else _bounded_projector(m_eff, r, q)
+    projector = None if q is None else _bounded_projector(m_eff, cp, q)
     if projector is None:
-        if _has_positive_irrational_root_sf(r):
+        if has_positive_irrational_root(cp):
             raise IrrationalCandidateOnlyError(cp)
         return PolarizationResult(
             PolarizationStatus.NOT_POLARIZED,

@@ -7,6 +7,10 @@ float enters any decision path; floats appear only in the convenience
 
 `modulus_equals` works on the polynomial alone (Kronecker's trace-polynomial
 reduction and a Sturm count), so it needs neither root isolation nor sympy.
+`factor_rational`, `modulus_equals` and `has_positive_irrational_root` take
+any polynomial and read its square-free part from the Sturm chain the
+polynomial keeps (`QPoly.sturm_chain`), so the report, the decision and a
+refusal on one characteristic polynomial share one remainder sequence.
 `factor_rational` splits off the linear factors itself: the rational roots
 come from p-adic (Hensel) lifting, and a cofactor of degree 2 or 3 left
 without one is irreducible. sympy is imported only when it is needed: to
@@ -281,18 +285,15 @@ def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
 
 
 def has_positive_irrational_root(p: QPoly) -> bool:
-    """Whether the polynomial p with p(0) != 0 has a positive irrational real root."""
-    return _has_positive_irrational_root_sf(p.square_free_part())
+    """Whether the polynomial p with p(0) != 0 has a positive irrational real root.
 
-
-def _has_positive_irrational_root_sf(r: QPoly) -> bool:
-    """`has_positive_irrational_root` of the monic square-free r.
-
-    A Sturm count of the distinct roots of r in (0, B), B = 1 + max
-    |coefficient| of r (Cauchy's bound, so no root lies at or beyond B),
-    minus the positive rational roots of r.
+    A Sturm count of the distinct roots of p in (0, B), on p's own chain,
+    minus the positive rational roots of its square-free part r. B = 1 +
+    max |coefficient| of the monic r is Cauchy's bound, so no root lies at
+    or beyond B.
     """
-    positive = r.count_real_roots(0, 1 + max(abs(c) for c in r.coeffs))
+    r = p.square_free_part()
+    positive = p.count_real_roots(0, 1 + max(abs(c) for c in r.coeffs))
     return positive > 0 and positive > sum(
         1 for x in _rational_roots(primitive_ints(r.coeffs)) if x > 0)
 
@@ -301,22 +302,19 @@ def _has_positive_irrational_root_sf(r: QPoly) -> bool:
 
 
 def modulus_equals(p: QPoly, q) -> bool:
-    """Decide exactly whether every root of the nonzero polynomial p has modulus q > 0."""
+    """Decide exactly whether every root of the nonzero polynomial p has modulus q > 0.
+
+    Kronecker's reduction on the square-free part r of p: divide out t - q
+    and t + q. Every root of the rest r, of degree 2m, lies on |t| = q
+    exactly when r is q-reciprocal (a_{m-j} = q^{2j} a_{m+j}, so r(t) =
+    t^m h(t + q^2/t)) and the trace polynomial h has m distinct real roots
+    in (-2q, 2q): each such root s gives the conjugate pair of
+    t^2 - s t + q^2, of modulus q.
+    """
     q = _frac(q)
     if q <= 0:
         raise ValueError("modulus test requires q > 0")
-    return _modulus_equals_sf(p.square_free_part(), q)
-
-
-def _modulus_equals_sf(r: QPoly, q: Fraction) -> bool:
-    """`modulus_equals` of the square-free r at the rational q > 0.
-
-    Kronecker's reduction: divide out t - q and t + q. Every root of the
-    rest r, of degree 2m, lies on |t| = q exactly when r is q-reciprocal
-    (a_{m-j} = q^{2j} a_{m+j}, so r(t) = t^m h(t + q^2/t)) and the trace
-    polynomial h has m distinct real roots in (-2q, 2q): each such root s
-    gives the conjugate pair of t^2 - s t + q^2, of modulus q.
-    """
+    r = p.square_free_part()
     for root in (q, -q):
         if r(root) == 0:
             r = r.exact_div(QPoly.linear_root(root))

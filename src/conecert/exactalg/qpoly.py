@@ -3,7 +3,9 @@ rational n-th roots.
 
 Coefficients are stored lowest degree first as `fractions.Fraction` values
 with no trailing zeros; the zero polynomial has an empty coefficient tuple.
-All arithmetic is exact. Nothing here ever touches floating point.
+All arithmetic is exact. Nothing here ever touches floating point. A
+polynomial keeps its Sturm chain once built, so its square-free part and
+every root count share one remainder sequence.
 """
 from __future__ import annotations
 
@@ -70,13 +72,15 @@ def rational_nth_root(x: Scalar, n: int) -> Optional[Fraction]:
 class QPoly:
     """A polynomial with rational coefficients, lowest degree first."""
 
-    __slots__ = ("coeffs",)
+    # _chain: the Sturm chain, built on first use; not part of the value
+    __slots__ = ("coeffs", "_chain")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_chain", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -233,37 +237,32 @@ class QPoly:
         ints = primitive_ints(self.coeffs)
         return QPoly(-v for v in ints) if ints and ints[-1] < 0 else QPoly(ints)
 
-    def gcd(self, other: "QPoly") -> "QPoly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
-
     def square_free_part(self) -> "QPoly":
+        """p / gcd(p, p'), monic; the gcd is the last element of the Sturm chain."""
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no square-free part")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return self.exact_div(g).monic()
+        g = self.sturm_chain()[-1]
+        return (self if g.degree <= 0 else self.exact_div(g)).monic()
 
     # -- real root counting -----------------------------------------------------
 
-    def sturm_chain(self) -> list["QPoly"]:
-        chain = [self, self.derivative()]
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            chain.append(-(chain[-2] % chain[-1]))
-        if chain[-1].is_zero:
-            chain.pop()
-        return chain
+    def sturm_chain(self) -> tuple["QPoly", ...]:
+        """p, p' and the negated remainders of Euclid's algorithm, ending in
+        gcd(p, p') up to a constant; built once per polynomial."""
+        if self._chain is None:
+            chain = [self, self.derivative()]
+            while not chain[-1].is_zero and chain[-1].degree > 0:
+                chain.append(-(chain[-2] % chain[-1]))
+            if chain[-1].is_zero:
+                chain.pop()
+            object.__setattr__(self, "_chain", tuple(chain))
+        return self._chain
 
     def count_real_roots(self, lo: Scalar, hi: Scalar) -> int:
         """Number of distinct real roots in the open interval (lo, hi).
 
-        Requires nonzero values at both endpoints.
+        Requires nonzero values at both endpoints, where the chain's common
+        factor gcd(p, p') is nonzero too, so p need not be square free.
         """
         lo, hi = _frac(lo), _frac(hi)
         if lo >= hi:

@@ -309,12 +309,13 @@ def test_one_char_poly_per_matrix_and_no_min_poly(monkeypatch):
                 "payload": {"matrix": matrix, "cone": cone}}
 
     swap = [[0, 2], [2, 0]]
-    # (document, distinct matrices: the map, and its restriction to a span)
+    # (document, distinct matrices: the map, its restriction to a span, and
+    # the 2 x 2 psd witness whose minor sums decide it is interior)
     cases = [
         (cone_doc(swap, {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}), 1),
         (cone_doc(swap, {"type": "polyhedral", "generators": [[1, 1]]}), 2),
-        (cone_doc([[1, 2, 1], [-5, -4, 1], [25, -10, 1]], {"type": "psd", "size": 2}), 1),
-        (BUILTIN_SCENARIOS["ex1"], 1),
+        (cone_doc([[1, 2, 1], [-5, -4, 1], [25, -10, 1]], {"type": "psd", "size": 2}), 2),
+        (BUILTIN_SCENARIOS["ex1"], 2),
     ]
     for doc, distinct in cases:
         char_calls.clear()

@@ -274,6 +274,39 @@ def test_psd_oracle_dimension_three():
     assert oracle.strictly_contains([2, 1, 0, 2, 1, 2])
 
 
+def _sylvester_pd(m: QMatrix) -> bool:
+    """Sylvester's criterion, the reference for `cones._is_pd`: every
+    leading principal minor is positive."""
+    return all(QMatrix(k, k, [m.entry(i, j) for i in range(k) for j in range(k)]).det() > 0
+               for k in range(1, m.rows + 1))
+
+
+def test_pd_test_matches_sylvester():
+    rng = random.Random(4407)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            # b b^T is PSD, and singular when b has fewer than n columns
+            k = rng.randint(1, n)
+            b = QMatrix(n, k, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(n * k)])
+            m = b * b.transpose()
+            assert cones._is_psd(m)
+            kind = "singular psd" if m.det() == 0 else "psd"
+        else:
+            upper = {(i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                     for i in range(n) for j in range(i, n)}
+            m = QMatrix.from_rows([[upper[min(i, j), max(i, j)] for j in range(n)]
+                                   for i in range(n)])
+            kind = "symmetric"
+        want = _sylvester_pd(m)
+        assert cones._is_pd(m) is want, m
+        seen[kind, want] += 1
+    assert min(seen["singular psd", False], seen["psd", True],
+               seen["symmetric", True], seen["symmetric", False]) > 20
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
        st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))

@@ -31,8 +31,17 @@ from conecert.errors import (
     PreconditionViolatedError,
     SingularMatrixError,
 )
-from conecert.exactalg import QMatrix, QPoly, min_poly, modulus_equals, roots_with_multiplicity
-from conecert.exactalg import qmatrix
+from conecert.exactalg import (
+    QMatrix,
+    QPoly,
+    char_poly,
+    min_poly,
+    modulus_equals,
+    qmatrix,
+    roots_with_multiplicity,
+)
+from conecert.scenarios import run_scenario
+from test_qpoly import euclid_gcd
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
 SWAP2 = QMatrix.from_rows([[0, 2], [2, 0]])
@@ -213,7 +222,7 @@ def test_power_boundedness_matches_min_poly_reference():
         s = _random_invertible(rng, size, lambda: rng.randrange(-2, 3))
         m = s * _block_diagonal(blocks) * s.inverse()
         mu = min_poly(m)
-        square_free = mu.gcd(mu.derivative()).degree == 0
+        square_free = euclid_gcd(mu, mu.derivative()).degree == 0
         for q in {e for e in eigenvalues if e > 0} | {Fraction(1)}:
             expected = square_free and modulus_equals(mu, q)
             assert is_power_bounded(m, q) == expected, (m, q)
@@ -507,26 +516,59 @@ def test_product_endo_degree():
     assert product_endo_degree(QMatrix.from_rows([[2, 0], [0, 2]])) == 16
 
 
-def test_one_square_free_part_per_decision(monkeypatch, quadrant):
-    calls = []
-    square_free_part = QPoly.square_free_part
+# eigenvalues 2, 4 and +-sqrt 2: q = 16^(1/4) = 2 is an eigenvalue, the
+# modulus test fails, and the refusal looks for an irrational root
+IRRATIONAL_ONLY = [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+
+
+def test_one_remainder_sequence_per_analysis(monkeypatch):
+    # QPoly.derivative starts every remainder sequence (the Sturm chain);
+    # count the ones started on char(M) or its square-free part, first in a
+    # decision and then in a whole report
+    targets, starts = set(), []
+    derivative = QPoly.derivative
 
     def recorder(self):
-        calls.append(self)
-        return square_free_part(self)
+        if self in targets:
+            starts.append(self)
+        return derivative(self)
 
-    monkeypatch.setattr(QPoly, "square_free_part", recorder)
-    polarized = ConeMap.create(SWAP2, quadrant)
-    assert decide_polarization(polarized).is_polarized
-    assert len(calls) == 1
-    calls.clear()
-    # eigenvalues 2, 4 and +-sqrt 2: q = 16^(1/4) = 2 is an eigenvalue, the
-    # modulus test fails, and the refusal looks for an irrational root
-    rows = [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
-    irrational = ConeMap.create(QMatrix.from_rows(rows), build_cone(QMatrix.identity(4).to_rows()))
-    with pytest.raises(IrrationalCandidateOnlyError):
-        decide_polarization(irrational)
-    assert len(calls) == 1
+    monkeypatch.setattr(QPoly, "derivative", recorder)
+    for rows, status in (([[0, 2], [2, 0]], "polarized"),
+                         (IRRATIONAL_ONLY, "irrational_candidate_only")):
+        cp = char_poly(QMatrix.from_rows(rows))
+        targets = {cp, cp.square_free_part()}
+        starts.clear()
+        orthant = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+        cm = ConeMap.create(QMatrix.from_rows(rows), build_cone(orthant))
+        if status == "polarized":
+            assert decide_polarization(cm).is_polarized
+        else:
+            with pytest.raises(IrrationalCandidateOnlyError):
+                decide_polarization(cm)
+        assert len(starts) == 1
+        starts.clear()
+        doc = {"schema_version": "1", "kind": "cone_dynamics",
+               "payload": {"matrix": rows,
+                           "cone": {"type": "polyhedral", "generators": orthant}}}
+        assert run_scenario(doc)["verdicts"]["status"] == status
+        assert len(starts) == 1
+
+
+def test_decision_calls_the_public_modulus_test(monkeypatch, quadrant):
+    # the benchmark tracer counts algnum.modulus_equals by patching this global
+    calls = []
+
+    def recorder(p, q):
+        calls.append(q)
+        return modulus_equals(p, q)
+
+    monkeypatch.setattr(dynamics, "modulus_equals", recorder)
+    for cm in (ConeMap.create(SWAP2, quadrant),
+               ConeMap.create(PULLBACK_3X3, psd_cone_oracle(2))):
+        calls.clear()
+        assert decide_polarization(cm).is_polarized
+        assert len(calls) == 1
 
 
 def test_degree_preconditions_raise_library_errors():

@@ -43,12 +43,21 @@ def test_divmod_reconstructs(p, d):
     assert r.is_zero or r.degree < d.degree
 
 
-@given(nonzero_polys, nonzero_polys)
-@settings(max_examples=60)
-def test_gcd_divides_both(p, q):
-    g = p.gcd(q)
-    assert (p % g).is_zero
-    assert (q % g).is_zero
+def euclid_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Monic gcd by Euclid's algorithm, the reference for the Sturm chain."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+@given(nonzero_polys, st.lists(small_fracs, min_size=1, max_size=3).map(QPoly).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_sturm_chain_ends_in_gcd(p, q):
+    for f in (p, p * q * q, p * p * q ** 3):
+        g, df = f.sturm_chain()[-1], f.derivative()
+        assert (f % g).is_zero and (df % g).is_zero
+        assert g.monic() == euclid_gcd(f, df)
+        assert f.square_free_part() == f.exact_div(euclid_gcd(f, df)).monic()
 
 
 def test_square_free_part():
