@@ -10,6 +10,8 @@ ray's zero set as an int bitmask, updated as each constraint is added, for
 the combinatorial adjacency test. `build_cone` runs it once and checks the
 facets it yields with an integer certificate on the facet-ridge graph
 (`_certify_facets`); ranks of integer vectors use fraction-free elimination.
+The cone keeps the integer facet normals and each facet's generator bitmask
+that the build certified, so face queries are AND and subset tests on masks.
 
 `PolyhedralCone` and `PsdCone` (the cone of positive semidefinite matrices,
 which has no finite facet description) answer the same questions:
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
@@ -34,6 +38,7 @@ from .errors import (
     ForeignFaceError,
     InternalCheckError,
     NotInConeError,
+    PreconditionViolatedError,
 )
 from .exactalg import (
     QMatrix,
@@ -48,7 +53,6 @@ from .exactalg import (
     vec_scale,
     vector,
 )
-from .exactalg.qpoly import _frac
 
 Vector = tuple[Fraction, ...]
 
@@ -214,7 +218,8 @@ class PolyhedralCone:
     """A pointed cone, full dimensional inside the span of its generators.
 
     `facet_normals` are primitive integer vectors in ambient coordinates;
-    together with membership in the span they cut out exactly the cone.
+    together with membership in the span they cut out exactly the cone. Bit
+    i of `facet_masks[j]` is set exactly when generator i lies on facet j.
     """
 
     kind = "polyhedral"
@@ -222,15 +227,10 @@ class PolyhedralCone:
 
     ambient_dim: int
     generators: tuple[Vector, ...]
-    facet_normals: tuple[Vector, ...]
+    facet_normals: tuple[tuple[int, ...], ...]
+    facet_masks: tuple[int, ...]
     span_basis: tuple[Vector, ...]      # columns of the embedding, ambient coords
     extreme_ray_indices: tuple[int, ...]
-    _int_normals: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_int_normals",
-                           tuple(primitive_ints(n) for n in self.facet_normals))
 
     @property
     def dim(self) -> int:
@@ -335,16 +335,17 @@ def build_cone(generators: Sequence[Sequence], *,
             extreme_idx.append(i)
     # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc keeps
     # every sign on the span; a full-dimensional span needs no lift
-    normals = tuple(tuple(_frac(x) for x in n) for n in normals_local)
+    normals = tuple(normals_local)
     if d < ambient:
         emb = QMatrix.from_columns([vector(b) for b in span_basis])
         lift = emb * (emb.transpose() * emb).inverse()
-        normals = tuple(primitive_vector(lift.apply(n)) for n in normals_local)
+        normals = tuple(primitive_ints(lift.apply(n)) for n in normals_local)
 
     return PolyhedralCone(
         ambient_dim=ambient,
         generators=tuple(gens),
         facet_normals=normals,
+        facet_masks=tuple(tight),
         span_basis=span_basis,
         extreme_ray_indices=tuple(extreme_idx),
     )
@@ -359,7 +360,7 @@ def membership(c: PolyhedralCone, x: Sequence) -> Membership:
     if c.dim < c.ambient_dim and c.span_coordinates(x) is None:
         return Membership.OUTSIDE
     xi = primitive_ints(x)
-    products = [sum(a * b for a, b in zip(n, xi)) for n in c._int_normals]
+    products = [sum(a * b for a, b in zip(n, xi)) for n in c.facet_normals]
     if any(p < 0 for p in products):
         return Membership.OUTSIDE
     if all(p > 0 for p in products):
@@ -370,12 +371,14 @@ def membership(c: PolyhedralCone, x: Sequence) -> Membership:
 # -- faces ------------------------------------------------------------------------------
 
 
-def _generators_killed_by(c: PolyhedralCone, facets: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for i, g in enumerate(c.generators):
-        if all(dot(c.facet_normals[j], g) == 0 for j in facets):
-            out.append(i)
-    return tuple(out)
+def _on_all(c: PolyhedralCone, facets: Sequence[int]) -> int:
+    """Mask of the generators lying on every one of the given facets."""
+    return reduce(and_, (c.facet_masks[j] for j in facets), (1 << len(c.generators)) - 1)
+
+
+def _holding(c: PolyhedralCone, mask: int) -> tuple[int, ...]:
+    """The facets holding every generator in `mask`."""
+    return tuple(j for j, fm in enumerate(c.facet_masks) if fm & mask == mask)
 
 
 def minimal_extremal_face(c: PolyhedralCone, sub_generators: Sequence[Sequence]) -> Face:
@@ -391,12 +394,9 @@ def minimal_extremal_face(c: PolyhedralCone, sub_generators: Sequence[Sequence])
     for v in subs:
         if membership(c, v) is Membership.OUTSIDE:
             raise NotInConeError(f"sub-generator {v} lies outside the cone")
-    total = subs[0]
-    for v in subs[1:]:
-        total = vec_add(total, v)
-    active = _active_facets_at_all(c, [total])
-    gens = _generators_killed_by(c, active)
-    return Face(parent=c, generator_indices=gens, active_facets=active)
+    total = reduce(vec_add, subs)
+    active = tuple(j for j, n in enumerate(c.facet_normals) if dot(n, total) == 0)
+    return Face(c, tuple(_bits(_on_all(c, active))), active)
 
 
 def enumerate_faces(c: PolyhedralCone) -> list[Face]:
@@ -411,17 +411,10 @@ def enumerate_faces(c: PolyhedralCone) -> list[Face]:
     n = len(c.generators)
     if n > 16:
         raise CapExceededError("face enumeration capped at 16 generators")
-    gens = [primitive_ints(g) for g in c.generators]
-    facet_masks = [sum(1 << i for i, g in enumerate(gens)
-                       if sum(a * b for a, b in zip(nrm, g)) == 0)
-                   for nrm in c._int_normals]
     closed = {(1 << n) - 1}
-    for fm in facet_masks:
+    for fm in c.facet_masks:
         closed |= {fm & s for s in closed}
-    faces = [Face(parent=c,
-                  generator_indices=tuple(i for i in range(n) if s >> i & 1),
-                  active_facets=tuple(j for j, fm in enumerate(facet_masks)
-                                      if fm & s == s))
+    faces = [Face(parent=c, generator_indices=tuple(_bits(s)), active_facets=_holding(c, s))
              for s in closed]
     faces.sort(key=lambda f: (f.dim, f.generator_indices))
     return faces
@@ -437,8 +430,9 @@ def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]]) -> b
     if isinstance(f, Face):
         if f.parent is not c:
             raise ForeignFaceError("face belongs to a different cone")
-        return (_generators_killed_by(c, f.active_facets) == f.generator_indices
-                and _active_facets_at_all(c, f.generators()) == tuple(f.active_facets))
+        on = _on_all(c, f.active_facets)
+        return (tuple(_bits(on)) == f.generator_indices
+                and _holding(c, on) == tuple(f.active_facets))
     gens = [vector(v) for v in f]
     for v in gens:
         if membership(c, v) is Membership.OUTSIDE:
@@ -450,11 +444,6 @@ def is_extremal_face(c: PolyhedralCone, f: Union[Face, Sequence[Sequence]]) -> b
     rays = {primitive_ints(v) for v in gens}
     return all(primitive_ints(c.generators[i]) in rays
                for i in c.extreme_ray_indices if i in on_face)
-
-
-def _active_facets_at_all(c: PolyhedralCone, points: Sequence[Vector]) -> tuple[int, ...]:
-    return tuple(j for j, n in enumerate(c.facet_normals)
-                 if all(dot(n, p) == 0 for p in points))
 
 
 # -- the positive semidefinite cone --------------------------------------------------------
@@ -580,7 +569,7 @@ def psd_cone_oracle(n: int, *, max_dim: int = MAX_AMBIENT_DIM) -> PsdCone:
     """The PSD cone of n x n matrices, its ambient dimension n(n+1)/2 held
     to the same cap as `build_cone`."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise PreconditionViolatedError("n must be positive")
     cone = PsdCone(n)
     if cone.ambient_dim > max_dim:
         raise CapExceededError(

@@ -110,7 +110,7 @@ def is_power_bounded(m: QMatrix, q) -> bool:
     """
     q = _frac(q)
     if q <= 0:
-        raise ValueError("q must be positive")
+        raise PreconditionViolatedError("q must be positive")
     cp = char_poly(m)
     if cp.coeffs[0] == 0:
         raise SingularMatrixError("power boundedness needs an invertible map")
@@ -216,7 +216,7 @@ def interior_eigenvector(cm: ConeMap, q) -> Vector:
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
     if q <= 0:
-        raise ValueError("q must be positive")
+        raise PreconditionViolatedError("q must be positive")
     m_eff, cp, _ = _effective_map(cm)
     projector = _bounded_projector(m_eff, cp, q)
     if projector is None:
@@ -301,9 +301,9 @@ def q_from_degree(deg: int, n: int) -> int:
 def restricted_degree(q: int, dim_z: int) -> int:
     """Degree of the restriction to an invariant subvariety: q^dim_z."""
     if q < 1:
-        raise ValueError("q must be positive")
+        raise PreconditionViolatedError("q must be positive")
     if dim_z < 0:
-        raise ValueError("dimension must be nonnegative")
+        raise PreconditionViolatedError("dimension must be nonnegative")
     return q ** dim_z
 
 
@@ -316,7 +316,7 @@ def product_formula_check(dim_x: int, deg_f: int, dim_y: int, deg_g: int) -> boo
     from two integer roots without forming either power.
     """
     if dim_x < 0 or dim_y < 0 or deg_f < 1 or deg_g < 1:
-        raise ValueError("dimensions must be nonnegative and degrees positive")
+        raise PreconditionViolatedError("dimensions must be nonnegative and degrees positive")
     if dim_x == 0 or dim_y == 0:
         return (dim_y == 0 or deg_f == 1) and (dim_x == 0 or deg_g == 1)
     g = gcd(dim_x, dim_y)
@@ -337,9 +337,9 @@ def abelian_invariant_check(q: int, dim_x: int, dim_z: int) -> AbelianInvariantV
     Those agree only at q = 1, so q > 1 is a contradiction.
     """
     if not 0 <= dim_z < dim_x:
-        raise ValueError("need 0 <= dim_z < dim_x")
+        raise PreconditionViolatedError("need 0 <= dim_z < dim_x")
     if q < 1:
-        raise ValueError("q must be positive")
+        raise PreconditionViolatedError("q must be positive")
     return (AbelianInvariantVerdict.CONSISTENT if q == 1
             else AbelianInvariantVerdict.CONTRADICTION)
 

@@ -19,6 +19,10 @@ class InternalCheckError(ConecertError):
 
 # -- exact algebra ------------------------------------------------------------
 
+class ImmutableValueError(ConecertError, AttributeError):
+    """An immutable value's attribute was set; an AttributeError too."""
+
+
 class SingularMatrixError(ConecertError):
     pass
 

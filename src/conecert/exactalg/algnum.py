@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from ..errors import ZeroPolynomialError
+from ..errors import InternalCheckError, PreconditionViolatedError, ZeroPolynomialError
 from .qmatrix import primitive_ints
 from .qpoly import QPoly, _frac
 
@@ -189,7 +189,7 @@ class AlgebraicNumber:
     @property
     def rational_value(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError("not a rational number")
+            raise PreconditionViolatedError("not a rational number")
         return -self.minpoly.coeffs[0] / self.minpoly.coeffs[1]
 
     def approx(self) -> complex:
@@ -239,7 +239,7 @@ class AlgebraicNumber:
                 # split line passes through the root; try another fraction
                 continue
             return AlgebraicNumber(self.minpoly, first if n1 == 1 else second, False)
-        raise AssertionError("no valid split found")  # pragma: no cover
+        raise InternalCheckError("no valid split found")  # pragma: no cover
 
 
 def _count_in_box(dup: list, box) -> int:
@@ -313,7 +313,7 @@ def modulus_equals(p: QPoly, q) -> bool:
     """
     q = _frac(q)
     if q <= 0:
-        raise ValueError("modulus test requires q > 0")
+        raise PreconditionViolatedError("modulus test requires q > 0")
     r = p.square_free_part()
     for root in (q, -q):
         if r(root) == 0:

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence, Union
 from ..errors import (
     DimensionMismatchError,
     EmptyInputError,
+    ImmutableValueError,
     InternalCheckError,
     NonSemisimpleAtQError,
     NotAnEigenvalueError,
@@ -115,7 +116,7 @@ class QMatrix:
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
+        raise ImmutableValueError("QMatrix is immutable")
 
     # -- constructors -----------------------------------------------------------
 
@@ -340,7 +341,7 @@ def min_poly(m: QMatrix) -> QPoly:
         sol = mat.solve(powers[-1].entries)
         if sol is not None:
             return QPoly(list(-c for c in sol) + [Fraction(1)])
-    raise AssertionError("Cayley-Hamilton violated")  # pragma: no cover
+    raise InternalCheckError("Cayley-Hamilton violated")  # pragma: no cover
 
 
 def evaluate_poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from ..errors import ZeroPolynomialError
+from ..errors import ImmutableValueError, PreconditionViolatedError, ZeroPolynomialError
 
 Scalar = Union[int, Fraction]
 
@@ -29,7 +29,7 @@ def _frac(x) -> Fraction:
         return _SMALL[x + 256] if -256 <= x <= 256 else Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an exact rational")
+    raise PreconditionViolatedError(f"cannot use {type(x).__name__} as an exact rational")
 
 
 def primitive_ints(u: Sequence[Scalar]) -> tuple[int, ...]:
@@ -72,8 +72,9 @@ def rational_nth_root(x: Scalar, n: int) -> Optional[Fraction]:
 class QPoly:
     """A polynomial with rational coefficients, lowest degree first."""
 
-    # _chain: the Sturm chain, built on first use; not part of the value
-    __slots__ = ("coeffs", "_chain")
+    # _chain, _sqfree: the Sturm chain and the square-free part, built on
+    # first use; not part of the value
+    __slots__ = ("coeffs", "_chain", "_sqfree")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
@@ -81,9 +82,10 @@ class QPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_chain", None)
+        object.__setattr__(self, "_sqfree", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
+        raise ImmutableValueError("QPoly is immutable")
 
     # -- constructors ---------------------------------------------------------
 
@@ -176,7 +178,7 @@ class QPoly:
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise PreconditionViolatedError("negative polynomial power")
         out = QPoly.one()
         base = self
         while n:
@@ -188,7 +190,7 @@ class QPoly:
 
     def __divmod__(self, other: "QPoly"):
         if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
+            raise ZeroPolynomialError("polynomial division by zero")
         q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
         d = other.degree
@@ -212,7 +214,7 @@ class QPoly:
     def exact_div(self, other: "QPoly") -> "QPoly":
         q, r = divmod(self, other)
         if not r.is_zero:
-            raise ValueError("division is not exact")
+            raise PreconditionViolatedError("division is not exact")
         return q
 
     def __call__(self, x: Scalar) -> Fraction:
@@ -238,11 +240,14 @@ class QPoly:
         return QPoly(-v for v in ints) if ints and ints[-1] < 0 else QPoly(ints)
 
     def square_free_part(self) -> "QPoly":
-        """p / gcd(p, p'), monic; the gcd is the last element of the Sturm chain."""
+        """p / gcd(p, p'), monic, built once; the gcd ends the Sturm chain."""
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no square-free part")
-        g = self.sturm_chain()[-1]
-        return (self if g.degree <= 0 else self.exact_div(g)).monic()
+        if self._sqfree is None:
+            g = self.sturm_chain()[-1]
+            object.__setattr__(self, "_sqfree",
+                               (self if g.degree <= 0 else self.exact_div(g)).monic())
+        return self._sqfree
 
     # -- real root counting -----------------------------------------------------
 
@@ -268,7 +273,7 @@ class QPoly:
         if lo >= hi:
             return 0
         if self(lo) == 0 or self(hi) == 0:
-            raise ValueError("endpoint is a root; shrink the interval first")
+            raise PreconditionViolatedError("endpoint is a root; shrink the interval first")
         chain = self.sturm_chain()
 
         def variations(x: Fraction) -> int:

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ScenarioError
+from .errors import InternalCheckError, ScenarioError
 from .exactalg import AlgebraicNumber, QMatrix, QPoly
 
 SCHEMA_VERSION = "1"
@@ -39,7 +39,7 @@ def _exact_payload(value):
         return [_rat_str(c) for c in value.coeffs]
     if isinstance(value, (tuple, list)):
         return [_exact_payload(v) for v in value]
-    raise TypeError(f"cannot tag {type(value).__name__} as exact")
+    raise InternalCheckError(f"cannot tag {type(value).__name__} as exact")
 
 
 def _rat_str(x) -> str:

@@ -33,7 +33,7 @@ from .dynamics import (
     q_from_degree,
     restricted_degree,
 )
-from .errors import IrrationalCandidateOnlyError
+from .errors import InternalCheckError, IrrationalCandidateOnlyError
 from .exactalg import (
     QMatrix,
     char_poly,
@@ -298,7 +298,7 @@ def _oracle_minimal_face(cone: PolyhedralCone, subs) -> tuple:
     best = min(containing, key=lambda f: (f.dim, len(f.generator_indices)))
     for other in containing:
         if not set(best.generator_indices) <= set(other.generator_indices):
-            raise AssertionError("face lattice lost the unique minimal element")
+            raise InternalCheckError("face lattice lost the unique minimal element")
     return best.generator_indices, best.active_facets
 
 

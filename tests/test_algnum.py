@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.errors import ZeroPolynomialError
+from conecert.errors import PreconditionViolatedError, ZeroPolynomialError
 from conecert.exactalg import (
     AlgebraicNumber,
     QPoly,
@@ -280,7 +280,7 @@ def test_modulus_zero():
     with pytest.raises(ZeroPolynomialError):
         modulus_equals(QPoly([]), 1)
     for q in (0, -2):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolatedError):
             modulus_equals(QPoly([-2, 1]), q)
 
 

@@ -552,10 +552,8 @@ def test_selftest_max_dim_range(max_dim):
 
 
 def test_scripts_run(tmp_path):
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_builtin_examples.py"),
-         "--json-dir", str(tmp_path)],
-        capture_output=True, text=True)
+    # the README's commands: a built-in report written as JSON, then the experiment
+    result = run_cli("examples", "ex1", "--json", str(tmp_path / "ex1.json"))
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "ex1.json").exists()
     result = subprocess.run(

@@ -436,6 +436,48 @@ def test_enumerate_faces_matches_subset_loop():
     assert (True, 4) in kinds and (False, 1) in kinds and (False, 2) in kinds
 
 
+def test_facet_masks_record_the_generators_on_each_facet():
+    for cone in _random_face_test_cones(random.Random(5)):
+        assert len(cone.facet_masks) == len(cone.facet_normals)
+        for normal, mask in zip(cone.facet_normals, cone.facet_masks):
+            assert all(type(x) is int for x in normal)
+            assert mask >> len(cone.generators) == 0
+            for i, g in enumerate(cone.generators):
+                assert (mask >> i & 1 == 1) == (dot(normal, g) == 0)
+
+
+def _fraction_face(c, points):
+    """(generators, active facets) of the face cut out by the facets active
+    on every point, by `Fraction` dot products with the ambient normals: the
+    route before the cone kept its facet masks, kept as a reference."""
+    normals = [vector(n) for n in c.facet_normals]
+    active = tuple(j for j, n in enumerate(normals) if all(dot(n, p) == 0 for p in points))
+    gens = tuple(i for i, g in enumerate(c.generators)
+                 if all(dot(normals[j], g) == 0 for j in active))
+    return gens, active
+
+
+def test_face_queries_match_the_fraction_route():
+    rng = random.Random(6)
+    for cone in _random_face_test_cones(random.Random(5)):
+        n = len(cone.generators)
+        for _ in range(5):
+            picked = rng.sample(range(n), rng.randrange(1, n + 1))
+            subs = [vec_scale(cone.generators[i], rng.randrange(0, 3)) for i in picked]
+            face = minimal_extremal_face(cone, subs)
+            total = subs[0]
+            for v in subs[1:]:
+                total = vec_add(total, v)
+            assert (face.generator_indices, face.active_facets) == _fraction_face(cone, [total])
+            assert is_extremal_face(cone, face)
+            gens = face.generators()
+            assert _fraction_face(cone, gens) == (face.generator_indices, face.active_facets)
+            for bad in (Face(cone, face.generator_indices[1:], face.active_facets),
+                        Face(cone, face.generator_indices, face.active_facets[1:])):
+                if bad != face:
+                    assert not is_extremal_face(cone, bad)
+
+
 def _int_det(m):
     if not m:
         return 1

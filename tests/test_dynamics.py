@@ -524,21 +524,30 @@ IRRATIONAL_ONLY = [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
 def test_one_remainder_sequence_per_analysis(monkeypatch):
     # QPoly.derivative starts every remainder sequence (the Sturm chain);
     # count the ones started on char(M) or its square-free part, first in a
-    # decision and then in a whole report
-    targets, starts = set(), []
-    derivative = QPoly.derivative
+    # decision and then in a whole report. Every call of square_free_part on
+    # char(M) must hand back the one part the polynomial built
+    targets, starts, parts = set(), [], []
+    derivative, square_free_part = QPoly.derivative, QPoly.square_free_part
 
     def recorder(self):
         if self in targets:
             starts.append(self)
         return derivative(self)
 
+    def part_recorder(self):
+        part = square_free_part(self)
+        if self == cp:
+            parts.append(part)
+        return part
+
     monkeypatch.setattr(QPoly, "derivative", recorder)
+    monkeypatch.setattr(QPoly, "square_free_part", part_recorder)
     for rows, status in (([[0, 2], [2, 0]], "polarized"),
                          (IRRATIONAL_ONLY, "irrational_candidate_only")):
         cp = char_poly(QMatrix.from_rows(rows))
         targets = {cp, cp.square_free_part()}
         starts.clear()
+        parts.clear()
         orthant = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
         cm = ConeMap.create(QMatrix.from_rows(rows), build_cone(orthant))
         if status == "polarized":
@@ -547,12 +556,15 @@ def test_one_remainder_sequence_per_analysis(monkeypatch):
             with pytest.raises(IrrationalCandidateOnlyError):
                 decide_polarization(cm)
         assert len(starts) == 1
+        assert parts and all(part is parts[0] for part in parts)
         starts.clear()
+        parts.clear()
         doc = {"schema_version": "1", "kind": "cone_dynamics",
                "payload": {"matrix": rows,
                            "cone": {"type": "polyhedral", "generators": orthant}}}
         assert run_scenario(doc)["verdicts"]["status"] == status
         assert len(starts) == 1
+        assert len(parts) > 1 and all(part is parts[0] for part in parts)
 
 
 def test_decision_calls_the_public_modulus_test(monkeypatch, quadrant):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.errors import ZeroPolynomialError
+from conecert.errors import PreconditionViolatedError, ZeroPolynomialError
 from conecert.exactalg import QPoly
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -86,7 +86,7 @@ def test_sturm_count():
 
 
 def test_sturm_rejects_root_endpoints():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolatedError):
         QPoly([-2, 1]).count_real_roots(2, 3)
 
 
