@@ -6,7 +6,6 @@ decision and the growth-of-powers oracle side by side, and prints agreement
 statistics broken down by the generator's intent.
 """
 import argparse
-import random
 import sys
 import time
 from collections import Counter
@@ -14,9 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from conecert.dynamics import ConeMap, decide_polarization
-from conecert.errors import IrrationalCandidateOnlyError
-from conecert.selftest import generate_cone_instance, run_cone_equivalence
+from conecert.selftest import run_cone_equivalence
 
 
 def main() -> int:
@@ -27,23 +24,13 @@ def main() -> int:
     args = parser.parse_args()
 
     started = time.perf_counter()
-    kinds = Counter()
-    verdicts = Counter()
-    rng = random.Random(args.seed)
-    for _ in range(args.cases):
-        inst = generate_cone_instance(rng, rng.randrange(2, args.max_dim + 1))
-        kinds[inst.kind] += 1
-        try:
-            decision = decide_polarization(ConeMap.create(inst.matrix, inst.cone))
-            verdicts[decision.status.value] += 1
-        except IrrationalCandidateOnlyError:
-            verdicts["irrational_candidate_only"] += 1
-
-    result = run_cone_equivalence(args.seed, args.cases, max_dim=args.max_dim)
+    outcomes = []
+    result = run_cone_equivalence(args.seed, args.cases, max_dim=args.max_dim,
+                                  collect=outcomes)
     elapsed = time.perf_counter() - started
     print(f"cases: {args.cases}  (seed {args.seed}, dim <= {args.max_dim})")
-    print(f"generator intents: {dict(kinds)}")
-    print(f"verdicts: {dict(verdicts)}")
+    print(f"generator intents: {dict(Counter(o.kind for o in outcomes))}")
+    print(f"verdicts: {dict(Counter(o.verdict for o in outcomes))}")
     agreements = result.cases - len(result.failures)
     print(f"oracle agreement: {agreements}/{result.cases}")
     for failure in result.failures:

@@ -60,7 +60,6 @@ from .singularities import (
     AgeReport,
     CyclicActionElement,
     age,
-    is_pseudo_reflection,
     product_quotient_report,
     projective_cycle_fixed_data,
 )

@@ -7,11 +7,13 @@ working inside their rational span. All arithmetic is exact.
 
 The double description works on primitive integer vectors and keeps each
 ray's zero set as an int bitmask, updated as each constraint is added, for
-the combinatorial adjacency test. `build_cone` runs it once and checks the
-facets it yields with an integer certificate on the facet-ridge graph
-(`_certify_facets`); ranks of integer vectors use fraction-free elimination.
-The cone keeps the integer facet normals and each facet's generator bitmask
-that the build certified, so face queries are AND and subset tests on masks.
+the combinatorial adjacency test. `build_cone` maps the generators to their
+distinct primitive rays once, runs the double description on those rays and
+checks the facets it yields with an integer certificate on the facet-ridge
+graph (`_certify_facets`); ranks of integer vectors use fraction-free
+elimination. The certified ray masks decide extremality and are expanded to
+generator masks at the end, so the cone keeps the integer facet normals and
+each facet's generator bitmask, and face queries are AND and subset tests.
 
 `PolyhedralCone` and `PsdCone` (the cone of positive semidefinite matrices,
 which has no finite facet description) answer the same questions:
@@ -102,7 +104,9 @@ def _dual_extreme_rays(constraints: Sequence[Sequence], dim: int) -> list[tuple[
             continue
         keep = [k for k, v in enumerate(vals) if v >= 0]
         new_rays, new_masks = [], []
-        seen = {rays[k] for k in keep}
+        # no new ray repeats another: adjacent rays p, n span a 2-face of
+        # their own, which meets the hyperplane <a, y> = 0 in one ray
+        # (Fukuda and Prodon, Double description method revisited, 1996)
         for p in (k for k in keep if vals[k] > 0):
             vp, rp, mp = vals[p], rays[p], masks[p]
             for n in neg:
@@ -113,75 +117,62 @@ def _dual_extreme_rays(constraints: Sequence[Sequence], dim: int) -> list[tuple[
                        for k, m in enumerate(masks)):
                     continue
                 vn = vals[n]
-                cand = primitive_ints([vp * x - vn * y for x, y in zip(rays[n], rp)])
-                if cand not in seen:
-                    seen.add(cand)
-                    new_rays.append(cand)
-                    new_masks.append(common | bit)
+                new_rays.append(primitive_ints([vp * x - vn * y for x, y in zip(rays[n], rp)]))
+                new_masks.append(common | bit)
         rays = [rays[k] for k in keep] + new_rays
         masks = [masks[k] for k in keep] + new_masks
-    return sorted(set(rays))
+    return sorted(rays)
 
 
-def _certify_facets(gens: Sequence[tuple[int, ...]], normals: Sequence[tuple[int, ...]],
+def _certify_facets(rays: Sequence[tuple[int, ...]], normals: Sequence[tuple[int, ...]],
                     dim: int) -> list[int]:
-    """Check that `normals` list each facet of cone(gens) exactly once.
+    """Check that `normals` list each facet of cone(rays) exactly once.
 
-    `gens` are primitive integer vectors spanning Q^dim and generating a
-    pointed cone. Returns each facet's tight-generator bitmask; any failed
-    clause is an InternalCheckError.
+    `rays` are distinct primitive integer vectors spanning Q^dim and
+    generating a pointed cone. Returns each facet's tight-ray bitmask; any
+    failed clause is an InternalCheckError.
 
-    (a) every generator satisfies every normal; (b) the generators tight on
-    a normal have rank dim - 1, so each normal is a facet; (c) no facet is
-    listed twice, and every ridge of a listed facet lies in exactly two
-    listed facets (`_certify_ridges`). A pointed cone's facet-ridge graph is
+    (a) every ray satisfies every normal; (b) the rays tight on a normal
+    have rank dim - 1, so each normal is a facet; (c) no facet is listed
+    twice, and every ridge of a listed facet lies in exactly two listed
+    facets (`_certify_ridges`). A pointed cone's facet-ridge graph is
     connected and each ridge lies in exactly two of its facets (Ziegler,
     Lectures on Polytopes, ch. 3), so a facet missing from the list would
     leave a ridge of a listed neighbour with one listed facet.
     """
     tight = []
     for n in normals:
-        products = [sum(a * b for a, b in zip(n, g)) for g in gens]
+        products = [sum(a * b for a, b in zip(n, r)) for r in rays]
         if any(p < 0 for p in products):
             raise InternalCheckError("generator violates a computed facet")
-        if len(independent_rows(g for g, p in zip(gens, products) if p == 0)) != dim - 1:
+        if len(independent_rows(r for r, p in zip(rays, products) if p == 0)) != dim - 1:
             raise InternalCheckError("computed facet is not facet-dimensional")
         tight.append(sum(1 << i for i, p in enumerate(products) if p == 0))
-    # a face holds every copy of a ray or none: `same` maps a ray's first
-    # generator to the mask of its copies, and `firsts` marks those generators
-    same = {gens.index(g): 0 for g in gens}
-    for i, g in enumerate(gens):
-        same[gens.index(g)] |= 1 << i
-    firsts = sum(1 << i for i in same)
     ranks: dict[int, int] = {}
-
-    def rays(mask: int) -> list[int]:
-        return [same[i] for i in _bits(mask & firsts)]
 
     def rank(mask: int) -> int:
         if mask not in ranks:
-            ranks[mask] = len(independent_rows(gens[i] for i in _bits(mask)))
+            ranks[mask] = len(independent_rows(rays[i] for i in _bits(mask)))
         return ranks[mask]
 
-    _certify_ridges(tight, dim, rays, rank, {})
+    _certify_ridges(tight, dim, rank, {})
     return tight
 
 
-def _certify_ridges(facets: Sequence[int], dim: int, rays: Callable[[int], list[int]],
-                    rank: Callable[[int], int], done: dict[int, list[int]]) -> None:
+def _certify_ridges(facets: Sequence[int], dim: int, rank: Callable[[int], int],
+                    done: dict[int, list[int]]) -> None:
     """Clause (c) for a face of dimension `dim` whose facets are claimed to be
-    `facets`, each given by the bitmask of the generators on it; `rays(m)`
-    lists the masks of the rays of face m, `rank(m)` the rank of its
-    generators.
+    `facets`, each given by the bitmask of the distinct rays on it; `rank(m)`
+    is the rank of the rays of face m.
 
-    A ridge is keyed by its own generator mask. A simplicial facet's ridges
-    drop one of its dim - 1 rays. Any other facet f is a face of dimension
-    dim - 1 whose facets are claimed to be its intersections of rank
-    dim - 2 with the other listed facets, certified the same way: a facet
-    h missing from `facets` leaves the ridge f & h out of f's list, so no
-    double description runs below the top. A face is reached along many
-    chains of facets; `done` keeps each certified face's facets by its
-    mask, so each face is certified once.
+    A ridge is keyed by its own ray mask. A facet with dim - 1 rays is
+    simplicial, and its ridges drop one of them. Any other facet f is a
+    face of dimension dim - 1 whose facets are claimed to be its
+    intersections of rank dim - 2 with the other listed facets, certified
+    the same way: a facet h missing from `facets` leaves the ridge f & h out
+    of f's list, so no double description runs below the top. A face is
+    reached along many chains of facets; `done` keeps each certified face's
+    facets by its mask, so each face is certified once.
     """
     if not facets:
         raise InternalCheckError("no computed facets")
@@ -189,13 +180,12 @@ def _certify_ridges(facets: Sequence[int], dim: int, rays: Callable[[int], list[
         raise InternalCheckError("a facet is listed twice")
     ridges: Counter[int] = Counter()
     for f in facets:
-        on = rays(f)
-        if len(on) == dim - 1:
-            ridges.update(f & ~r for r in on)
+        if f.bit_count() == dim - 1:
+            ridges.update(f & ~(1 << i) for i in _bits(f))
             continue
         if f not in done:
             sub = [f & g for g in facets if g != f and rank(f & g) == dim - 2]
-            _certify_ridges(sub, dim - 1, rays, rank, done)
+            _certify_ridges(sub, dim - 1, rank, done)
             done[f] = sub
         ridges.update(done[f])
     if any(count != 2 for count in ridges.values()):
@@ -294,11 +284,13 @@ def build_cone(generators: Sequence[Sequence], *,
                max_dim: int = MAX_AMBIENT_DIM) -> PolyhedralCone:
     """Cone generated by the given rational vectors.
 
-    Facet normals come from one double description run, checked by the
-    integer facet certificate `_certify_facets` (the inequality system cuts
-    out exactly the generated cone); cones that contain a line are
-    rejected. A generator is extreme when the facets tight on it have rank
-    d - 1; among equal rays the first index is kept.
+    Every stage after the span works on the generators' distinct primitive
+    rays: facet normals come from one double description run, checked by
+    the integer facet certificate `_certify_facets` (the inequality system
+    cuts out exactly the generated cone); cones that contain a line are
+    rejected. A ray is extreme when the facets through it meet in it alone,
+    and its first generator is kept. The certified ray masks are expanded
+    to generator masks at the end, so every copy of a ray shares its bits.
     """
     gens = [vector(g) for g in generators]
     gens = [g for g in gens if not is_zero_vector(g)]
@@ -318,21 +310,24 @@ def build_cone(generators: Sequence[Sequence], *,
     echelon, pivots, _ = QMatrix.from_rows(gens)._echelon()
     d = len(pivots)
     span_basis = tuple(tuple(echelon[r][c] for c in range(ambient)) for r in range(d))
-    local = [primitive_ints([g[c] for c in pivots]) for g in gens]
+    # generator i lies on ray ray_of[i]; rays are numbered by first appearance
+    index: dict[tuple[int, ...], int] = {}
+    ray_of = [index.setdefault(primitive_ints([g[c] for c in pivots]), len(index))
+              for g in gens]
+    rays = list(index)
 
-    normals_local = _dual_extreme_rays(local, d)
+    normals_local = _dual_extreme_rays(rays, d)
     if len(independent_rows(normals_local)) < d:
         raise ContainsLineError("cone contains a line")
-    tight = _certify_facets(local, normals_local, d)
+    tight = _certify_facets(rays, normals_local, d)
 
-    extreme_idx, seen = [], set()
-    for i, g in enumerate(local):
-        if g in seen:
-            continue
-        seen.add(g)
-        on = (n for n, mask in zip(normals_local, tight) if mask >> i & 1)
-        if len(independent_rows(on)) == d - 1:
-            extreme_idx.append(i)
+    # ray r is extreme exactly when the facets through it meet in r alone;
+    # no facet meets in every ray, so a ray on no facet is extreme only in a
+    # one-ray cone
+    every = (1 << len(rays)) - 1
+    extreme = [r for r in range(len(rays))
+               if reduce(and_, (m for m in tight if m >> r & 1), every) == 1 << r]
+    facet_masks = tuple(sum(1 << i for i, r in enumerate(ray_of) if m >> r & 1) for m in tight)
     # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc keeps
     # every sign on the span; a full-dimensional span needs no lift
     normals = tuple(normals_local)
@@ -345,9 +340,9 @@ def build_cone(generators: Sequence[Sequence], *,
         ambient_dim=ambient,
         generators=tuple(gens),
         facet_normals=normals,
-        facet_masks=tuple(tight),
+        facet_masks=facet_masks,
         span_basis=span_basis,
-        extreme_ray_indices=tuple(extreme_idx),
+        extreme_ray_indices=tuple(ray_of.index(r) for r in extreme),
     )
 
 

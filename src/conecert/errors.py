@@ -102,10 +102,6 @@ class NoIntegerRootError(ConecertError):
 
 # -- lattice / singularities ---------------------------------------------------
 
-class TrivialElementError(ConecertError):
-    pass
-
-
 class PreconditionViolatedError(ConecertError):
     pass
 

@@ -27,6 +27,7 @@ from .cones import (
 )
 from .dynamics import (
     ConeMap,
+    PolarizationCertificate,
     decide_polarization,
     is_power_bounded,
     product_formula_check,
@@ -36,7 +37,6 @@ from .dynamics import (
 from .errors import InternalCheckError, IrrationalCandidateOnlyError
 from .exactalg import (
     QMatrix,
-    char_poly,
     factor_rational,
     independent_rows,
     primitive_ints,
@@ -193,16 +193,20 @@ class SuiteResult:
 
 
 @dataclass
-class PolarizedInstance:
+class CaseOutcome:
+    """One decided equivalence case: the generator's intent, the verdict
+    (a status value or "irrational_candidate_only") and, when polarized,
+    the certificate."""
+    kind: str
+    verdict: str
     matrix: QMatrix
-    q: Fraction
-    projector: QMatrix
-    witness: tuple
+    certificate: Optional[PolarizationCertificate]
 
 
 def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
-                         collect: Optional[list[PolarizedInstance]] = None) -> SuiteResult:
-    """Certified polarization decision vs. the empirical growth oracle."""
+                         collect: Optional[list[CaseOutcome]] = None) -> SuiteResult:
+    """Certified polarization decision vs. the empirical growth oracle;
+    `collect` receives each case's outcome as soon as it is decided."""
     rng = random.Random(seed)
     result = SuiteResult(name="cone-equivalence", cases=cases)
     for case in range(cases):
@@ -212,15 +216,18 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
             result.failures.append(f"case {case}: invariance unexpectedly failed")
             continue
         rational_roots = [-fac.coeffs[0] / fac.coeffs[1]
-                          for fac, _ in factor_rational(char_poly(inst.matrix))
+                          for fac, _ in factor_rational(cm.char_poly)
                           if fac.degree == 1]
         rational_candidates = [r for r in rational_roots if r > 0]
         try:
             decision = decide_polarization(cm)
-            irrational_only = False
+            verdict = decision.status.value
         except IrrationalCandidateOnlyError:
             decision = None
-            irrational_only = True
+            verdict = "irrational_candidate_only"
+        if collect is not None:
+            collect.append(CaseOutcome(inst.kind, verdict, inst.matrix,
+                                       decision and decision.certificate))
 
         growth_bounded = [q for q in sorted(set(rational_candidates))
                           if empirical_growth_max(inst.matrix, q) < GROWTH_THRESHOLD]
@@ -231,7 +238,7 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
                 f"case {case}: growth oracle {growth_bounded} vs spectral "
                 f"{spectral_bounded} for kind {inst.kind}")
             continue
-        if irrational_only:
+        if decision is None:
             if rational_candidates or inst.kind != "irrational":
                 result.failures.append(f"case {case}: unexpected irrational-only")
             continue
@@ -244,21 +251,18 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
             if inst.expected_q is not None and cert.q != inst.expected_q:
                 result.failures.append(
                     f"case {case}: q {cert.q} != planned {inst.expected_q}")
-                continue
-            if collect is not None:
-                collect.append(PolarizedInstance(
-                    matrix=inst.matrix, q=cert.q,
-                    projector=cert.projector, witness=cert.witness))
         elif inst.kind == "polarized":
             result.failures.append(f"case {case}: planned polarized case refused")
     return result
 
 
-def run_projector_identities(instances: Sequence[PolarizedInstance]) -> SuiteResult:
+def run_projector_identities(outcomes: Sequence[CaseOutcome]) -> SuiteResult:
     """Exact idempotence and intertwining identities on the found projectors."""
-    result = SuiteResult(name="projector-identities", cases=len(instances))
-    for i, inst in enumerate(instances):
-        p, m, q = inst.projector, inst.matrix, inst.q
+    found = [o for o in outcomes if o.certificate is not None]
+    result = SuiteResult(name="projector-identities", cases=len(found))
+    for i, o in enumerate(found):
+        cert, m = o.certificate, o.matrix
+        p, q = cert.projector, cert.q
         if p * p != p:
             result.failures.append(f"instance {i}: projector not idempotent")
         if m * p != p * m or m * p != p.scale(q):
@@ -268,7 +272,7 @@ def run_projector_identities(instances: Sequence[PolarizedInstance]) -> SuiteRes
             if p.apply(v) != v:
                 result.failures.append(f"instance {i}: projector not identity on"
                                        f" the eigenspace")
-        if m.apply(inst.witness) != vec_scale(inst.witness, q):
+        if m.apply(cert.witness) != vec_scale(cert.witness, q):
             result.failures.append(f"instance {i}: witness not an eigenvector")
     return result
 
@@ -452,13 +456,13 @@ def run_psd_congruence(seed: int, cases: int) -> SuiteResult:
 
 def run_all(seed: int = 0, max_dim: int = 4, quick: bool = True) -> list[SuiteResult]:
     scale = 1 if quick else 4
-    polarized: list[PolarizedInstance] = []
+    outcomes: list[CaseOutcome] = []
     results = [
         run_double_description_roundtrip(seed + 1, 15 * scale, max_dim=max_dim),
         run_cone_equivalence(seed + 2, 30 * scale, max_dim=min(max_dim, 4),
-                             collect=polarized),
+                             collect=outcomes),
     ]
-    results.append(run_projector_identities(polarized))
+    results.append(run_projector_identities(outcomes))
     results += [
         run_face_oracle(seed + 3, 20 * scale, max_dim=max_dim),
         run_projection_formula(seed + 5, 40 * scale),

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .cones import MAX_CYCLIC_ORDER
 from .dynamics import restricted_degree
-from .errors import CapExceededError, PreconditionViolatedError, TrivialElementError
+from .errors import CapExceededError, PreconditionViolatedError
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class CyclicActionElement:
         object.__setattr__(self, "weights",
                           tuple(w % self.order for w in self.weights))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.power % self.order == 0 or self.order == 1
-
     def residues(self) -> tuple[int, ...]:
         return tuple((self.power * w) % self.order for w in self.weights)
 
@@ -52,13 +48,6 @@ class CyclicActionElement:
 def age(e: CyclicActionElement) -> Fraction:
     """Reid-Tai sum of the normalized residues."""
     return Fraction(sum(e.residues()), e.order)
-
-
-def is_pseudo_reflection(e: CyclicActionElement) -> bool:
-    """Whether the element fixes a codimension <= 1 subset pointwise."""
-    if e.is_trivial:
-        raise TrivialElementError("pseudo-reflection test needs a nontrivial element")
-    return sum(1 for r in e.residues() if r != 0) <= 1
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from conecert.nslattice import (
     quotient_image_selfintersection,
 )
 from conecert.selftest import (
-    PolarizedInstance,
+    CaseOutcome,
     run_cone_equivalence,
     run_face_oracle,
     run_projector_identities,
@@ -43,12 +43,12 @@ FACE_SEED = 31415926
 
 @pytest.fixture(scope="module")
 def equivalence_run():
-    polarized: list[PolarizedInstance] = []
+    outcomes: list[CaseOutcome] = []
     started = time.perf_counter()
     result = run_cone_equivalence(EQUIVALENCE_SEED, 200, max_dim=4,
-                                  collect=polarized)
+                                  collect=outcomes)
     elapsed = time.perf_counter() - started
-    return result, polarized, elapsed
+    return result, outcomes, elapsed
 
 
 def test_criterion_1_elliptic_product_golden():
@@ -78,8 +78,9 @@ def test_criterion_1_elliptic_product_golden():
 
 
 def test_criterion_2_cone_equivalence_suite(equivalence_run):
-    result, polarized, elapsed = equivalence_run
-    assert result.cases == 200
+    result, outcomes, elapsed = equivalence_run
+    polarized = [o for o in outcomes if o.certificate is not None]
+    assert result.cases == 200 == len(outcomes)
     assert result.failures == [], result.failures[:5]
     assert elapsed < 30.0, f"suite took {elapsed:.1f}s"
     assert polarized, "suite produced no polarized instances"
@@ -88,11 +89,11 @@ def test_criterion_2_cone_equivalence_suite(equivalence_run):
 
 
 def test_criterion_3_projector_identities(equivalence_run):
-    _, polarized, _ = equivalence_run
-    assert polarized
-    result = run_projector_identities(polarized)
+    _, outcomes, _ = equivalence_run
+    result = run_projector_identities(outcomes)
+    assert result.cases
     assert result.failures == []
-    print(f"\nACCEPTANCE 3 projector identities on {len(polarized)} instances: PASS")
+    print(f"\nACCEPTANCE 3 projector identities on {result.cases} instances: PASS")
 
 
 def test_criterion_4_minimal_face_oracle():

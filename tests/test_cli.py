@@ -1,4 +1,5 @@
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -562,3 +563,22 @@ def test_scripts_run(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert "oracle agreement: 10/10" in result.stdout
+
+
+def test_experiment_decides_each_case_once(monkeypatch, capsys):
+    """The experiment tallies the suite's own outcomes instead of deciding
+    every case a second time."""
+    from conecert import dynamics, selftest
+    calls = []
+    for module in (dynamics, selftest):
+        decide = module.decide_polarization
+        monkeypatch.setattr(module, "decide_polarization",
+                            lambda cm, decide=decide: calls.append(cm) or decide(cm))
+    script = ROOT / "scripts" / "cone_equivalence_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--cases", "10", "--seed", "2"])
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the script prepends src
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    assert stop.value.code == 0
+    assert "oracle agreement: 10/10" in capsys.readouterr().out
+    assert len(calls) == 10

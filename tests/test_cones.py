@@ -604,12 +604,51 @@ def test_certificate_small_dimensions():
     for normals in ([], [(1,), (1,)], [(-1,)]):
         with pytest.raises(InternalCheckError):
             cones._certify_facets([(2,)], normals, 1)
-    quadrant = [(1, 0), (0, 1), (1, 0)]
-    assert cones._certify_facets(quadrant, [(0, 1), (1, 0)], 2) == [0b101, 0b010]
+    quadrant = [(1, 0), (0, 1)]
+    assert cones._certify_facets(quadrant, [(0, 1), (1, 0)], 2) == [0b01, 0b10]
     for normals in ([], [(1, 0)], [(0, 1), (0, 1)], [(0, 1), (1, 0), (0, 1)],
                     [(0, 1), (1, 0), (1, 1)], [(0, 1), (1, -1)]):
         with pytest.raises(InternalCheckError):
             cones._certify_facets(quadrant, normals, 2)
+
+
+def test_copies_of_a_ray_share_its_facet_bits():
+    """The certificate sees distinct rays; the build expands its masks to
+    every copy of a ray."""
+    cone = build_cone([(1, 0), (0, 1), (1, 0)])
+    assert set(cone.facet_masks) == {0b101, 0b010}
+    assert cone.extreme_ray_indices == (0, 1)
+
+
+def _simplex_product(a, b):
+    """The cone over simplex_a x simplex_b: every facet is a cone over a
+    product of a simplex with a facet of the other."""
+    def vertices(k):
+        return [tuple(int(i == j) for i in range(k)) for j in range(-1, k)]
+    return [(1,) + v + w for v in vertices(a) for w in vertices(b)]
+
+
+def _degenerate_constraint_sets():
+    rng = random.Random(19)
+    yield from _certificate_cases()
+    yield _simplex_product(2, 2)
+    yield _simplex_product(3, 2)
+    yield [(1,) + v + c for v in [(0,), (1,)] for c in itertools.product((-1, 1), repeat=3)]
+    # small entries put many generators on one plane
+    grid = [(1,) + c for c in itertools.product((-1, 0, 1), repeat=3)]
+    yield grid
+    for _ in range(6):
+        yield rng.sample(grid, rng.randrange(8, 16)) + [(1, 1, 1, 1)]
+
+
+def test_double_description_repeats_no_ray():
+    """Adjacent rays span a 2-face of their own, which meets each new
+    hyperplane in one ray, so the double description lists no ray twice and
+    needs no dedupe; the rays are the brute-force facets."""
+    for gens in _degenerate_constraint_sets():
+        rays = cones._dual_extreme_rays(gens, len(gens[0]))
+        assert len(set(rays)) == len(rays)
+        assert set(rays) == _brute_force_facets(gens)
 
 
 def test_certificate_rejects_a_violated_inequality():
@@ -633,6 +672,10 @@ def test_extreme_rays_match_the_round_trip_reference():
     cases = list(_certificate_cases()) + [
         [(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 1, 0), (2, 1, 1)],
         [(2, 0, 2, 0), (0, 2, 2, 0), (-2, 0, 2, 0), (0, -2, 2, 0), (0, 0, 4, 0)],
+        # three copies, and parallel multiples, of one generator
+        [(1, 2, 0), (0, 1, 1), (1, 2, 0), (1, 0, 1), (1, 2, 0)],
+        [(1, 2, 0), (0, 1, 1), (3, 6, 0), (1, 0, 1), (Fraction(1, 2), 1, 0), (0, 2, 2)],
+        [(1, 0, 0), (2, 0, 0), (3, 0, 0)],
     ]
     for _ in range(60):
         ambient = rng.randrange(2, 6)

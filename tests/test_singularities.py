@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.errors import PreconditionViolatedError, TrivialElementError
+from conecert.errors import PreconditionViolatedError
 from conecert.singularities import (
     CyclicActionElement,
     SingularityVerdict,
     age,
-    is_pseudo_reflection,
     product_quotient_report,
     projective_cycle_fixed_data,
 )
@@ -31,14 +30,6 @@ def test_age_inverse_symmetry(m, data):
     e_inv = CyclicActionElement(m, m - k, weights)
     nonzero = sum(1 for r in e.residues() if r != 0)
     assert age(e) + age(e_inv) == nonzero
-
-
-def test_pseudo_reflection_examples():
-    assert is_pseudo_reflection(CyclicActionElement(2, 1, (1, 0, 0)))
-    assert not is_pseudo_reflection(CyclicActionElement(4, 1, (1, 2, 3)))
-    assert not is_pseudo_reflection(CyclicActionElement(4, 2, (1, 2, 3)))
-    with pytest.raises(TrivialElementError):
-        is_pseudo_reflection(CyclicActionElement(4, 0, (1, 2, 3)))
 
 
 def test_projective_fixed_data_order_four():
