@@ -20,7 +20,8 @@ which has no finite facet description) answer the same questions:
 `ambient_dim`, `dim` (of the span), `kind`, exact `contains` and
 `strictly_contains` (relative interior), an `interior_sample`, and
 `is_automorphism(m)`, whose positive answer `invariance` labels. A
-polyhedral cone also gives `span_coordinates` when its span is proper.
+polyhedral cone also gives `span_coordinates`, read at the pivot columns of
+its reduced echelon span basis, so no query on a built cone eliminates.
 """
 from __future__ import annotations
 
@@ -60,8 +61,6 @@ Vector = tuple[Fraction, ...]
 
 MAX_AMBIENT_DIM = 8
 MAX_GENERATORS = 64
-# largest cyclic order `singularities` tabulates; its tables grow as order^3
-MAX_CYCLIC_ORDER = 64
 
 
 class Membership(enum.Enum):
@@ -219,7 +218,7 @@ class PolyhedralCone:
     generators: tuple[Vector, ...]
     facet_normals: tuple[tuple[int, ...], ...]
     facet_masks: tuple[int, ...]
-    span_basis: tuple[Vector, ...]      # columns of the embedding, ambient coords
+    span_basis: tuple[Vector, ...]      # reduced echelon rows, ambient coords
     extreme_ray_indices: tuple[int, ...]
 
     @property
@@ -227,13 +226,15 @@ class PolyhedralCone:
         return len(self.span_basis)
 
     def span_coordinates(self, x: Sequence) -> Optional[Vector]:
-        """Coordinates of x in the span basis, or None if x is outside the span."""
+        """Coordinates of x in the span basis, or None if x is outside the span:
+        x's entries at the pivot columns, if they give x back (`build_cone`)."""
         x = vector(x)
         if len(x) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"expected dimension {self.ambient_dim}, got {len(x)}")
-        emb = QMatrix.from_columns(list(self.span_basis))
-        return emb.solve(x)
+        c = tuple(x[next(j for j, v in enumerate(b) if v)] for b in self.span_basis)
+        return c if all(sum(a * b[j] for a, b in zip(c, self.span_basis)) == xj
+                        for j, xj in enumerate(x)) else None
 
     def interior_sample(self) -> Vector:
         """Sum of the primitive generators; a canonical relative-interior point."""

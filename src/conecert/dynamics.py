@@ -13,12 +13,13 @@ have modulus q and r(M) = 0, and then r is the minimal polynomial of M.
 
 The module asks the cone only what `cones` gives for both cone types: its
 dimensions, membership, an interior sample, its span coordinates when the
-span is proper, and an exact automorphism test (the map permutes the
-extreme rays of a polyhedral cone, or is a congruence on the PSD cone). If
-M(C) = C and M / q is power bounded, the closure of the powers of M / q is
-a compact group preserving C whose Haar average, the spectral projector P
-onto the q-eigenspace, keeps the relative interior. So P(interior sample)
-is the witness, and a non-interior projection is an internal error.
+span is proper (read without elimination), and an exact automorphism test
+(the map permutes the extreme rays of a polyhedral cone, or is a congruence
+on the PSD cone). If M(C) = C and M / q is power bounded, the closure of the
+powers of M / q is a compact group preserving C whose Haar average, the
+spectral projector P onto the q-eigenspace, keeps the relative interior. So
+P(interior sample) is the witness, and a non-interior projection is an
+internal error.
 
 The degree calculus helpers (q^dim relations, the product formula across an
 equivariant dominant map, and the invariant-subvariety contradiction on
@@ -272,16 +273,16 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
 
 def _check_certificate(cm: ConeMap, cert: PolarizationCertificate,
                        m_eff: QMatrix) -> None:
-    """Re-verify the certificate identities exactly before returning it; the
-    witness was checked interior when `_interior_witness` built it."""
+    """Re-verify Mw = qw, P^2 = P and PM = qP exactly before returning the
+    certificate; `_bounded_projector` checked MP = qP (M g(M) = q g(M)) and
+    `_interior_witness` checked the witness interior."""
     m = cm.matrix
     if m.apply(cert.witness) != vec_scale(cert.witness, cert.q):
         raise InternalCheckError("witness is not an eigenvector")
     p = cert.projector
     if p * p != p:
         raise InternalCheckError("projector is not idempotent")
-    mp = m_eff * p
-    if mp != p * m_eff or mp != p.scale(cert.q):
+    if p * m_eff != p.scale(cert.q):
         raise InternalCheckError("projector does not intertwine the map at q")
 
 

@@ -21,6 +21,7 @@ from .algnum import (
     factor_rational,
     has_positive_irrational_root,
     modulus_equals,
+    rational_roots,
     roots_with_multiplicity,
 )
 

@@ -6,23 +6,21 @@ float enters any decision path; floats appear only in the convenience
 `approx` accessor.
 
 `modulus_equals` works on the polynomial alone (Kronecker's trace-polynomial
-reduction and a Sturm count), so it needs neither root isolation nor sympy.
-`factor_rational`, `modulus_equals` and `has_positive_irrational_root` take
-any polynomial and read its square-free part from the Sturm chain the
-polynomial keeps (`QPoly.sturm_chain`), so the report, the decision and a
-refusal on one characteristic polynomial share one remainder sequence.
-`factor_rational` splits off the linear factors itself: the rational roots
-come from p-adic (Hensel) lifting, and a cofactor of degree 2 or 3 left
-without one is irreducible. sympy is imported only when it is needed: to
-factor a square-free cofactor of degree >= 4, and to isolate the roots of
-irreducible factors of degree >= 2 (its dense-polynomial kernel returns
-exact rational data). So `import conecert` loads no sympy, and neither does
-a spectrum with rational eigenvalues only. `has_positive_irrational_root`
-decides the refusal by a Sturm count, without isolating a root or loading
-sympy. Roots are isolated once, for the report, to boxes narrower than
-ISOLATION_WIDTH. `AlgebraicNumber.refine` bisects a box further on request
-(exact sign evaluation for real roots, exact rectangle root counting,
-Collins-Krandick via sympy, for complex ones).
+reduction and a Sturm count). It, `rational_roots`, `factor_rational` and
+`has_positive_irrational_root` take any polynomial and read its square-free
+part from the Sturm chain the polynomial keeps (`QPoly.sturm_chain`), so the
+report, the decision and a refusal on one characteristic polynomial share
+one remainder sequence. `rational_roots` lifts p-adically (Hensel), and
+`factor_rational` splits them off as linear factors: a cofactor of degree 2
+or 3 left without one is irreducible. sympy is imported only inside
+`_sympy_factors` (a square-free cofactor of degree >= 4),
+`_isolate_irreducible` (the roots of an irreducible factor of degree >= 2)
+and `_count_in_box` (for `refine`), so `import conecert`, every decision and
+the selftest load none. Roots are isolated once, for the report, to boxes
+narrower than ISOLATION_WIDTH; `roots_with_multiplicity` states their order.
+`AlgebraicNumber.refine` bisects a box further on request (exact sign
+evaluation for real roots, exact rectangle root counting, Collins-Krandick
+via sympy, for complex ones).
 """
 from __future__ import annotations
 
@@ -82,31 +80,34 @@ def _simple_roots_mod_prime(g: Sequence[int], dg: Sequence[int]) -> tuple[int, l
             return p, roots
 
 
-def _rational_roots(s: Sequence[int]) -> list[Fraction]:
-    """Rational roots of a square-free primitive integer polynomial.
+def rational_roots(p: QPoly) -> list[Fraction]:
+    """The distinct rational roots of p, increasing, read from the primitive
+    integer form s of its square-free part (lowest degree first).
 
-    s has degree n >= 1 and leading coefficient lc > 0 (lowest degree first).
-    r is a root of s exactly when y = lc r is an integer root of the monic
+    With n = deg s and lc > 0 its leading coefficient, r is a root of s
+    exactly when y = lc r is an integer root of the monic
     g(y) = lc^(n-1) s(y / lc), and |y| < B = 1 + max |g_i| (Cauchy). Each
-    root of g mod p, at a prime p where all of them are simple, lifts
-    uniquely by Newton's iteration to a root mod p^k > 2B; its symmetric
-    residue is the only integer candidate, tested exactly (Loos 1983).
+    root of g modulo the first prime l at which all of them are simple
+    lifts uniquely by Newton's iteration to a root mod l^k > 2B; its
+    symmetric residue is the only integer candidate, tested exactly (Loos
+    1983).
     """
+    s = primitive_ints(p.square_free_part().coeffs)
     n, lc = len(s) - 1, s[-1]
     g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     dg = [i * c for i, c in enumerate(g)][1:]
     bound = 1 + max(abs(c) for c in g)
-    p, residues = _simple_roots_mod_prime(g, dg)
+    prime, residues = _simple_roots_mod_prime(g, dg)
     roots = []
     for a in residues:
-        m = p
+        m = prime
         while m <= 2 * bound:
             m *= m
             a = (a - _eval_mod(g, a, m) * pow(_eval_mod(dg, a, m), -1, m)) % m
         y = a if 2 * a < m else a - m
         if sum(c * y ** i for i, c in enumerate(g)) == 0:
             roots.append(Fraction(y, lc))
-    return roots
+    return sorted(roots)
 
 
 def _sympy_factors(p: QPoly) -> list[tuple[QPoly, int]]:
@@ -123,19 +124,17 @@ def factor_rational(p: QPoly) -> list[tuple[QPoly, int]]:
 
     Factors come back content-normalized (primitive integer coefficients,
     positive leading coefficient) in a deterministic order. The linear
-    factors are split off without sympy: the rational roots of the
-    square-free part s, each with its multiplicity from repeated exact
-    division. What is left of s after them has no rational root, so at
-    degree 2 or 3 it is irreducible and the rest of p is a power of it; only
-    a rest of s of degree >= 4 is factored by sympy.
+    factors are split off without sympy: each of the `rational_roots` of p
+    is divided out of the square-free part s once and out of p as often as
+    it goes. What is left of s has no rational root, so at degree 2 or 3 it
+    is irreducible and the rest of p is a power of it; only a rest of s of
+    degree >= 4 is factored by sympy.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    if p.degree == 0:
-        return []
     s = p.square_free_part()
     out = []
-    for r in _rational_roots(primitive_ints(s.coeffs)):
+    for r in rational_roots(p):
         linear = QPoly.linear_root(r)
         s = s.exact_div(linear)
         mult = 0
@@ -251,29 +250,25 @@ def _count_in_box(dup: list, box) -> int:
 
 def _isolate_irreducible(fac: QPoly) -> list[AlgebraicNumber]:
     """All roots of an irreducible primitive polynomial, real ones first in
-    increasing order."""
+    increasing order; `roots_with_multiplicity` orders the complex ones."""
     if fac.degree == 1:
         return [AlgebraicNumber.from_rational(-fac.coeffs[0] / fac.coeffs[1])]
     from sympy.polys.domains import QQ
-    from sympy.polys.rootisolation import (dup_isolate_complex_roots_sqf,
-                                           dup_isolate_real_roots_sqf)
-    dup, eps = _to_dup(fac), _qq(ISOLATION_WIDTH)
-    reals = [AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True)
-             for lo, hi in dup_isolate_real_roots_sqf(dup, QQ, eps=eps)]
-    complexes = [AlgebraicNumber(fac, (_from_mpq(ax), _from_mpq(bx),
-                                       _from_mpq(ay), _from_mpq(by)), False)
-                 for (ax, ay), (bx, by) in dup_isolate_complex_roots_sqf(dup, QQ, eps=eps)]
-    # conjugate pairs adjacent, negative-imaginary member first
-    complexes.sort(key=lambda r: (r.box[0], r.box[1], max(abs(r.box[2]), abs(r.box[3])),
-                                  r.box[2]))
-    return reals + complexes
+    from sympy.polys.rootisolation import dup_isolate_all_roots_sqf
+    reals, complexes = dup_isolate_all_roots_sqf(_to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))
+    return ([AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True)
+             for lo, hi in reals]
+            + [AlgebraicNumber(fac, (_from_mpq(ax), _from_mpq(bx),
+                                     _from_mpq(ay), _from_mpq(by)), False)
+               for (ax, ay), (bx, by) in complexes])
 
 
 def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
-    """Complete complex root set of p with multiplicities, real roots first.
-
-    Each root carries the content-normalized irreducible factor it belongs to
-    as its minimal polynomial; multiplicities sum to deg p.
+    """Complete complex root set of p with multiplicities: real roots
+    increasing, then complex ones by box (re_lo, re_hi, im_lo), which may
+    part a conjugate pair (t^4 + 3t^2 + 1 gives -1.618i, -0.618i, 0.618i,
+    1.618i). Each root's minimal polynomial is the content-normalized
+    irreducible factor it belongs to; multiplicities sum to deg p.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
@@ -294,8 +289,7 @@ def has_positive_irrational_root(p: QPoly) -> bool:
     """
     r = p.square_free_part()
     positive = p.count_real_roots(0, 1 + max(abs(c) for c in r.coeffs))
-    return positive > 0 and positive > sum(
-        1 for x in _rational_roots(primitive_ints(r.coeffs)) if x > 0)
+    return positive > 0 and positive > sum(1 for x in rational_roots(p) if x > 0)
 
 
 # -- modulus decision ---------------------------------------------------------------

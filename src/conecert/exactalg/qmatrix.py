@@ -3,11 +3,13 @@
 Dimensions here are desk scale (at most ~10). Entries are `Fraction`s, but
 products, characteristic polynomials (Faddeev-LeVerrier) and polynomial
 evaluation run over integer numerators with one common denominator (`_ints`,
-`_int_product`). Elimination (`_echelon`) stays on `Fraction`; ranks of
-integer vectors are fraction free (`independent_rows`). Minimal polynomials
-come from the first linear dependence among matrix powers, and spectral
-projectors from polynomial interpolation on the minimal polynomial (h = 1 at
-the chosen eigenvalue, h = 0 on the complementary factor).
+`_int_product`). Elimination (`_echelon`) stays on `Fraction`: `rank`,
+`det`, `inverse`, `solve` (for `min_poly`), `nullspace` and the cone build
+call it; no decision or query on a built cone does. Ranks of integer vectors
+are fraction free (`independent_rows`). Minimal polynomials come from the
+first linear dependence among matrix powers, and spectral projectors from
+polynomial interpolation on the minimal polynomial (h = 1 at the chosen
+eigenvalue, h = 0 on the complementary factor).
 """
 from __future__ import annotations
 

@@ -123,12 +123,13 @@ def pullback_action(a) -> EndoAction:
         a = QMatrix.from_rows(a)
     if not a.is_square or a.rows != 2:
         raise DimensionMismatchError("endomorphism matrix must be 2 x 2")
-    if a.det() == 0:
+    det = a.det()
+    if det == 0:
         raise SingularMatrixError("endomorphism matrix must be invertible")
     basis = (FIBRE_FIRST, DIAGONAL_MIXED, FIBRE_SECOND)
     cols = [pullback_class(a, e).as_vector() for e in basis]
     ns = QMatrix.from_columns(cols)
-    if ns.det() != a.det() ** 3:
+    if ns.det() != det ** 3:
         raise InternalCheckError("congruence action determinant identity failed")
     return EndoAction(a=a, ns_matrix=ns)
 

@@ -37,9 +37,9 @@ from .dynamics import (
 from .errors import InternalCheckError, IrrationalCandidateOnlyError
 from .exactalg import (
     QMatrix,
-    factor_rational,
     independent_rows,
     primitive_ints,
+    rational_roots,
     vec_add,
     vec_scale,
 )
@@ -215,10 +215,7 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
         if not cm.invariance_checked:
             result.failures.append(f"case {case}: invariance unexpectedly failed")
             continue
-        rational_roots = [-fac.coeffs[0] / fac.coeffs[1]
-                          for fac, _ in factor_rational(cm.char_poly)
-                          if fac.degree == 1]
-        rational_candidates = [r for r in rational_roots if r > 0]
+        rational_candidates = [r for r in rational_roots(cm.char_poly) if r > 0]
         try:
             decision = decide_polarization(cm)
             verdict = decision.status.value
@@ -229,9 +226,9 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
             collect.append(CaseOutcome(inst.kind, verdict, inst.matrix,
                                        decision and decision.certificate))
 
-        growth_bounded = [q for q in sorted(set(rational_candidates))
+        growth_bounded = [q for q in rational_candidates
                           if empirical_growth_max(inst.matrix, q) < GROWTH_THRESHOLD]
-        spectral_bounded = [q for q in sorted(set(rational_candidates))
+        spectral_bounded = [q for q in rational_candidates
                             if is_power_bounded(inst.matrix, q)]
         if growth_bounded != spectral_bounded:
             result.failures.append(

@@ -21,9 +21,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .cones import MAX_CYCLIC_ORDER
 from .dynamics import restricted_degree
 from .errors import CapExceededError, PreconditionViolatedError
+
+MAX_CYCLIC_ORDER = 64  # largest order tabulated; the tables grow as order^3
 
 
 @dataclass(frozen=True)

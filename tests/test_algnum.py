@@ -12,6 +12,7 @@ from conecert.exactalg import (
     factor_rational,
     has_positive_irrational_root,
     modulus_equals,
+    rational_roots,
     roots_with_multiplicity,
 )
 from conecert.exactalg.algnum import ISOLATION_WIDTH
@@ -63,6 +64,8 @@ def test_mixed_spectrum():
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
         roots_with_multiplicity(QPoly([]))
+    with pytest.raises(ZeroPolynomialError):
+        rational_roots(QPoly([]))
 
 
 def test_algebraic_number_is_a_value():
@@ -220,12 +223,15 @@ def test_factor_rational_matches_sympy():
              QPoly([-2, 0, 0, 1]) ** 3,                           # (t^3 - 2)^3
              QPoly([1, 0, 0, 0, 1]),                              # t^4 + 1
              QPoly([-2, 0, 1]) * QPoly([-3, 0, 1]),               # quartic, no rational root
-             QPoly([Fraction(1, 6), Fraction(-5, 6), 1])]         # (t - 1/2)(t - 1/3)
+             QPoly([Fraction(1, 6), Fraction(-5, 6), 1]),         # (t - 1/2)(t - 1/3)
+             QPoly([5])]                                          # a constant
     seen = set()
     for p in fixed + [_random_factored(rng) for _ in range(300)]:
         want = _sympy_factor_list(p)
         assert factor_rational(p) == want, p
         linear = [fac for fac, _ in want if fac.degree == 1]
+        # rational_roots: the distinct roots of the linear factors, increasing
+        assert rational_roots(p) == sorted(-fac.coeffs[0] / fac.coeffs[1] for fac in linear)
         rest = sum(fac.degree for fac, _ in want if fac.degree > 1)
         seen.add("all rational" if rest == 0 else
                  "no rational root" if not linear else "mixed")
@@ -238,6 +244,23 @@ def test_factor_rational_matches_sympy():
     assert seen >= {"all rational", "no rational root", "mixed", "cofactor degree 2",
                     "cofactor degree 3", "cofactor degree 4", "zero root", "repeated root",
                     "denominator", "large leading coefficient"}
+
+
+def test_complex_root_order_is_pinned():
+    """Complex roots sort by the real side of their box, then its lower
+    imaginary edge, so conjugate pairs need not be adjacent."""
+    cases = {
+        QPoly([1, 0, 3, 0, 1]): [(0, -1.618), (0, -0.618), (0, 0.618), (0, 1.618)],
+        QPoly([1, 0, 0, 0, 0, 0, 1]): [(-0.866, -0.5), (-0.866, 0.5), (0, -1), (0, 1),
+                                       (0.866, -0.5), (0.866, 0.5)],
+    }
+    for p, want in cases.items():
+        roots = roots_with_multiplicity(p)
+        assert all(m == 1 and not r.is_real for r, m in roots)
+        got = [(round(r.approx().real, 3), round(r.approx().imag, 3)) for r, _ in roots]
+        assert got == [(float(a), float(b)) for a, b in want]
+        boxes = [(r.box[0], r.box[1], r.box[2]) for r, _ in roots]
+        assert boxes == sorted(boxes)
 
 
 def test_modulus_equals_spectrum():

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.cones import MAX_CYCLIC_ORDER
 from conecert.errors import ConecertError
 from conecert.exactalg import AlgebraicNumber, qmatrix
 from conecert.report import dumps_canonical, render_text
 from conecert.scenarios import BUILTIN_SCENARIOS, SCENARIO_SCHEMA, run_scenario
+from conecert.singularities import MAX_CYCLIC_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -539,6 +539,19 @@ def test_selftest_exits_zero():
     result = run_cli("selftest", "--seed", "1")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "selftest passed" in result.stdout
+
+
+def test_selftest_imports_no_sympy():
+    """The selftest reads rational eigenvalues with `rational_roots`, so the
+    command as a user runs it never imports sympy."""
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "conecert",
+                             "selftest", "--seed", "1"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "selftest passed" in result.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "conecert.selftest" in imported
+    assert [name for name in imported if name.split(".")[0] == "sympy"] == []
 
 
 @pytest.mark.parametrize("max_dim", ["0", "1", "-3", "9", "11", "40", "2"])

@@ -107,6 +107,62 @@ def test_membership_relative_to_span():
         assert membership(wedge, off_span) is Membership.OUTSIDE
 
 
+def _solve_coordinates(cone, x):
+    """The reference: one exact solution of E c = x, E the span basis as
+    columns, or None."""
+    return QMatrix.from_columns(list(cone.span_basis)).solve(x)
+
+
+def _proper_span_cones(rng, count):
+    """Seeded pointed cones whose generators span a proper subspace, with
+    rational basis entries."""
+    out = []
+    while len(out) < count:
+        ambient = rng.randrange(2, 7)
+        span = rng.randrange(1, ambient)
+        basis = [[Fraction(rng.randrange(-3, 4), rng.choice([1, 1, 2, 3]))
+                  for _ in range(ambient)] for _ in range(span)]
+        gens = []
+        for _ in range(rng.randrange(1, 8)):
+            coeffs = [rng.randrange(1, 3)] + [rng.randrange(-1, 2) for _ in range(span - 1)]
+            gens.append([sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(ambient)])
+        try:
+            out.append(build_cone(gens))
+        except (EmptyInputError, ContainsLineError):
+            continue
+    return out
+
+
+def test_span_coordinates_match_the_solve_reference():
+    """Coordinates read at the pivot columns agree with an exact solve on
+    generators, on points of the span and on points off it."""
+    rng = random.Random(20261019)
+    seen = Counter()
+    for cone in _proper_span_cones(rng, 40):
+        assert cone.dim < cone.ambient_dim
+        pivots = [next(j for j, v in enumerate(b) if v) for b in cone.span_basis]
+        off_pivot = [j for j in range(cone.ambient_dim) if j not in pivots]
+        inside = [vector(sum(c * b[i] for c, b in zip(coeffs, cone.span_basis))
+                         for i in range(cone.ambient_dim))
+                  for coeffs in ([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                                  for _ in range(cone.dim)] for _ in range(3))]
+        # a unit vector at a column with no pivot is off the span, so is x + e_j
+        outside = [vec_add(x, vector(int(i == rng.choice(off_pivot))
+                                     for i in range(cone.ambient_dim))) for x in inside]
+        outside.append(vector(rng.randrange(-5, 6) for _ in range(cone.ambient_dim)))
+        for kind, points in (("generator", cone.generators), ("inside", inside),
+                             ("outside", outside)):
+            for x in points:
+                got = cone.span_coordinates(x)
+                assert got == _solve_coordinates(cone, x), (cone, x)
+                seen[kind, got is None] += 1
+    assert seen["generator", True] == seen["inside", True] == 0
+    assert seen["generator", False] >= 40 and seen["inside", False] == 120
+    assert seen["outside", True] >= 120
+    full = build_cone([(1, 0), (1, 1)])
+    assert full.span_coordinates((Fraction(1, 2), -3)) == (Fraction(1, 2), -3)
+
+
 def test_minimal_face_examples(quadrant, octant, square_cone):
     ray = minimal_extremal_face(quadrant, [[1, 0]])
     assert ray.generator_indices == (0,)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -5,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conecert import cones, dynamics
-from conecert.cones import Membership, build_cone, membership, psd_cone_oracle
+from conecert import cones, dynamics, scenarios
+from conecert.cones import (
+    Membership,
+    build_cone,
+    membership,
+    minimal_extremal_face,
+    psd_cone_oracle,
+)
 from conecert.dynamics import (
     AbelianInvariantVerdict,
     ConeMap,
@@ -336,6 +343,105 @@ def test_span_restricted_cone_map():
     assert cert.transverse_char_poly.coeffs == (2, 1)  # the off-span eigenvalue -2
 
 
+SQUARE_RAYS = [(1, 1, 1), (1, 1, -1), (1, -1, -1), (1, -1, 1)]
+
+
+def _proper_span_maps(rng, count):
+    """Seeded maps M = S B S^-1 on Q^n with a cone S C, C in the first d < n
+    coordinates, and B = [[A, X], [0, D]] for an automorphism A of C.
+
+    A is q times a cyclic shift of a simplicial C (polarized), a diagonal
+    map with two distinct weights (not polarized), a 2-cycle of weights 1
+    and 2 (a sqrt(2) eigenvalue: irrational candidate only), or q times a
+    quarter turn of the square cone in d = 3. Yields (intent, M, generators).
+    """
+    out = []
+    while len(out) < count:
+        n = rng.randrange(2, 7)
+        d = rng.randrange(1, n)
+        intent = rng.choice(["polarized", "not_polarized", "irrational", "square"])
+        q = rng.randrange(1, 4)
+        shift = [[int(i == (j + 1) % d) for j in range(d)] for i in range(d)]
+        if intent == "square" and d == 3:
+            local = SQUARE_RAYS
+            a = [[q, 0, 0], [0, 0, -q], [0, q, 0]]
+        elif intent == "not_polarized" and d >= 2:
+            local = [[int(i == j) for j in range(d)] for i in range(d)]
+            a = [[(2 + (i == 0)) * (i == j) for j in range(d)] for i in range(d)]
+        elif intent == "irrational" and d >= 2:
+            local = [[int(i == j) for j in range(d)] for i in range(d)]
+            a = [[int(i == j) * q for j in range(d)] for i in range(d)]
+            a[0][0] = a[1][1] = 0
+            a[0][1], a[1][0] = 2 * q, q
+        else:
+            intent = "polarized"
+            local = [[int(i == j) for j in range(d)] for i in range(d)]
+            a = [[q * x for x in row] for row in shift]
+        b = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i < d and j < d:
+                    b[i][j] = a[i][j]
+                elif j >= d and (i < j or i == j):
+                    b[i][j] = rng.choice([-2, -1, 1, 2]) if i == j else rng.randrange(-2, 3)
+        s = QMatrix.from_rows([[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)])
+        if s.det() == 0:
+            continue
+        m = s * QMatrix.from_rows(b) * s.inverse()
+        gens = [s.apply(list(g) + [0] * (n - d)) for g in local]
+        out.append((intent, m, [[int(x) for x in g] for g in gens]))
+    return out
+
+
+def test_no_elimination_after_the_cone_build(monkeypatch):
+    """Span coordinates are read at the pivot columns, so on proper-span
+    cones no decision and no cone query runs an elimination once
+    `build_cone` has returned."""
+    calls, armed = [], []
+    echelon, solve, build = QMatrix._echelon, QMatrix.solve, scenarios.build_cone
+
+    def spy(name, method):
+        def counting(self, *args):
+            if armed:
+                calls.append(name)
+            return method(self, *args)
+        return counting
+
+    def building(*args, **kwargs):
+        armed.clear()
+        cone = build(*args, **kwargs)
+        armed.append(True)
+        return cone
+
+    monkeypatch.setattr(QMatrix, "_echelon", spy("_echelon", echelon))
+    monkeypatch.setattr(QMatrix, "solve", spy("solve", solve))
+    monkeypatch.setattr(scenarios, "build_cone", building)
+    seen = set()
+    for intent, m, gens in _proper_span_maps(random.Random(20261019), 40):
+        armed.clear()
+        cone = build_cone(gens)
+        assert cone.dim < cone.ambient_dim
+        armed.append(True)
+        cm = ConeMap.create(m, cone)
+        assert cm.invariance_checked
+        assert all(membership(cone, g) is not Membership.OUTSIDE for g in gens)
+        assert membership(cone, cone.interior_sample()) is Membership.INTERIOR
+        assert minimal_extremal_face(cone, gens[:1]).generator_indices
+        try:
+            status = decide_polarization(cm).status.value
+        except IrrationalCandidateOnlyError:
+            status = "irrational_candidate_only"
+        doc = {"schema_version": "1", "kind": "cone_dynamics",
+               "payload": {"matrix": [[str(x) for x in m.row(i)] for i in range(m.rows)],
+                           "cone": {"type": "polyhedral", "generators": gens}}}
+        assert run_scenario(doc)["verdicts"]["status"] == status
+        seen.add((intent, status))
+        assert calls == [], (intent, calls)
+    assert seen == {("polarized", "polarized"), ("square", "polarized"),
+                    ("not_polarized", "not_polarized"),
+                    ("irrational", "irrational_candidate_only")}
+
+
 def test_psd_congruence_test_rejects_non_preserving_map():
     # diag(1, 1, -1) on (a, b, c) coordinates flips the second diagonal
     # entry, sending the identity form to an indefinite one
@@ -436,6 +542,19 @@ def test_non_interior_projection_is_an_internal_error(monkeypatch):
             decide_polarization(cm)
         with pytest.raises(InternalCheckError):
             interior_eigenvector(cm, q)
+
+
+def test_certificate_check_needs_each_identity(quadrant):
+    """`_check_certificate` re-verifies P^2 = P and PM = qP (MP = qP is the
+    projector's own construction) and rejects a projector failing either."""
+    cm = ConeMap.create(SWAP2, quadrant)
+    cert = decide_polarization(cm).certificate
+    assert cert.projector == QMatrix.from_rows([[Fraction(1, 2)] * 2] * 2)
+    for rows, clause in (([[1, 0], [0, 0]], "intertwine"),      # P^2 = P, PM != 2P
+                         ([[1, 1], [1, 1]], "idempotent")):
+        bad = dataclasses.replace(cert, projector=QMatrix.from_rows(rows))
+        with pytest.raises(InternalCheckError, match=clause):
+            dynamics._check_certificate(cm, bad, SWAP2)
 
 
 def test_polyhedral_conclusive_refusal_tag():
