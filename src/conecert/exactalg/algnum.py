@@ -12,12 +12,19 @@ part from the Sturm chain the polynomial keeps (`QPoly.sturm_chain`), so the
 report, the decision and a refusal on one characteristic polynomial share
 one remainder sequence. `rational_roots` lifts p-adically (Hensel), and
 `factor_rational` splits them off as linear factors: a cofactor of degree 2
-or 3 left without one is irreducible. sympy is imported only inside
-`_sympy_factors` (a square-free cofactor of degree >= 4),
-`_isolate_irreducible` (the roots of an irreducible factor of degree >= 2)
-and `_count_in_box` (for `refine`), so `import conecert`, every decision and
-the selftest load none. Roots are isolated once, for the report, to boxes
-narrower than ISOLATION_WIDTH; `roots_with_multiplicity` states their order.
+or 3 left without one is irreducible.
+
+Roots are isolated once, for the report, to boxes narrower and lower than
+ISOLATION_WIDTH; `roots_with_multiplicity` states their order. Real roots
+of an irreducible factor of any degree >= 2 come from bisection on Sturm
+counts over the factor's own chain, and the non-real roots of an
+irreducible quadratic from its closed form with an `isqrt` bracket.
+sympy is imported only inside `_sympy_factors` (a square-free cofactor of
+degree >= 4), `_sympy_complex_boxes` (the non-real roots of an irreducible
+factor of degree >= 3) and `_count_in_box` (for `refine`). So `import
+conecert`, every decision and the selftest load none, nor does a report on
+a polynomial that, its rational roots divided out, is a power of one
+quadratic or of one cubic with three real roots.
 `AlgebraicNumber.refine` bisects a box further on request (exact sign
 evaluation for real roots, exact rectangle root counting, Collins-Krandick
 via sympy, for complex ones).
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 from typing import Sequence
 
 from ..errors import InternalCheckError, PreconditionViolatedError, ZeroPolynomialError
@@ -35,6 +42,10 @@ from .qpoly import QPoly, _frac
 
 # every isolating box is narrower and lower than this; reports print it as is
 ISOLATION_WIDTH = Fraction(1, 4096)
+
+# a closed-form quadratic box has half-sides 2^-14 (real) and 2^-k with
+# k >= 14 (imaginary), so both sides are inside ISOLATION_WIDTH
+_HALF_SIDE_BITS = 14
 
 # split fractions tried when a bisection line happens to pass through a root
 _SPLIT_FRACTIONS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -248,19 +259,84 @@ def _count_in_box(dup: list, box) -> int:
     return dup_count_complex_roots(dup, QQ, (_qq(a), _qq(c)), (_qq(b), _qq(d)))
 
 
+def _real_intervals(fac: QPoly) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the real roots of an irreducible fac of degree
+    >= 2, increasing.
+
+    Bisection on Sturm counts over fac's own chain, split at 0 first and
+    started from the dyadic Cauchy bound 2^e > |root|, until each interval
+    holds one root. fac has no rational root, so no endpoint is ever a
+    root. Every interval lies on one side of 0, which
+    `IrrationalCandidateOnlyError.candidate_minpoly` reads from its lower
+    end.
+    """
+    cauchy = 1 + max(abs(c) for c in fac.coeffs[:-1]) / fac.leading
+    top = Fraction(1 << (ceil(cauchy) - 1).bit_length())
+    out = []
+    todo = [(lo, hi, fac.count_real_roots(lo, hi)) for lo, hi in ((0, top), (-top, 0))]
+    while todo:
+        lo, hi, n = todo.pop()
+        if n > 1:
+            mid = (lo + hi) / 2
+            left = fac.count_real_roots(lo, mid)
+            todo += [(mid, hi, n - left), (lo, mid, left)]
+        elif n == 1:
+            out.append((lo, hi))
+    return out
+
+
+def _quadratic_complex_boxes(fac: QPoly) -> list[tuple[Fraction, ...]]:
+    """Boxes of the two non-real roots of a t^2 + b t + c (a > 0, b^2 < 4ac),
+    negative imaginary part first, from the closed form
+    -b/2a +- i sqrt(4ac - b^2)/2a.
+
+    The real side is -b/2a +- 2^-14, one half-width for every root, so
+    roots with equal real parts sort by their imaginary sides. With m =
+    floor(2^k sqrt(4ac - b^2)/2a), read by `isqrt`, the imaginary side is
+    (m -+ 1)/2^k, which holds the root strictly; k starts at 14 and grows
+    until m >= 2, so the conjugate boxes are disjoint.
+    """
+    c, b, a = (x.numerator for x in fac.coeffs)
+    re, half = Fraction(-b, 2 * a), Fraction(1, 1 << _HALF_SIDE_BITS)
+    k = _HALF_SIDE_BITS
+    while (m := isqrt((4 * a * c - b * b) << 2 * k) // (2 * a)) < 2:
+        k += 1
+    lo, hi = Fraction(m - 1, 1 << k), Fraction(m + 1, 1 << k)
+    return [(re - half, re + half, -hi, -lo), (re - half, re + half, lo, hi)]
+
+
+def _sympy_complex_boxes(fac: QPoly) -> list[tuple[Fraction, ...]]:
+    """Boxes of the non-real roots of fac by sympy (Collins-Krandick)."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
+    return [(_from_mpq(ax), _from_mpq(bx), _from_mpq(ay), _from_mpq(by))
+            for (ax, ay), (bx, by) in dup_isolate_complex_roots_sqf(
+                _to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))]
+
+
 def _isolate_irreducible(fac: QPoly) -> list[AlgebraicNumber]:
     """All roots of an irreducible primitive polynomial, real ones first in
-    increasing order; `roots_with_multiplicity` orders the complex ones."""
+    increasing order; `roots_with_multiplicity` orders the complex ones.
+
+    A linear factor gives its rational root. Real roots of every other
+    factor come from Sturm bisection (`_real_intervals`), narrowed below
+    ISOLATION_WIDTH by the sign halving of `refine`. The non-real
+    roots of a quadratic come from its closed form
+    (`_quadratic_complex_boxes`); only those of a factor of degree >= 3
+    need sympy (`_sympy_complex_boxes`), and only when it has any.
+    """
     if fac.degree == 1:
         return [AlgebraicNumber.from_rational(-fac.coeffs[0] / fac.coeffs[1])]
-    from sympy.polys.domains import QQ
-    from sympy.polys.rootisolation import dup_isolate_all_roots_sqf
-    reals, complexes = dup_isolate_all_roots_sqf(_to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))
-    return ([AlgebraicNumber(fac, (_from_mpq(lo), _from_mpq(hi), 0, 0), True)
-             for lo, hi in reals]
-            + [AlgebraicNumber(fac, (_from_mpq(ax), _from_mpq(bx),
-                                     _from_mpq(ay), _from_mpq(by)), False)
-               for (ax, ay), (bx, by) in complexes])
+    reals = []
+    for lo, hi in _real_intervals(fac):
+        root = AlgebraicNumber(fac, (lo, hi, 0, 0), True)
+        while root.box[1] - root.box[0] >= ISOLATION_WIDTH:
+            root = root._refine_real()
+        reals.append(root)
+    if len(reals) == fac.degree:
+        return reals
+    boxes = _quadratic_complex_boxes(fac) if fac.degree == 2 else _sympy_complex_boxes(fac)
+    return reals + [AlgebraicNumber(fac, box, False) for box in boxes]
 
 
 def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:

@@ -89,14 +89,15 @@ def test_refinement_nests_and_shrinks():
     root = next(r for r, _ in roots_with_multiplicity(SPECTRUM_POLY)
                 if not r.is_real)
     start = root
-    while root.box[1] - root.box[0] > Fraction(1, 10 ** 6):
+    steps = 0
+    while max(root.box[1] - root.box[0], root.box[3] - root.box[2]) > Fraction(1, 10 ** 6):
         finer = root.refine()
         a, b, c, d = root.box
         a2, b2, c2, d2 = finer.box
         assert a <= a2 <= b2 <= b and c <= c2 <= d2 <= d
         assert (b2 - a2) * (d2 - c2) < (b - a) * (d - c)
-        root = finer
-    assert root.minpoly == start.minpoly and not root.is_real
+        root, steps = finer, steps + 1
+    assert steps > 0 and root.minpoly == start.minpoly and not root.is_real
     z = root.approx()
     assert abs(z.real - (-4.0)) < 1e-5
     assert abs(abs(z.imag) - 4.47213595) < 1e-5
@@ -180,15 +181,29 @@ def test_factor_product_reconstructs_input(coeffs):
     for factor, mult in factors.items():
         rebuilt = rebuilt * factor.monic() ** mult
     assert rebuilt == p.monic()
-    # every isolating box actually pins its root: the box center comes within
-    # the box radius of a sign change / vanishing of the minimal polynomial
+    # every isolating box holds exactly one root of its minimal polynomial
     for root, _ in roots:
-        refined = _refined(root, Fraction(1, 1 << 20))
-        z = refined.approx()
-        value = complex(0)
-        for c in reversed(root.minpoly.coeffs):
-            value = value * z + complex(float(c))
-        assert abs(value) < 1e-3
+        lo, hi = root.box[:2]
+        if root.is_rational:
+            assert root.minpoly(lo) == 0
+        elif root.is_real:
+            assert root.minpoly.count_real_roots(lo, hi) == 1
+        else:
+            assert _sympy_count_in_box(root.minpoly, root.box) == 1
+
+
+def _dup(p: QPoly) -> list:
+    """p in sympy's dense form over QQ, highest degree first."""
+    from sympy.polys.domains import QQ
+    return [QQ(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+
+
+def _sympy_count_in_box(p: QPoly, box) -> int:
+    """The reference: sympy's count of the roots of p in a closed box."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rootisolation import dup_count_complex_roots
+    a, b, c, d = (QQ(x.numerator, x.denominator) for x in box)
+    return dup_count_complex_roots(_dup(p), QQ, (a, c), (b, d))
 
 
 def _sympy_factor_list(p: QPoly) -> list[tuple[QPoly, int]]:
@@ -261,6 +276,94 @@ def test_complex_root_order_is_pinned():
         assert got == [(float(a), float(b)) for a, b in want]
         boxes = [(r.box[0], r.box[1], r.box[2]) for r, _ in roots]
         assert boxes == sorted(boxes)
+
+
+def _sympy_roots(p: QPoly) -> list[tuple[QPoly, tuple, bool, int]]:
+    """The reference: (minimal polynomial, box, is real, multiplicity) of each
+    root of p, with sympy isolating every root of each irreducible factor
+    of degree >= 2, in the documented order."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rootisolation import dup_isolate_all_roots_sqf
+
+    def frac(x):
+        return Fraction(int(x.numerator), int(x.denominator))
+
+    out = []
+    for fac, mult in factor_rational(p):
+        if fac.degree == 1:
+            r = -fac.coeffs[0] / fac.coeffs[1]
+            out.append((fac, (r, r, 0, 0), True, mult))
+            continue
+        reals, complexes = dup_isolate_all_roots_sqf(
+            _dup(fac), QQ, eps=QQ(ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator))
+        out += [(fac, (frac(lo), frac(hi), 0, 0), True, mult) for lo, hi in reals]
+        out += [(fac, (frac(ax), frac(bx), frac(ay), frac(by)), False, mult)
+                for (ax, ay), (bx, by) in complexes]
+    out.sort(key=lambda r: (not r[2], r[1][0], r[1][1], r[1][2]))
+    return out
+
+
+def _meet(box, other) -> bool:
+    return (max(box[0], other[0]) <= min(box[1], other[1])
+            and max(box[2], other[2]) <= min(box[3], other[3]))
+
+
+def _random_spectrum(rng: random.Random) -> QPoly:
+    """A seeded random integer quadratic or (one time in sixteen) cubic,
+    maybe squared, times up to two rational roots of multiplicity 1 or 2.
+    sympy's complex isolation, on both sides for a cubic, sets the test's
+    pace."""
+    degree = rng.choice((2,) * 15 + (3,))
+    p = QPoly([rng.randint(-9, 9) for _ in range(degree)]
+              + [rng.randint(1, 9)]) ** rng.choice((1, 1, 2))
+    for _ in range(rng.randint(0, 2)):
+        root = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        p = p * QPoly.linear_root(root) ** rng.randint(1, 2)
+    return p
+
+
+def test_isolation_matches_sympy():
+    """Real boxes from Sturm bisection and quadratic boxes from the closed
+    form each provably hold their root and meet sympy's box; complex boxes
+    of factors of degree >= 3 are sympy's own; order and multiplicities
+    are sympy's."""
+    rng = random.Random(20261019)
+    fixed = [QPoly([1, -3, 0, 1]),                                # three real roots
+             QPoly([-5, 0, 1]) * QPoly([36, 8, 1]),               # the cli quadratics
+             QPoly([1, 0, 10 ** 9]),                              # imaginary part 3e-5
+             QPoly([10 ** 8 - 2, -2 * 10 ** 8, 10 ** 8]),         # 1 +- 1.4e-4
+             QPoly([-2, 0, 4096 ** 2]),                           # +-3.5e-4, split at 0
+             QPoly([2, 0, -4, 0, 1]),                             # four real roots
+             QPoly([1, 0, 1]) * QPoly([4, 0, 1]),                 # equal real parts
+             QPoly([1, -5, 0, 0, 0, 1]) ** 2]                     # 3 real, 2 complex
+    seen = set()
+    for p in fixed + [_random_spectrum(rng) for _ in range(300)]:
+        want = _sympy_roots(p)
+        got = roots_with_multiplicity(p)
+        assert len(got) == len(want), p
+        for (root, mult), (fac, ref_box, ref_real, ref_mult) in zip(got, want):
+            assert (root.minpoly, root.is_real, mult) == (fac, ref_real, ref_mult), p
+            assert _meet(root.box, ref_box), p
+            if fac.degree == 1:
+                assert root.box == ref_box
+                continue
+            lo, hi, im_lo, im_hi = root.box
+            assert hi - lo < ISOLATION_WIDTH and im_hi - im_lo < ISOLATION_WIDTH, p
+            if root.is_real:
+                assert fac(lo) * fac(hi) < 0 and fac.count_real_roots(lo, hi) == 1, p
+                assert lo >= 0 or hi <= 0, p
+                seen.add(f"real, degree {min(fac.degree, 3)}")
+            elif fac.degree == 2:
+                c, b, a = fac.coeffs
+                low, high = (im_lo, im_hi) if im_lo > 0 else (-im_hi, -im_lo)
+                assert lo < -b / (2 * a) < hi and 0 < low, p
+                assert low ** 2 < (4 * a * c - b * b) / (4 * a * a) < high ** 2, p
+                seen.add("complex, degree 2")
+            else:
+                assert root.box == ref_box, p
+                seen.add("complex, degree 3")
+    assert seen == {"real, degree 2", "real, degree 3", "complex, degree 2",
+                    "complex, degree 3"}
 
 
 def test_modulus_equals_spectrum():

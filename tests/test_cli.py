@@ -162,6 +162,21 @@ report = run_scenario({"schema_version": "1", "kind": "cone_dynamics", "payload"
 assert report["verdicts"]["status"] == "polarized"
 assert report["data"]["q"] == {"tag": "exact", "value": "6"}
 unloaded("a polarized psd(2) map with rational eigenvalues")
+for name in ("ex1", "ex2"):
+    assert main(["examples", name, "--json", sys.argv[1]]) == 0
+    unloaded("examples " + name)
+report = run_scenario({"schema_version": "1", "kind": "cone_dynamics", "payload": {
+    "matrix": [[0, 5], [1, 0]],
+    "cone": {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}}})
+assert report["verdicts"]["status"] == "irrational_candidate_only"
+assert report["data"]["candidate_minpoly"]["value"] == ["-5", "0", "1"]
+unloaded("an irrational-only map with eigenvalues -+ sqrt 5")
+# the companion matrix of t^3 - 3t + 1, whose three roots are real
+report = run_scenario({"schema_version": "1", "kind": "cone_dynamics", "payload": {
+    "matrix": [[0, 0, -1], [1, 0, 3], [0, 1, 0]],
+    "cone": {"type": "polyhedral", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}})
+assert [e["is_real"] for e in report["data"]["eigenvalues"]] == [True] * 3
+unloaded("a map with an irreducible cubic of three real roots")
 
 from fractions import Fraction
 from conecert import ConeMap, build_cone, decide_polarization
@@ -190,7 +205,8 @@ for rows in ([[0, 2], [1, 0]], [[0, Fraction(1, 1000)], [1, 0]]):
 
 def test_rational_answers_load_no_sympy(tmp_path):
     # a fresh interpreter, since this one has imported sympy for other tests;
-    # decisions load none either, refusals included
+    # decisions load none either, refusals included, and neither do reports
+    # on quadratic or real-rooted spectra
     result = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, str(tmp_path / "r.json")],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
