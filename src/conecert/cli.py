@@ -25,7 +25,6 @@ from .cones import MAX_AMBIENT_DIM
 from .errors import ConecertError, InternalCheckError
 from .report import dumps_canonical, render_text
 from .scenarios import BUILTIN_SCENARIOS, run_scenario
-from .selftest import run_all
 
 EXIT_OK = 0
 EXIT_SCENARIO_ERROR = 2
@@ -78,6 +77,7 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_all    # here, so that no other command pays its import
     max_dim = 4 if args.max_dim is None else args.max_dim
     if not 2 <= max_dim <= MAX_AMBIENT_DIM:
         print(f"--max-dim must be between 2 and {MAX_AMBIENT_DIM} for selftest, "

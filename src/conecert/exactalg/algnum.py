@@ -345,14 +345,40 @@ def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
     part a conjugate pair (t^4 + 3t^2 + 1 gives -1.618i, -0.618i, 0.618i,
     1.618i). Each root's minimal polynomial is the content-normalized
     irreducible factor it belongs to; multiplicities sum to deg p.
+
+    Real boxes of different factors can overlap, as the identical boxes of
+    sqrt 2 and sqrt 2.00000001 do; `_separate_reals` then halves them until
+    they are disjoint, so box order is root order. No other box changes.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
     out = [(root, mult) for fac, mult in factor_rational(p)
            for root in _isolate_irreducible(fac)]
-    out.sort(key=lambda rm: (0 if rm[0].is_real else 1,
-                             rm[0].box[0], rm[0].box[1], rm[0].box[2]))
-    return out
+    reals = _separate_reals([rm for rm in out if rm[0].is_real])
+    complexes = sorted((rm for rm in out if not rm[0].is_real),
+                       key=lambda rm: (rm[0].box[0], rm[0].box[1], rm[0].box[2]))
+    return reals + complexes
+
+
+def _separate_reals(reals: list[tuple[AlgebraicNumber, int]]) -> list[tuple[AlgebraicNumber, int]]:
+    """reals in increasing order of root, each irrational box that overlaps
+    a neighbour's halved until none does.
+
+    Sorted by (lo, hi), neighbours a, b with b.lo < a.hi overlap. Once no
+    neighbours do, each root lies below the next one's box: an irrational
+    root is strictly inside its box, and distinct roots never share a
+    rational point, so the order is strict.
+    """
+    while True:
+        reals.sort(key=lambda rm: (rm[0].box[0], rm[0].box[1]))
+        tied = {j for i in range(len(reals) - 1)
+                if reals[i + 1][0].box[0] < reals[i][0].box[1] for j in (i, i + 1)}
+        if not tied:
+            return reals
+        for j in tied:
+            root, mult = reals[j]
+            if not root.is_rational:
+                reals[j] = (root._refine_real(), mult)
 
 
 def has_positive_irrational_root(p: QPoly) -> bool:

@@ -1,7 +1,13 @@
 """Scenario documents: schema validation, built-in scenarios, dispatch.
 
 A scenario is a UTF-8 JSON document {schema_version, kind, payload}, checked
-against the package data file `scenario.schema.json`. Matrix and vector
+against the package data file `scenario.schema.json` by `validate_scenario`.
+Its checker knows exactly the JSON Schema keywords that file uses: `type`,
+`required`, `additionalProperties`, `properties`, `const`, `enum`, `allOf`,
+`if`, `then`, `items`, `oneOf`, `pattern`, `minItems` and `minimum`, with
+`$schema` and `title` read as annotations; loading a schema with any other
+keyword raises InternalCheckError. `integer` means a JSON integer, never a
+float: 2.0 is rejected where draft 7 would accept it. Matrix and vector
 entries are integers or "p/q" strings; decimal floats are rejected by the
 schema so exact values survive the round trip. Data the schema cannot rule
 out (ragged rows, a zero denominator, a non-integer endomorphism entry) is
@@ -14,11 +20,10 @@ on it (ex2), and the cyclic quotient of projective space times a torus power
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Optional
-
-import jsonschema
+from typing import Any, Iterator, Optional
 
 from .cones import build_cone, psd_cone_oracle
 from .dynamics import (
@@ -29,21 +34,117 @@ from .dynamics import (
     product_formula_check,
     q_from_degree,
 )
-from .errors import ConecertError, IrrationalCandidateOnlyError, ScenarioError
+from .errors import (
+    ConecertError,
+    InternalCheckError,
+    IrrationalCandidateOnlyError,
+    ScenarioError,
+)
 from .exactalg import QMatrix, roots_with_multiplicity
 from .nslattice import elliptic_product_report, quotient_image_selfintersection
 from .report import SCHEMA_VERSION, algebraic_number_doc, approx, exact
 from .singularities import product_quotient_report
 
-SCENARIO_SCHEMA: dict[str, Any] = json.loads(
-    resources.files(__package__).joinpath("scenario.schema.json").read_text(encoding="utf-8"))
+# -- schema validation ----------------------------------------------------------------------
+
+_KEYWORDS = frozenset({
+    "$schema", "title", "type", "required", "additionalProperties", "properties", "const",
+    "enum", "allOf", "if", "then", "items", "oneOf", "pattern", "minItems", "minimum"})
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+
+
+def _checked_schema(schema, path: str = "#"):
+    """schema itself, once every keyword and type name in it, at any depth,
+    is one `_schema_errors` checks."""
+    if isinstance(schema, bool):
+        return schema
+    if not isinstance(schema, dict):
+        raise InternalCheckError(f"scenario schema at {path} is not a schema")
+    unknown = sorted(schema.keys() - _KEYWORDS)
+    if schema.get("type", "object") not in _TYPES:
+        unknown.append(f"type {schema['type']!r}")
+    if unknown:
+        raise InternalCheckError(f"scenario schema at {path} uses {', '.join(unknown)}, "
+                                 "which the validator does not check")
+    subschemas = [(key, schema[key]) for key in ("additionalProperties", "if", "then", "items")
+                  if key in schema]
+    subschemas += [(f"{key}/{i}", sub) for key in ("allOf", "oneOf")
+                   for i, sub in enumerate(schema.get(key, ()))]
+    subschemas += [(f"properties/{name}", sub)
+                   for name, sub in schema.get("properties", {}).items()]
+    for where, sub in subschemas:
+        _checked_schema(sub, f"{path}/{where}")
+    return schema
+
+
+def _json_equal(a, b) -> bool:
+    # JSON tells true from 1, where Python's == does not
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(value, schema, path: str) -> Iterator[tuple[str, str]]:
+    """(JSON pointer, message) of each way value fails schema, lazily."""
+    if schema is True:
+        return
+    if schema is False:
+        yield path, "is not allowed"
+        return
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        yield path, f"is not of type {schema['type']}"
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        yield path, f"is not {schema['const']!r}"
+    if "enum" in schema and not any(_json_equal(value, e) for e in schema["enum"]):
+        yield path, f"is not one of {schema['enum']}"
+    if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):
+        yield path, f"does not match {schema['pattern']!r}"
+    if ("minimum" in schema and isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value < schema["minimum"]):
+        yield path, f"is less than the minimum of {schema['minimum']}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"has fewer than {schema['minItems']} items"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, schema["items"], f"{path}/{i}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"lacks the required property {key!r}"
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            sub = properties.get(key, schema.get("additionalProperties", True))
+            # a JSON pointer writes ~ as ~0 and / as ~1
+            step = str(key).replace("~", "~0").replace("/", "~1")
+            yield from _schema_errors(item, sub, f"{path}/{step}")
+    for sub in schema.get("allOf", ()):
+        yield from _schema_errors(value, sub, path)
+    if "if" in schema and _is_valid(value, schema["if"]):
+        yield from _schema_errors(value, schema.get("then", True), path)
+    if "oneOf" in schema:
+        matched = sum(_is_valid(value, sub) for sub in schema["oneOf"])
+        if matched != 1:
+            yield path, f"matches {matched} of the {len(schema['oneOf'])} oneOf alternatives, not 1"
+
+
+def _is_valid(value, schema) -> bool:
+    return next(_schema_errors(value, schema, ""), None) is None
+
+
+SCENARIO_SCHEMA: dict[str, Any] = _checked_schema(json.loads(
+    resources.files(__package__).joinpath("scenario.schema.json").read_text(encoding="utf-8")))
 
 
 def validate_scenario(doc: dict) -> None:
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"scenario fails schema validation: {exc.message}") from exc
+    """Raise ScenarioError naming the JSON pointer of the first node of doc
+    that fails `SCENARIO_SCHEMA`."""
+    for path, message in _schema_errors(doc, SCENARIO_SCHEMA, ""):
+        raise ScenarioError(f"scenario fails schema validation at {path or '/'}: {message}")
 
 
 def _parse_entry(v) -> Fraction:

@@ -278,6 +278,26 @@ def test_complex_root_order_is_pinned():
         assert boxes == sorted(boxes)
 
 
+def test_real_roots_increase_across_tied_boxes():
+    """Real roots of different factors that isolate to one box (sqrt 2 and
+    sqrt 2.00000001), or a rational root inside another factor's box
+    (1.4142 beside sqrt 2), are separated before they are sorted."""
+    sqrt2, near = QPoly([-2, 0, 1]), QPoly([-200000001, 0, 10 ** 8])
+    point = QPoly.linear_root(Fraction(7071, 5000))
+    cases = {sqrt2 * near: [near, sqrt2, sqrt2, near],
+             sqrt2 * point: [sqrt2, point, sqrt2],
+             sqrt2 * near * point: [near, sqrt2, point, sqrt2, near]}
+    for p, want in cases.items():
+        roots = [r for r, _ in roots_with_multiplicity(p)]
+        assert all(r.is_real for r in roots)
+        assert [r.minpoly for r in roots] == [f.content_normalized() for f in want]
+        for r in roots:
+            lo, hi = r.box[:2]
+            assert lo == hi or (r.minpoly(lo) * r.minpoly(hi) < 0
+                                and r.minpoly.count_real_roots(lo, hi) == 1)
+        assert all(a.box[1] <= b.box[0] for a, b in zip(roots, roots[1:]))
+
+
 def _sympy_roots(p: QPoly) -> list[tuple[QPoly, tuple, bool, int]]:
     """The reference: (minimal polynomial, box, is real, multiplicity) of each
     root of p, with sympy isolating every root of each irreducible factor

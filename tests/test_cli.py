@@ -1,3 +1,4 @@
+import copy
 import json
 import runpy
 import subprocess
@@ -9,14 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.errors import ConecertError
+from conecert import scenarios
+from conecert.errors import ConecertError, InternalCheckError, ScenarioError
 from conecert.exactalg import AlgebraicNumber, qmatrix
 from conecert.report import dumps_canonical, render_text
-from conecert.scenarios import BUILTIN_SCENARIOS, SCENARIO_SCHEMA, run_scenario
+from conecert.scenarios import (
+    BUILTIN_SCENARIOS,
+    SCENARIO_SCHEMA,
+    run_scenario,
+    validate_scenario,
+)
 from conecert.singularities import MAX_CYCLIC_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
+
+
+QUADRANT = {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}
+OCTANT = {"type": "polyhedral", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
 
 def run_cli(*args, **kwargs):
@@ -62,6 +73,7 @@ def test_malformed_file_exits_2(tmp_path):
     result = run_cli("analyze", str(bad))
     assert result.returncode == 2
     assert result.stdout == ""          # no partial report
+    assert result.stderr.startswith("scenario error: scenario fails schema validation at /:")
     missing = run_cli("analyze", str(tmp_path / "nope.json"))
     assert missing.returncode == 2
     not_json = tmp_path / "not.json"
@@ -149,7 +161,8 @@ from conecert.cli import main
 from conecert.scenarios import run_scenario
 
 def unloaded(step):
-    assert "sympy" not in sys.modules, "sympy loaded by " + step
+    for name in ("sympy", "jsonschema"):
+        assert name not in sys.modules, name + " loaded by " + step
 
 unloaded("import conecert")
 assert main(["examples", "ex-xu", "--json", sys.argv[1]]) == 0
@@ -165,6 +178,7 @@ unloaded("a polarized psd(2) map with rational eigenvalues")
 for name in ("ex1", "ex2"):
     assert main(["examples", name, "--json", sys.argv[1]]) == 0
     unloaded("examples " + name)
+    assert "conecert.selftest" not in sys.modules, "examples " + name + " loaded the selftest"
 report = run_scenario({"schema_version": "1", "kind": "cone_dynamics", "payload": {
     "matrix": [[0, 5], [1, 0]],
     "cone": {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}}})
@@ -204,9 +218,10 @@ for rows in ([[0, 2], [1, 0]], [[0, Fraction(1, 1000)], [1, 0]]):
 
 
 def test_rational_answers_load_no_sympy(tmp_path):
-    # a fresh interpreter, since this one has imported sympy for other tests;
-    # decisions load none either, refusals included, and neither do reports
-    # on quadratic or real-rooted spectra
+    # a fresh interpreter, since this one has imported sympy and jsonschema for
+    # other tests; decisions load neither, refusals included, and neither do
+    # reports on quadratic or real-rooted spectra; only `selftest` loads the
+    # selftest module
     result = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, str(tmp_path / "r.json")],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -224,6 +239,24 @@ def test_float_entries_rejected(tmp_path):
     path = tmp_path / "floats.json"
     path.write_text(json.dumps(doc))
     assert run_cli("analyze", str(path)).returncode == 2
+
+
+@pytest.mark.parametrize("kind, payload, where", [
+    ("age_check", {"order": 3.0, "projective_m": 3, "scale_r": 2,
+                   "abelian_weights": [1, 1, 1]}, "/payload/order"),
+    ("degree_check", {"dim_x": 2.0, "deg_f": 36}, "/payload/dim_x"),
+    ("ns_example", {"endomorphism": [[1, -5], [1, 2.0]]}, "/payload/endomorphism/1/1"),
+    ("cone_dynamics", {"matrix": [[0, 2.0], [2, 0]], "cone": QUADRANT}, "/payload/matrix/0/1"),
+], ids=["age-order", "degree-dim", "ns-entry", "cone-entry"])
+def test_integral_floats_rejected(tmp_path, kind, payload, where):
+    """Draft 7 counts 2.0 as an integer; the scenario schema does not, so no
+    float reaches the analysis."""
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": kind, "payload": payload}))
+    result = run_cli("analyze", str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"scenario error: scenario fails schema validation at {where}:")
+    assert result.stdout == ""
 
 
 def test_irrational_candidate_reported(tmp_path):
@@ -392,8 +425,6 @@ def test_semantically_bad_scenario_exits_2(tmp_path):
     assert run_cli("analyze", str(path)).returncode == 2
 
 
-QUADRANT = {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}
-OCTANT = {"type": "polyhedral", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 # Python reads and prints integers of at most 4,300 digits
 LONG = "7" * 5000
 WIDE = "1" + "0" * 1500
@@ -456,7 +487,29 @@ def test_scenario_schema_is_valid_draft7():
     jsonschema.Draft7Validator.check_schema(SCENARIO_SCHEMA)
 
 
-entries = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/2", "4/2", "1/0", LONG])
+@pytest.mark.parametrize("where, keyword, value", [
+    (("allOf", 0, "then", "properties", "payload", "properties", "matrix"), "maxItems", 8),
+    ((), "else", {}),
+    (("properties", "name"), "type", "number"),
+], ids=["maxItems", "else", "type-number"])
+def test_schema_with_an_unchecked_keyword_is_refused(where, keyword, value):
+    schema = copy.deepcopy(SCENARIO_SCHEMA)
+    node = schema
+    for step in where:
+        node = node[step]
+    node[keyword] = value
+    with pytest.raises(InternalCheckError, match=keyword):
+        scenarios._checked_schema(schema)
+    assert scenarios._checked_schema(copy.deepcopy(SCENARIO_SCHEMA)) == SCENARIO_SCHEMA
+
+
+def or_float(ints):
+    """ints, or now and then the same value as a float, or that plus 1/2."""
+    return st.one_of(ints, ints, ints, ints.map(float), ints.map(lambda n: n + 0.5))
+
+
+entries = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/2", "4/2", "1/0", LONG,
+                                                2.0, -1.0, 0.5])
 ragged = st.lists(st.lists(entries, min_size=1, max_size=3), min_size=1, max_size=3)
 
 
@@ -480,28 +533,93 @@ payloads = {
             {"fibre_self_intersection": st.integers(-2, 2),
              "pull_coeff_positive": st.booleans()})}),
     "age_check": st.integers(1, 6).flatmap(lambda m: st.fixed_dictionaries(
-        {"order": st.just(m), "projective_m": st.sampled_from([m, m + 1]),
-         "scale_r": st.integers(1, 4), "abelian_weights": st.lists(st.integers(-2, 6),
-                                                                   max_size=4)})),
+        {"order": or_float(st.just(m)), "projective_m": st.sampled_from([m, m + 1]),
+         "scale_r": or_float(st.integers(1, 4)),
+         "abelian_weights": st.lists(or_float(st.integers(-2, 6)), max_size=4)})),
     "degree_check": st.fixed_dictionaries(
-        {"dim_x": st.integers(0, 4), "deg_f": st.integers(0, 100)},
-        optional={"dim_y": st.integers(0, 3), "deg_g": st.integers(0, 20),
-                  "invariant_subvariety_dim": st.integers(0, 4)}),
+        {"dim_x": or_float(st.integers(0, 4)), "deg_f": or_float(st.integers(0, 100))},
+        optional={"dim_y": or_float(st.integers(0, 3)), "deg_g": or_float(st.integers(0, 20)),
+                  "invariant_subvariety_dim": or_float(st.integers(0, 4))}),
 }
 scenario_docs = st.sampled_from(sorted(payloads)).flatmap(
     lambda kind: st.fixed_dictionaries(
         {"schema_version": st.just("1"), "kind": st.just(kind), "payload": payloads[kind]}))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(scenario_docs)
 def test_run_scenario_returns_or_raises_library_error(doc):
     try:
         report = run_scenario(doc)
         dumps_canonical(report)
         render_text(report)
+    except InternalCheckError as exc:     # exit 3: a crash, not a scenario error
+        pytest.fail(f"internal assertion on {doc}: {exc}")
     except ConecertError:
         pass
+
+
+# The reference: draft 7 with `integer` read as an int that is no bool, the one
+# rule in which the scenario checker is stricter than the draft.
+STRICT_DRAFT7 = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)))
+REFERENCE = STRICT_DRAFT7(SCENARIO_SCHEMA)
+ODD_VALUES = [None, True, False, 0, -1, 2, 10 ** 30, 2.0, -3.0, 0.5, 1e300, "", "1\n",
+              "-0/3", "1/2", " 1", "1/-2", "+1", "0x1", "x", "1", "psd", "polyhedral",
+              "cone_dynamics", "age_check", [], [1], [[1]], [["1/2"]], {}, {"type": "psd"}]
+STRAY_KEYS = ["name", "kind", "payload", "q_hint", "quotient_check", "cone", "size",
+              "generators", "dim_y", "deg_g", "invariant_subvariety_dim", "extra", ""]
+
+
+def _nodes(value, path=()):
+    """(path, node) of value and of every value inside it."""
+    yield path, value
+    inner = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in inner:
+        yield from _nodes(item, path + (key,))
+
+
+@st.composite
+def mutated_docs(draw):
+    """A built-in or fuzzed scenario with one to three keys dropped, stray
+    keys added, or values swapped for odd ones or for other nodes."""
+    doc = copy.deepcopy(draw(st.sampled_from(list(BUILTIN_SCENARIOS.values())) | scenario_docs))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        path, node = draw(st.sampled_from(nodes))
+        value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)
+                                   | st.sampled_from(nodes).map(lambda pn: pn[1])))
+        action = draw(st.sampled_from(["drop", "add", "swap"]))
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(STRAY_KEYS))] = value
+        elif action == "add" and isinstance(node, list):
+            node.append(value)
+        elif not path:
+            doc = value
+        else:
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            if action == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_docs())
+def test_validator_accepts_what_strict_draft7_accepts(doc):
+    try:
+        validate_scenario(doc)
+        accepted = True
+    except ScenarioError as exc:
+        assert str(exc).startswith("scenario fails schema validation at /")
+        accepted = False
+    assert accepted == REFERENCE.is_valid(doc), doc
 
 
 def test_all_builtin_scenarios_validate_and_roundtrip():
