@@ -3,10 +3,11 @@
 The package decides, in exact rational arithmetic, whether an invertible
 linear map preserving a pointed convex cone admits an interior eigenvector
 with a positive rational scaling factor, and produces a re-verifiable
-certificate (scaling factor, witness, spectral projector, spectral flags).
-On top of that kernel it carries the divisor-class model of a product of
-two elliptic curves, the age calculus for cyclic quotient singularities,
-and a scenario-file CLI bundling three worked demonstration scenarios.
+certificate (scaling factor, witness, spectral projector) whose clauses
+`certificate_failures` re-checks. On top of that kernel it carries the
+divisor-class model of a product of two elliptic curves, the age calculus
+for cyclic quotient singularities, and a scenario-file CLI bundling three
+worked demonstration scenarios.
 """
 
 __version__ = "0.1.0"

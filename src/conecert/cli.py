@@ -68,12 +68,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    doc = BUILTIN_SCENARIOS.get(args.name)
-    if doc is None:
-        print(f"unknown example {args.name!r}; available: "
-              f"{', '.join(sorted(BUILTIN_SCENARIOS))}", file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
-    return _run_document(doc, args)
+    # argparse `choices` has already refused an unknown name with exit 2
+    return _run_document(BUILTIN_SCENARIOS[args.name], args)
 
 
 def _cmd_selftest(args) -> int:
@@ -144,11 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except InternalCheckError as exc:
-        print(f"internal assertion: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    # each command maps InternalCheckError to EXIT_INTERNAL itself
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,9 @@
 Given an invertible rational map that preserves a pointed cone in both
 directions, this module decides whether the map admits an interior
 eigenvector with a positive rational scaling factor q, and assembles a
-certificate: the scaling factor, the witness vector, the spectral projector
-onto the q-eigenspace, and the two spectral flags (all eigenvalue moduli
-equal q, and semisimplicity) that characterize power boundedness of the
-normalized iterates in both directions. Both flags are read off the
+certificate (q, the witness and the spectral projector onto the
+q-eigenspace) whose clauses `certificate_failures` checks. Power
+boundedness of the normalized iterates in both directions is read off the
 square-free part r of the characteristic polynomial (which `ConeMap.create`
 computes once), kept by the polynomial with its Sturm chain: the roots of r
 have modulus q and r(M) = 0, and then r is the minimal polynomial of M.
@@ -150,24 +149,24 @@ class PolarizationStatus(enum.Enum):
 class PolarizationCertificate:
     """Witnessed verdict: matrix * witness = q * witness with witness interior.
 
-    The projector is the exact spectral projector onto the q-eigenspace; the
-    two flags restate the spectral facts that make the normalized iterates
-    bounded in both directions. `q_is_integer` is checked against the
-    integrality of the map rather than assumed. For a cone spanning a proper
-    subspace, the projector acts on span coordinates and the eigenvalues
-    transverse to the span are reported via `transverse_char_poly` without
-    further interpretation.
+    The projector is the exact spectral projector onto the q-eigenspace.
+    `certificate_failures` checks the clauses, among them that an integer
+    map has an integer q. For a cone spanning a proper subspace, the
+    projector acts on span coordinates and the eigenvalues transverse to the
+    span are reported via `transverse_char_poly` without further
+    interpretation.
     """
 
     q: Fraction
-    q_is_integer: bool
     witness: Vector
     projector: QMatrix
-    eigenvalue_moduli_all_q: bool
-    semisimple: bool
     invariance: str
     cone_kind: str
     transverse_char_poly: Optional[QPoly] = None
+
+    @property
+    def q_is_integer(self) -> bool:
+        return self.q.denominator == 1
 
 
 @dataclass(frozen=True)
@@ -251,39 +250,37 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
             PolarizationStatus.NOT_POLARIZED,
             reason="no positive rational eigenvalue makes the map power bounded")
 
-    witness = _interior_witness(cm.cone, projector)
-    q_is_integer = q.denominator == 1
-    if cm.matrix.is_integer and not q_is_integer:  # pragma: no cover
-        raise InternalCheckError(
-            "integer pullback produced a non-integer scaling factor")
     cert = PolarizationCertificate(
         q=q,
-        q_is_integer=q_is_integer,
-        witness=witness,
+        witness=_interior_witness(cm.cone, projector),
         projector=projector,
-        eigenvalue_moduli_all_q=True,
-        semisimple=True,
         invariance=cm.invariance,
         cone_kind=cm.cone.kind,
         transverse_char_poly=transverse,
     )
-    _check_certificate(cm, cert, m_eff)
+    failures = certificate_failures(cm.matrix, m_eff, cert)
+    if failures:
+        raise InternalCheckError(failures[0])
     return PolarizationResult(PolarizationStatus.POLARIZED, certificate=cert)
 
 
-def _check_certificate(cm: ConeMap, cert: PolarizationCertificate,
-                       m_eff: QMatrix) -> None:
-    """Re-verify Mw = qw, P^2 = P and PM = qP exactly before returning the
-    certificate; `_bounded_projector` checked MP = qP (M g(M) = q g(M)) and
-    `_interior_witness` checked the witness interior."""
-    m = cm.matrix
+def certificate_failures(m: QMatrix, m_eff: QMatrix,
+                         cert: PolarizationCertificate) -> list[str]:
+    """The names of the clauses cert fails, out of: Mw = qw, P^2 = P,
+    P m_eff = qP (m_eff is m on the cone's span, where P acts) and "an
+    integer m has an integer q". `_bounded_projector` built P with MP = qP
+    (M g(M) = q g(M)) and `_interior_witness` checked the witness interior."""
+    failures = []
     if m.apply(cert.witness) != vec_scale(cert.witness, cert.q):
-        raise InternalCheckError("witness is not an eigenvector")
+        failures.append("witness is not an eigenvector")
     p = cert.projector
     if p * p != p:
-        raise InternalCheckError("projector is not idempotent")
+        failures.append("projector is not idempotent")
     if p * m_eff != p.scale(cert.q):
-        raise InternalCheckError("projector does not intertwine the map at q")
+        failures.append("projector does not intertwine the map at q")
+    if m.is_integer and not cert.q_is_integer:
+        failures.append("integer pullback produced a non-integer scaling factor")
+    return failures
 
 
 # -- degree calculus -------------------------------------------------------------------

@@ -4,10 +4,10 @@ Dimensions here are desk scale (at most ~10). Entries are `Fraction`s, but
 products, characteristic polynomials (Faddeev-LeVerrier) and polynomial
 evaluation run over integer numerators with one common denominator (`_ints`,
 `_int_product`). Elimination (`_echelon`) stays on `Fraction`: `rank`,
-`det`, `inverse`, `solve` (for `min_poly`), `nullspace` and the cone build
-call it; no decision or query on a built cone does. Ranks of integer vectors
-are fraction free (`independent_rows`). Minimal polynomials come from the
-first linear dependence among matrix powers, and spectral projectors from
+`det`, `inverse`, `solve` (for `min_poly`) and the cone build call it; no
+decision or query on a built cone does. Ranks of integer vectors are
+fraction free (`independent_rows`). Minimal polynomials come from the first
+linear dependence among matrix powers, and spectral projectors from
 polynomial interpolation on the minimal polynomial (h = 1 at the chosen
 eigenvalue, h = 0 on the complementary factor).
 """
@@ -286,18 +286,6 @@ class QMatrix:
         for r, c in enumerate(pivots):
             x[c] = m[r][self.cols]
         return tuple(x)
-
-    def nullspace(self) -> list[Vector]:
-        m, pivots, _ = self._echelon()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -m[r][fc]
-            basis.append(tuple(v))
-        return basis
 
 # -- spectral operations ------------------------------------------------------------
 

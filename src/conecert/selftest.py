@@ -28,6 +28,7 @@ from .cones import (
 from .dynamics import (
     ConeMap,
     PolarizationCertificate,
+    certificate_failures,
     decide_polarization,
     is_power_bounded,
     product_formula_check,
@@ -37,6 +38,8 @@ from .dynamics import (
 from .errors import InternalCheckError, IrrationalCandidateOnlyError
 from .exactalg import (
     QMatrix,
+    QPoly,
+    char_poly,
     independent_rows,
     primitive_ints,
     rational_roots,
@@ -254,23 +257,25 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
 
 
 def run_projector_identities(outcomes: Sequence[CaseOutcome]) -> SuiteResult:
-    """Exact idempotence and intertwining identities on the found projectors."""
+    """`certificate_failures` on each found certificate (its cone spans the
+    whole space), plus the two clauses the decision does not re-check:
+    MP = qP, and trace P = the multiplicity of q in char(M). An idempotent's
+    rank is its trace, and MP = qP puts its range inside ker(M - q), of
+    dimension at most that multiplicity; so P fixes the whole eigenspace."""
     found = [o for o in outcomes if o.certificate is not None]
     result = SuiteResult(name="projector-identities", cases=len(found))
     for i, o in enumerate(found):
         cert, m = o.certificate, o.matrix
         p, q = cert.projector, cert.q
-        if p * p != p:
-            result.failures.append(f"instance {i}: projector not idempotent")
-        if m * p != p * m or m * p != p.scale(q):
-            result.failures.append(f"instance {i}: projector fails m P = P m = q P")
-        eigenspace = (m - QMatrix.identity(m.rows).scale(q)).nullspace()
-        for v in eigenspace:
-            if p.apply(v) != v:
-                result.failures.append(f"instance {i}: projector not identity on"
-                                       f" the eigenspace")
-        if m.apply(cert.witness) != vec_scale(cert.witness, q):
-            result.failures.append(f"instance {i}: witness not an eigenvector")
+        failures = certificate_failures(m, m, cert)
+        if m * p != p.scale(q):
+            failures.append("projector fails M P = q P")
+        cp, linear, multiplicity = char_poly(m), QPoly.linear_root(q), 0
+        while cp(q) == 0:
+            cp, multiplicity = cp.exact_div(linear), multiplicity + 1
+        if sum(p.entry(k, k) for k in range(p.rows)) != multiplicity:
+            failures.append("projector misses part of the eigenspace")
+        result.failures += [f"instance {i}: {f}" for f in failures]
     return result
 
 

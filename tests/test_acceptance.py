@@ -8,8 +8,6 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 from conecert.dynamics import (
     AbelianInvariantVerdict,
     abelian_invariant_check,
@@ -25,30 +23,14 @@ from conecert.nslattice import (
     pullback_action,
     quotient_image_selfintersection,
 )
-from conecert.selftest import (
-    CaseOutcome,
-    run_cone_equivalence,
-    run_face_oracle,
-    run_projector_identities,
-)
+from conecert.selftest import run_face_oracle, run_projector_identities
 from conecert.singularities import (
     SingularityVerdict,
     product_quotient_report,
     projective_cycle_fixed_data,
 )
 
-EQUIVALENCE_SEED = 20260810
 FACE_SEED = 31415926
-
-
-@pytest.fixture(scope="module")
-def equivalence_run():
-    outcomes: list[CaseOutcome] = []
-    started = time.perf_counter()
-    result = run_cone_equivalence(EQUIVALENCE_SEED, 200, max_dim=4,
-                                  collect=outcomes)
-    elapsed = time.perf_counter() - started
-    return result, outcomes, elapsed
 
 
 def test_criterion_1_elliptic_product_golden():

@@ -15,7 +15,7 @@ from conecert.exactalg import (
     rational_roots,
     roots_with_multiplicity,
 )
-from conecert.exactalg.algnum import ISOLATION_WIDTH
+from conecert.exactalg.algnum import ISOLATION_WIDTH, _real_intervals
 
 SPECTRUM_POLY = QPoly([-216, -12, 2, 1])  # (t - 6)(t^2 + 8t + 36)
 
@@ -472,15 +472,16 @@ def test_positive_irrational_root_fixed_cases():
 
 
 def test_positive_irrational_root_matches_isolation():
-    # the Sturm count against the isolated roots the refusal used to read
+    # the Sturm count against the isolated real roots of the irrational
+    # factors, each interval on one side of 0
     rng = random.Random(20261018)
     kinds = set()
     for _ in range(80):
         p = _random_factored(rng)
         if p(0) == 0:
             continue
-        want = any(r.is_real and not r.is_rational and r.box[0] >= 0
-                   for r, _ in roots_with_multiplicity(p))
+        want = any(lo >= 0 for fac, _ in factor_rational(p) if fac.degree >= 2
+                   for lo, _ in _real_intervals(fac))
         assert has_positive_irrational_root(p) is want, p
         kinds.add(want)
     assert kinds == {True, False}

@@ -227,6 +227,26 @@ def test_rational_answers_load_no_sympy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_import_loads_no_resource_machinery():
+    # without `site`, whose .pth files may load importlib.resources first,
+    # importing the CLI loads neither it nor the zip and temp-file modules
+    # it pulls in
+    script = ("import sys, conecert.cli\n"
+              "names = ('importlib.resources', 'importlib.readers', 'zipfile', 'tempfile')\n"
+              "print([name for name in names if name in sys.modules])\n")
+    result = subprocess.run([sys.executable, "-S", "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_unknown_example_is_a_usage_error():
+    result = run_cli("examples", "bogus")
+    assert result.returncode == 2
+    assert "invalid choice" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_float_entries_rejected(tmp_path):
     doc = {
         "schema_version": "1",

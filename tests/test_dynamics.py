@@ -19,6 +19,7 @@ from conecert.dynamics import (
     ConeMap,
     PolarizationStatus,
     abelian_invariant_check,
+    certificate_failures,
     decide_polarization,
     integer_nth_root,
     interior_eigenvector,
@@ -48,6 +49,7 @@ from conecert.exactalg import (
     roots_with_multiplicity,
 )
 from conecert.scenarios import run_scenario
+from conecert.selftest import CaseOutcome, run_projector_identities
 from test_qpoly import euclid_gcd
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
@@ -273,7 +275,7 @@ def test_decide_polarized_swap(quadrant):
     assert result.is_polarized
     cert = result.certificate
     assert cert.q == 2 and cert.witness == (1, 1)
-    assert cert.q_is_integer and cert.semisimple and cert.eigenvalue_moduli_all_q
+    assert cert.q_is_integer
     assert cert.invariance == "generators-exact"
 
 
@@ -544,17 +546,76 @@ def test_non_interior_projection_is_an_internal_error(monkeypatch):
             interior_eigenvector(cm, q)
 
 
-def test_certificate_check_needs_each_identity(quadrant):
-    """`_check_certificate` re-verifies P^2 = P and PM = qP (MP = qP is the
-    projector's own construction) and rejects a projector failing either."""
-    cm = ConeMap.create(SWAP2, quadrant)
-    cert = decide_polarization(cm).certificate
-    assert cert.projector == QMatrix.from_rows([[Fraction(1, 2)] * 2] * 2)
-    for rows, clause in (([[1, 0], [0, 0]], "intertwine"),      # P^2 = P, PM != 2P
-                         ([[1, 1], [1, 1]], "idempotent")):
-        bad = dataclasses.replace(cert, projector=QMatrix.from_rows(rows))
-        with pytest.raises(InternalCheckError, match=clause):
-            dynamics._check_certificate(cm, bad, SWAP2)
+EIGEN, IDEMPOTENT, INTERTWINE, INTEGER = (
+    "witness is not an eigenvector", "projector is not idempotent",
+    "projector does not intertwine the map at q",
+    "integer pullback produced a non-integer scaling factor")
+
+
+def _decided_certificates(equivalence_run):
+    """(m, m_eff, certificate) of each POLARIZED equivalence case (its cone
+    spans the whole space), of ex1's map on psd(2) and of a swap on the
+    proper-span cone over (1, 1)."""
+    out = [(o.matrix, o.matrix, o.certificate) for o in equivalence_run[1]
+           if o.certificate is not None]
+    for m, cone in ((PULLBACK_3X3, psd_cone_oracle(2)), (SWAP2, build_cone([[1, 1]]))):
+        cm = ConeMap.create(m, cone)
+        out.append((m, dynamics._effective_map(cm)[0], decide_polarization(cm).certificate))
+    assert out[-1][1] == QMatrix.from_rows([[2]])
+    return out
+
+
+def test_certificate_failures_names_each_mutated_clause(equivalence_run):
+    """`certificate_failures` passes every decided certificate and names
+    exactly the clauses a one-entry mutation of w, q or P breaks; which ones
+    break is read off single entries, not off the products it checks."""
+    certificates = _decided_certificates(equivalence_run)
+    assert len(certificates) > 50
+    named = set()
+    for m, m_eff, cert in certificates:
+        assert certificate_failures(m, m_eff, cert) == []
+        q, w, p = cert.q, cert.witness, cert.projector
+        n = p.rows
+
+        def failures(**change):
+            got = certificate_failures(m, m_eff, dataclasses.replace(cert, **change))
+            named.update(got)
+            return got
+
+        for j in range(len(w)):
+            # M (w + e_j) = q (w + e_j) exactly when column j of M is q e_j
+            moved = m.column(j) != tuple(q * (k == j) for k in range(m.rows))
+            bumped = tuple(x + (k == j) for k, x in enumerate(w))
+            assert failures(witness=bumped) == [EIGEN] * moved
+        assert failures(q=q + 1) == [EIGEN, INTERTWINE]
+        if m.is_integer:
+            assert failures(q=q + Fraction(1, 2)) == [EIGEN, INTERTWINE, INTEGER]
+        cells = list(itertools.product(range(n), repeat=2))
+        for i, j in cells:
+            # with E = E_ij, (P + E)^2 - (P + E) = P E + E P - E for i != j
+            # (P E + E P for i = j): P E holds column i of P in column j, and
+            # E P holds row j of P in row i
+            square_gap = [(c == j) * p.entry(r, i) + (r == i) * p.entry(j, c)
+                          - ((r, c) == (i, j) and i != j) for r, c in cells]
+            # (P + E) m_eff - q (P + E) = E (m_eff - q), whose row i is row j of m_eff - q
+            moved = m_eff.row(j) != tuple(q * (c == j) for c in range(n))
+            bumped = QMatrix(n, n, [x + (cell == (i, j)) for cell, x in zip(cells, p.entries)])
+            assert failures(projector=bumped) == ([IDEMPOTENT] * any(square_gap)
+                                                  + [INTERTWINE] * moved)
+    assert named == {EIGEN, IDEMPOTENT, INTERTWINE, INTEGER}
+
+
+def test_only_the_trace_clause_sees_a_projector_short_of_the_eigenspace(quadrant):
+    """diag(1, 0) is an idempotent with 2I P = P 2I = 2P, so it passes every
+    shared clause for the map 2I; the selftest's trace clause refuses it."""
+    m = QMatrix.identity(2).scale(2)
+    cert = decide_polarization(ConeMap.create(m, quadrant)).certificate
+    assert cert.projector == QMatrix.identity(2)
+    short = dataclasses.replace(cert, projector=QMatrix.from_rows([[1, 0], [0, 0]]))
+    assert certificate_failures(m, m, short) == []
+    outcomes = [CaseOutcome("polarized", "polarized", m, c) for c in (cert, short)]
+    assert run_projector_identities(outcomes).failures == [
+        "instance 1: projector misses part of the eigenspace"]
 
 
 def test_polyhedral_conclusive_refusal_tag():
