@@ -15,10 +15,10 @@ one remainder sequence. `rational_roots` lifts p-adically (Hensel), and
 or 3 left without one is irreducible.
 
 Roots are isolated once, for the report, to boxes narrower and lower than
-ISOLATION_WIDTH; `roots_with_multiplicity` states their order. Real roots
-of an irreducible factor of any degree >= 2 come from bisection on Sturm
-counts over the factor's own chain, and the non-real roots of an
-irreducible quadratic from its closed form with an `isqrt` bracket.
+ISOLATION_WIDTH; `roots_with_multiplicity` states their order. The real
+roots of all factors come from one bisection on Sturm counts of their
+product, and the non-real roots of an irreducible quadratic from its
+closed form with an `isqrt` bracket.
 sympy is imported only inside `_sympy_factors` (a square-free cofactor of
 degree >= 4), `_sympy_complex_boxes` (the non-real roots of an irreducible
 factor of degree >= 3) and `_count_in_box` (for `refine`). So `import
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, isqrt, prod
 from typing import Sequence
 
 from ..errors import InternalCheckError, PreconditionViolatedError, ZeroPolynomialError
@@ -259,32 +259,6 @@ def _count_in_box(dup: list, box) -> int:
     return dup_count_complex_roots(dup, QQ, (_qq(a), _qq(c)), (_qq(b), _qq(d)))
 
 
-def _real_intervals(fac: QPoly) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals of the real roots of an irreducible fac of degree
-    >= 2, increasing.
-
-    Bisection on Sturm counts over fac's own chain, split at 0 first and
-    started from the dyadic Cauchy bound 2^e > |root|, until each interval
-    holds one root. fac has no rational root, so no endpoint is ever a
-    root. Every interval lies on one side of 0, which
-    `IrrationalCandidateOnlyError.candidate_minpoly` reads from its lower
-    end.
-    """
-    cauchy = 1 + max(abs(c) for c in fac.coeffs[:-1]) / fac.leading
-    top = Fraction(1 << (ceil(cauchy) - 1).bit_length())
-    out = []
-    todo = [(lo, hi, fac.count_real_roots(lo, hi)) for lo, hi in ((0, top), (-top, 0))]
-    while todo:
-        lo, hi, n = todo.pop()
-        if n > 1:
-            mid = (lo + hi) / 2
-            left = fac.count_real_roots(lo, mid)
-            todo += [(mid, hi, n - left), (lo, mid, left)]
-        elif n == 1:
-            out.append((lo, hi))
-    return out
-
-
 def _quadratic_complex_boxes(fac: QPoly) -> list[tuple[Fraction, ...]]:
     """Boxes of the two non-real roots of a t^2 + b t + c (a > 0, b^2 < 4ac),
     negative imaginary part first, from the closed form
@@ -314,29 +288,46 @@ def _sympy_complex_boxes(fac: QPoly) -> list[tuple[Fraction, ...]]:
                 _to_dup(fac), QQ, eps=_qq(ISOLATION_WIDTH))]
 
 
-def _isolate_irreducible(fac: QPoly) -> list[AlgebraicNumber]:
-    """All roots of an irreducible primitive polynomial, real ones first in
-    increasing order; `roots_with_multiplicity` orders the complex ones.
+def _real_roots(factors: list[tuple[QPoly, int]]) -> list[AlgebraicNumber]:
+    """The real roots of the irreducible factors, increasing: each linear
+    factor's rational root, and the irrational ones from one bisection over
+    the product s of the factors of degree >= 2.
 
-    A linear factor gives its rational root. Real roots of every other
-    factor come from Sturm bisection (`_real_intervals`), narrowed below
-    ISOLATION_WIDTH by the sign halving of `refine`. The non-real
-    roots of a quadratic come from its closed form
-    (`_quadratic_complex_boxes`); only those of a factor of degree >= 3
-    need sympy (`_sympy_complex_boxes`), and only when it has any.
+    s has no rational root, so no endpoint is ever a root of s. The search
+    splits at 0 first and starts from the dyadic Cauchy bound 2^e > |root|;
+    Sturm counts on s's chain halve an interval until it holds one root,
+    then the sign of s halves it until it is narrower than ISOLATION_WIDTH
+    and no rational root lies strictly inside. The factor that changes sign
+    across a box owns its root. Each such box is a dyadic cell on one side of
+    0, which `IrrationalCandidateOnlyError.candidate_minpoly` reads from
+    its lower end.
     """
-    if fac.degree == 1:
-        return [AlgebraicNumber.from_rational(-fac.coeffs[0] / fac.coeffs[1])]
-    reals = []
-    for lo, hi in _real_intervals(fac):
-        root = AlgebraicNumber(fac, (lo, hi, 0, 0), True)
-        while root.box[1] - root.box[0] >= ISOLATION_WIDTH:
-            root = root._refine_real()
-        reals.append(root)
-    if len(reals) == fac.degree:
+    rationals = sorted(-fac.coeffs[0] / fac.coeffs[1] for fac, _ in factors if fac.degree == 1)
+    irrational = [fac for fac, _ in factors if fac.degree >= 2]
+    reals = [AlgebraicNumber.from_rational(r) for r in rationals]
+    if not irrational:
         return reals
-    boxes = _quadratic_complex_boxes(fac) if fac.degree == 2 else _sympy_complex_boxes(fac)
-    return reals + [AlgebraicNumber(fac, box, False) for box in boxes]
+    s = prod(irrational, start=QPoly.one())
+    cauchy = 1 + max(abs(c) for c in s.coeffs[:-1]) / s.leading
+    top = Fraction(1 << (ceil(cauchy) - 1).bit_length())
+    todo = [(lo, hi, s.count_real_roots(lo, hi)) for lo, hi in ((0, top), (-top, 0))]
+    while todo:
+        lo, hi, n = todo.pop()
+        if n > 1:
+            mid = (lo + hi) / 2
+            left = s.count_real_roots(lo, mid)
+            todo += [(mid, hi, n - left), (lo, mid, left)]
+        elif n == 1:
+            positive_lo = s(lo) > 0
+            while hi - lo >= ISOLATION_WIDTH or any(lo < r < hi for r in rationals):
+                mid = (lo + hi) / 2
+                if (s(mid) > 0) != positive_lo:
+                    hi = mid
+                else:
+                    lo = mid
+            owner = next(fac for fac in irrational if (fac(lo) > 0) != (fac(hi) > 0))
+            reals.append(AlgebraicNumber(owner, (lo, hi, 0, 0), True))
+    return sorted(reals, key=lambda root: root.box[:2])
 
 
 def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
@@ -346,39 +337,22 @@ def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
     1.618i). Each root's minimal polynomial is the content-normalized
     irreducible factor it belongs to; multiplicities sum to deg p.
 
-    Real boxes of different factors can overlap, as the identical boxes of
-    sqrt 2 and sqrt 2.00000001 do; `_separate_reals` then halves them until
-    they are disjoint, so box order is root order. No other box changes.
+    The real roots of all factors come from `_real_roots`, so real boxes
+    are disjoint and box order is root order. The non-real roots of a
+    factor with fewer real roots than its degree come from the closed form
+    of a quadratic or, at degree >= 3, from sympy.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
-    out = [(root, mult) for fac, mult in factor_rational(p)
-           for root in _isolate_irreducible(fac)]
-    reals = _separate_reals([rm for rm in out if rm[0].is_real])
-    complexes = sorted((rm for rm in out if not rm[0].is_real),
-                       key=lambda rm: (rm[0].box[0], rm[0].box[1], rm[0].box[2]))
-    return reals + complexes
-
-
-def _separate_reals(reals: list[tuple[AlgebraicNumber, int]]) -> list[tuple[AlgebraicNumber, int]]:
-    """reals in increasing order of root, each irrational box that overlaps
-    a neighbour's halved until none does.
-
-    Sorted by (lo, hi), neighbours a, b with b.lo < a.hi overlap. Once no
-    neighbours do, each root lies below the next one's box: an irrational
-    root is strictly inside its box, and distinct roots never share a
-    rational point, so the order is strict.
-    """
-    while True:
-        reals.sort(key=lambda rm: (rm[0].box[0], rm[0].box[1]))
-        tied = {j for i in range(len(reals) - 1)
-                if reals[i + 1][0].box[0] < reals[i][0].box[1] for j in (i, i + 1)}
-        if not tied:
-            return reals
-        for j in tied:
-            root, mult = reals[j]
-            if not root.is_rational:
-                reals[j] = (root._refine_real(), mult)
+    factors = factor_rational(p)
+    reals = _real_roots(factors)
+    complexes = [AlgebraicNumber(fac, box, False) for fac, _ in factors
+                 if fac.degree > sum(root.minpoly == fac for root in reals)
+                 for box in (_quadratic_complex_boxes(fac) if fac.degree == 2
+                             else _sympy_complex_boxes(fac))]
+    complexes.sort(key=lambda root: root.box[:3])
+    mult = dict(factors)
+    return [(root, mult[root.minpoly]) for root in reals + complexes]
 
 
 def has_positive_irrational_root(p: QPoly) -> bool:

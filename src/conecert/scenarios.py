@@ -348,6 +348,9 @@ def _run_age_check(payload: dict, report: dict, max_dim: Optional[int]) -> None:
 def _run_degree_check(payload: dict, report: dict, max_dim: Optional[int]) -> None:
     dim_x = payload["dim_x"]
     deg_f = payload["deg_f"]
+    dim_z = payload.get("invariant_subvariety_dim")
+    if dim_z is not None and dim_z >= dim_x:
+        raise ScenarioError("invariant subvariety must have smaller dimension")
     data = report["data"]
     data["dim_x"] = exact(dim_x)
     data["deg_f"] = exact(deg_f)
@@ -358,13 +361,11 @@ def _run_degree_check(payload: dict, report: dict, max_dim: Optional[int]) -> No
     except ConecertError:
         q = None
         report["verdicts"]["has_integer_scaling"] = False
-    if "dim_y" in payload and "deg_g" in payload:
+    # the schema requires dim_y and deg_g together
+    if "dim_y" in payload:
         ok = product_formula_check(dim_x, deg_f, payload["dim_y"], payload["deg_g"])
         report["verdicts"]["product_formula_holds"] = ok
-    if "invariant_subvariety_dim" in payload and q is not None:
-        dim_z = payload["invariant_subvariety_dim"]
-        if dim_z >= dim_x:
-            raise ScenarioError("invariant subvariety must have smaller dimension")
+    if dim_z is not None and q is not None:
         verdict = abelian_invariant_check(q, dim_x, dim_z)
         report["verdicts"]["abelian_invariant"] = verdict.value
         report["verdicts"]["polarized_possible_on_torus_quotient"] = (

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from conecert.exactalg import (
     rational_roots,
     roots_with_multiplicity,
 )
-from conecert.exactalg.algnum import ISOLATION_WIDTH, _real_intervals
+from conecert.exactalg.algnum import ISOLATION_WIDTH
 
 SPECTRUM_POLY = QPoly([-216, -12, 2, 1])  # (t - 6)(t^2 + 8t + 36)
 
@@ -298,6 +299,81 @@ def test_real_roots_increase_across_tied_boxes():
         assert all(a.box[1] <= b.box[0] for a, b in zip(roots, roots[1:]))
 
 
+def _near_tie(rng: random.Random) -> tuple[QPoly, list[QPoly]]:
+    """A product whose real roots share 2^-13 cells, with its factors:
+    sqrt k beside one or two of sqrt(k + 10^-8), a root of the cubic
+    (t^2 - k)(t - a) + 10^-9 and the non-dyadic rational floor(10^6 sqrt k)
+    / 10^6; or a dyadic rational d, a grid point of the bisection, beside
+    sqrt(d^2 + 10^-9)."""
+    if rng.random() < 0.25:
+        d = Fraction(rng.randrange(1, 64, 2), 2 ** rng.randint(1, 6))
+        factors = [QPoly.linear_root(d), QPoly([-(d * d + Fraction(1, 10 ** 9)), 0, 1])]
+        if rng.random() < 0.5:
+            factors.append(QPoly.linear_root(-d))
+        return prod(factors, start=QPoly.one()), factors
+    k = rng.choice([n for n in range(2, 60) if isqrt(n) ** 2 != n])
+    base = QPoly([-k, 0, 1])
+    cubic = base * QPoly.linear_root(rng.randint(-3, 1)) + QPoly.constant(Fraction(1, 10 ** 9))
+    neighbours = [QPoly([-(k * 10 ** 8 + 1), 0, 10 ** 8]), cubic,
+                  QPoly.linear_root(Fraction(isqrt(k * 10 ** 12), 10 ** 6))]
+    factors = [base] + rng.sample(neighbours, rng.randint(1, 2))
+    return prod(factors, start=QPoly.one()), factors
+
+
+def _reference_real_order(factors: list[QPoly]) -> list[QPoly]:
+    """The minimal polynomial of each real root in increasing order, from
+    sympy's isolation of each factor to 10^-30."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+    keyed = []
+    for f in factors:
+        for lo, hi in dup_isolate_real_roots_sqf(_dup(f), QQ, eps=QQ(1, 10 ** 30)):
+            keyed.append((Fraction(int(lo.numerator), int(lo.denominator)), f.content_normalized()))
+    return [f for _, f in sorted(keyed, key=lambda kf: kf[0])]
+
+
+def _chained_tie() -> tuple[QPoly, list[QPoly]]:
+    """sqrt k, about 2^-15.6 from the roots c -+ 2^-20.5 of one quadratic:
+    the coarsest cell that isolates sqrt k is 2^-16 wide, and the pair's
+    2^-19, so each root stops at its own level."""
+    c = Fraction(3, 2) + Fraction(1, 3 * 2 ** 15)
+    factors = [QPoly([c * c - Fraction(1, 2 ** 41), -2 * c, 1]),
+               QPoly([-(c + Fraction(1, 50000)) ** 2 - Fraction(1, 10 ** 12), 0, 1])]
+    return prod(factors, start=QPoly.one()), factors
+
+
+def test_near_tie_real_roots_isolate_in_one_pass():
+    """Every irrational box is the coarsest dyadic cell on one side of 0
+    that is narrower than ISOLATION_WIDTH, isolates its root among all real
+    roots and holds no rational root inside; so boxes are disjoint and
+    their order is root order."""
+    rng = random.Random(20261020)
+    shared = 0
+    for p, factors in [_near_tie(rng) for _ in range(40)] + [_chained_tie()]:
+        assert all(len(rational_roots(f)) == (f.degree == 1) for f in factors), factors
+        reals = [r for r, _ in roots_with_multiplicity(p) if r.is_real]
+        assert [r.minpoly for r in reals] == _reference_real_order(factors), p
+        assert all(a.box[1] <= b.box[0] for a, b in zip(reals, reals[1:])), p
+        rationals = [r.rational_value for r in reals if r.is_rational]
+        s = prod((f for f in factors if f.degree >= 2), start=QPoly.one())
+        for r in reals:
+            if r.is_rational:
+                continue
+            lo, hi = r.box[:2]
+            assert hi - lo < ISOLATION_WIDTH and (lo >= 0 or hi <= 0), r
+            assert r.minpoly(lo) * r.minpoly(hi) < 0 and r.minpoly.count_real_roots(lo, hi) == 1, r
+            assert not any(lo < x < hi for x in rationals), r
+            if 2 * (hi - lo) < ISOLATION_WIDTH:
+                # the enclosing cell of twice the width holds another root
+                parent_lo = floor(lo / (2 * (hi - lo))) * 2 * (hi - lo)
+                parent_hi = parent_lo + 2 * (hi - lo)
+                assert (s.count_real_roots(parent_lo, parent_hi) > 1
+                        or any(parent_lo < x < parent_hi for x in rationals)), r
+        cells = [floor(r.box[0] * 2 ** 13) for r in reals]
+        shared += len(cells) > len(set(cells))
+    assert shared >= 30
+
+
 def _sympy_roots(p: QPoly) -> list[tuple[QPoly, tuple, bool, int]]:
     """The reference: (minimal polynomial, box, is real, multiplicity) of each
     root of p, with sympy isolating every root of each irreducible factor
@@ -472,16 +548,16 @@ def test_positive_irrational_root_fixed_cases():
 
 
 def test_positive_irrational_root_matches_isolation():
-    # the Sturm count against the isolated real roots of the irrational
-    # factors, each interval on one side of 0
+    # the Sturm count against the isolated irrational real roots, each box
+    # on one side of 0
     rng = random.Random(20261018)
     kinds = set()
     for _ in range(80):
         p = _random_factored(rng)
         if p(0) == 0:
             continue
-        want = any(lo >= 0 for fac, _ in factor_rational(p) if fac.degree >= 2
-                   for lo, _ in _real_intervals(fac))
+        want = any(r.is_real and not r.is_rational and r.box[0] >= 0
+                   for r, _ in roots_with_multiplicity(p))
         assert has_positive_irrational_root(p) is want, p
         kinds.add(want)
     assert kinds == {True, False}

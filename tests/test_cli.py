@@ -155,6 +155,24 @@ def test_analyze_degree_scenario(tmp_path):
     assert report["data"]["q"] == {"tag": "exact", "value": "6"}
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"dim_x": 2, "deg_f": 36, "dim_y": 1}, "lacks the required property 'deg_g'"),
+    ({"dim_x": 2, "deg_f": 36, "deg_g": 6}, "lacks the required property 'dim_y'"),
+    ({"dim_x": 2, "deg_f": 35, "invariant_subvariety_dim": 2},
+     "invariant subvariety must have smaller dimension"),
+], ids=["dim_y-alone", "deg_g-alone", "subvariety-without-scaling"])
+def test_degree_scenario_rejected_whatever_the_degree(tmp_path, payload, message):
+    """Half of the product-formula pair, or an invariant subvariety as large
+    as X, is a scenario error even when deg_f is no perfect power."""
+    path = tmp_path / "deg.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "degree_check",
+                                "payload": payload}))
+    result = run_cli("analyze", str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("scenario error:") and message in result.stderr
+    assert result.stdout == ""
+
+
 NO_SYMPY_SCRIPT = """
 import sys
 from conecert.cli import main
