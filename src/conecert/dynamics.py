@@ -4,7 +4,8 @@ Given an invertible rational map that preserves a pointed cone in both
 directions, this module decides whether the map admits an interior
 eigenvector with a positive rational scaling factor q, and assembles a
 certificate (q, the witness and the spectral projector onto the
-q-eigenspace) whose clauses `certificate_failures` checks. Power
+q-eigenspace) whose clauses `certificate_failures` checks. Each verdict,
+POLARIZED, NOT_POLARIZED or IRRATIONAL_ONLY, is a `PolarizationResult`. Power
 boundedness of the normalized iterates in both directions is read off the
 square-free part r of the characteristic polynomial (which `ConeMap.create`
 computes once), kept by the polynomial with its Sturm chain: the roots of r
@@ -37,7 +38,6 @@ from .errors import (
     DimensionMismatchError,
     InternalCheckError,
     InvarianceNotVerifiedError,
-    IrrationalCandidateOnlyError,
     NoIntegerRootError,
     NotPowerBoundedError,
     PreconditionViolatedError,
@@ -142,7 +142,7 @@ def _bounded_projector(m: QMatrix, cp: QPoly, q: Fraction) -> Optional[QMatrix]:
 class PolarizationStatus(enum.Enum):
     POLARIZED = "polarized"
     NOT_POLARIZED = "not_polarized"
-    INCONCLUSIVE = "inconclusive"
+    IRRATIONAL_ONLY = "irrational_only"
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,27 @@ class PolarizationCertificate:
 
 @dataclass(frozen=True)
 class PolarizationResult:
+    """One verdict of `decide_polarization`. `certificate` is set only for
+    POLARIZED and `span_char_poly`, the characteristic polynomial the
+    decision read on the cone's span, only for IRRATIONAL_ONLY."""
+
     status: PolarizationStatus
     certificate: Optional[PolarizationCertificate] = None
     reason: str = ""
+    span_char_poly: Optional[QPoly] = None
 
     @property
     def is_polarized(self) -> bool:
         return self.status is PolarizationStatus.POLARIZED
+
+    def candidate_minpoly(self, roots) -> Optional[QPoly]:
+        """Minimal polynomial of the first positive irrational real root among
+        `roots` (pairs from `roots_with_multiplicity`, isolated by the caller)
+        whose minimal polynomial divides `span_char_poly`, so a root
+        transverse to the cone's span is never named."""
+        return next((root.minpoly for root, _ in roots
+                     if root.is_real and not root.is_rational and root.box[0] >= 0
+                     and (self.span_char_poly % root.minpoly).is_zero), None)
 
 
 def _effective_map(cm: ConeMap) -> tuple[QMatrix, QPoly, Optional[QPoly]]:
@@ -232,10 +246,10 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
     only candidate is therefore the rational n-th root of |det M|, and only
     when it is an eigenvalue. When no q makes the map power bounded but a
     positive irrational real eigenvalue exists (a Sturm count, no root
-    isolation), IrrationalCandidateOnlyError carries the span characteristic
-    polynomial rather than silently dropping the case. Once q passes, the
-    witness is the projected interior sample (module docstring), so the
-    verdict is POLARIZED or NOT_POLARIZED, never INCONCLUSIVE.
+    isolation), the verdict is IRRATIONAL_ONLY and carries the span
+    characteristic polynomial. Once q passes, the witness is the projected
+    interior sample (module docstring), so every verdict is one of the three
+    statuses; the decision raises only on misuse or a failed internal check.
     """
     if not cm.invariance_checked:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
@@ -245,7 +259,9 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
     projector = None if q is None else _bounded_projector(m_eff, cp, q)
     if projector is None:
         if has_positive_irrational_root(cp):
-            raise IrrationalCandidateOnlyError(cp)
+            return PolarizationResult(
+                PolarizationStatus.IRRATIONAL_ONLY, span_char_poly=cp,
+                reason="only irrational positive real eigenvalue candidates exist")
         return PolarizationResult(
             PolarizationStatus.NOT_POLARIZED,
             reason="no positive rational eigenvalue makes the map power bounded")

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by library code derives from ConecertError so that the
-CLI can map failures onto its exit codes in one place.
+CLI can map failures onto its exit codes in one place. A refusal of the
+polarization decision is a verdict (`dynamics.PolarizationStatus`), not an
+error: the decision raises only on misuse or a failed internal check.
 """
 
 
@@ -76,24 +78,8 @@ class NotPowerBoundedError(ConecertError):
 
 
 class IrrationalCandidateOnlyError(ConecertError):
-    """A positive real eigenvalue exists but is irrational.
-
-    `poly` is the characteristic polynomial the decision read, on the cone's
-    span; the decision isolates no root. `candidate_minpoly` names one such
-    eigenvalue from roots a caller has already isolated for its report.
-    """
-
-    def __init__(self, poly):
-        super().__init__("only irrational positive real eigenvalue candidates exist")
-        self.poly = poly
-
-    def candidate_minpoly(self, roots):
-        """Minimal polynomial of the first positive irrational real root among
-        `roots` (pairs from `roots_with_multiplicity`) whose minimal polynomial
-        divides `poly`, so a root transverse to the cone's span is never named."""
-        return next((root.minpoly for root, _ in roots
-                     if root.is_real and not root.is_rational and root.box[0] >= 0
-                     and (self.poly % root.minpoly).is_zero), None)
+    """No longer raised: `decide_polarization` returns the IRRATIONAL_ONLY
+    verdict instead. Kept because `perfbench/workloads.py` imports it."""
 
 
 class NoIntegerRootError(ConecertError):

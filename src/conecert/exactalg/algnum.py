@@ -299,8 +299,8 @@ def _real_roots(factors: list[tuple[QPoly, int]]) -> list[AlgebraicNumber]:
     then the sign of s halves it until it is narrower than ISOLATION_WIDTH
     and no rational root lies strictly inside. The factor that changes sign
     across a box owns its root. Each such box is a dyadic cell on one side of
-    0, which `IrrationalCandidateOnlyError.candidate_minpoly` reads from
-    its lower end.
+    0, which `PolarizationResult.candidate_minpoly` reads from its lower
+    end.
     """
     rationals = sorted(-fac.coeffs[0] / fac.coeffs[1] for fac, _ in factors if fac.degree == 1)
     irrational = [fac for fac, _ in factors if fac.degree >= 2]

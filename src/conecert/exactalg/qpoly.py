@@ -28,7 +28,10 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return _SMALL[x + 256] if -256 <= x <= 256 else Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionViolatedError(f"{x!r} is not an exact rational") from None
     raise PreconditionViolatedError(f"cannot use {type(x).__name__} as an exact rational")
 
 

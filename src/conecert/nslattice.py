@@ -30,7 +30,6 @@ from .dynamics import (
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
-    IrrationalCandidateOnlyError,
     PreconditionViolatedError,
     SingularMatrixError,
 )
@@ -196,12 +195,7 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
     witness_class = None
     witness_ample = False
     q: Optional[Fraction] = None
-    try:
-        result = decide_polarization(cm)
-    except IrrationalCandidateOnlyError as exc:
-        result = PolarizationResult(PolarizationStatus.INCONCLUSIVE,
-                                    reason=f"irrational scaling candidate only: "
-                                           f"{exc.candidate_minpoly(eigs)}")
+    result = decide_polarization(cm)
     if result.is_polarized:
         cert = result.certificate
         q = cert.q
@@ -226,6 +220,8 @@ def elliptic_product_report(endo=((1, -5), (1, 1))) -> EllipticProductReport:
         verdict = "not_polarized_for_q_above_1"
     elif polarized_above_one:
         verdict = "polarized"
+    elif result.status is PolarizationStatus.IRRATIONAL_ONLY:
+        verdict = "inconclusive"
     else:
         verdict = result.status.value
 

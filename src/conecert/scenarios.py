@@ -29,17 +29,13 @@ from .cones import build_cone, psd_cone_oracle
 from .dynamics import (
     AbelianInvariantVerdict,
     ConeMap,
+    PolarizationStatus,
     abelian_invariant_check,
     decide_polarization,
     product_formula_check,
     q_from_degree,
 )
-from .errors import (
-    ConecertError,
-    InternalCheckError,
-    IrrationalCandidateOnlyError,
-    ScenarioError,
-)
+from .errors import ConecertError, InternalCheckError, ScenarioError
 from .exactalg import QMatrix, roots_with_multiplicity
 from .nslattice import elliptic_product_report, quotient_image_selfintersection
 from .report import SCHEMA_VERSION, algebraic_number_doc, approx, exact
@@ -245,12 +241,11 @@ def _run_cone_dynamics(payload: dict, report: dict, max_dim: Optional[int]) -> N
         report["verdicts"]["reason"] = ("the map or its inverse moves the cone "
                                         "off itself")
         return
-    try:
-        result = decide_polarization(cm)
-    except IrrationalCandidateOnlyError as exc:
-        minpoly = exc.candidate_minpoly(eigs)
+    result = decide_polarization(cm)
+    if result.status is PolarizationStatus.IRRATIONAL_ONLY:
+        minpoly = result.candidate_minpoly(eigs)
         report["verdicts"]["status"] = "irrational_candidate_only"
-        report["verdicts"]["reason"] = f"{exc}; minimal polynomial {minpoly}"
+        report["verdicts"]["reason"] = f"{result.reason}; minimal polynomial {minpoly}"
         report["data"]["candidate_minpoly"] = exact(minpoly)
         return
     verdicts, data = report["verdicts"], report["data"]

@@ -28,6 +28,7 @@ from .cones import (
 from .dynamics import (
     ConeMap,
     PolarizationCertificate,
+    PolarizationStatus,
     certificate_failures,
     decide_polarization,
     is_power_bounded,
@@ -35,7 +36,7 @@ from .dynamics import (
     q_from_degree,
     restricted_degree,
 )
-from .errors import InternalCheckError, IrrationalCandidateOnlyError
+from .errors import InternalCheckError
 from .exactalg import (
     QMatrix,
     QPoly,
@@ -219,15 +220,11 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
             result.failures.append(f"case {case}: invariance unexpectedly failed")
             continue
         rational_candidates = [r for r in rational_roots(cm.char_poly) if r > 0]
-        try:
-            decision = decide_polarization(cm)
-            verdict = decision.status.value
-        except IrrationalCandidateOnlyError:
-            decision = None
-            verdict = "irrational_candidate_only"
+        decision = decide_polarization(cm)
+        irrational_only = decision.status is PolarizationStatus.IRRATIONAL_ONLY
+        verdict = "irrational_candidate_only" if irrational_only else decision.status.value
         if collect is not None:
-            collect.append(CaseOutcome(inst.kind, verdict, inst.matrix,
-                                       decision and decision.certificate))
+            collect.append(CaseOutcome(inst.kind, verdict, inst.matrix, decision.certificate))
 
         growth_bounded = [q for q in rational_candidates
                           if empirical_growth_max(inst.matrix, q) < GROWTH_THRESHOLD]
@@ -238,7 +235,7 @@ def run_cone_equivalence(seed: int, cases: int, max_dim: int = 4,
                 f"case {case}: growth oracle {growth_bounded} vs spectral "
                 f"{spectral_bounded} for kind {inst.kind}")
             continue
-        if decision is None:
+        if irrational_only:
             if rational_candidates or inst.kind != "irrational":
                 result.failures.append(f"case {case}: unexpected irrational-only")
             continue

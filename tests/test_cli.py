@@ -213,7 +213,6 @@ unloaded("a map with an irreducible cubic of three real roots")
 from fractions import Fraction
 from conecert import ConeMap, build_cone, decide_polarization
 from conecert.dynamics import PolarizationStatus
-from conecert.errors import IrrationalCandidateOnlyError
 from conecert.exactalg import QMatrix
 
 # a 3-cycle of weight 8 beside diag(3): char poly (t^3 - 8)(t - 3), whose
@@ -225,12 +224,8 @@ assert result.status is PolarizationStatus.NOT_POLARIZED
 unloaded("a NOT_POLARIZED decision")
 quadrant = build_cone([[1, 0], [0, 1]])
 for rows in ([[0, 2], [1, 0]], [[0, Fraction(1, 1000)], [1, 0]]):
-    try:
-        decide_polarization(ConeMap.create(QMatrix.from_rows(rows), quadrant))
-    except IrrationalCandidateOnlyError:
-        pass
-    else:
-        raise AssertionError(f"{rows} was not refused as irrational-only")
+    result = decide_polarization(ConeMap.create(QMatrix.from_rows(rows), quadrant))
+    assert result.status is PolarizationStatus.IRRATIONAL_ONLY, rows
     unloaded(f"the irrational-only refusal of {rows}")
 """
 

@@ -33,7 +33,6 @@ from conecert.errors import (
     DimensionMismatchError,
     InternalCheckError,
     InvarianceNotVerifiedError,
-    IrrationalCandidateOnlyError,
     NoIntegerRootError,
     NotPowerBoundedError,
     PreconditionViolatedError,
@@ -316,10 +315,10 @@ def test_irrational_candidate_surfaced(quadrant):
                                 (block, build_cone([[1, 0, 0, 0], [0, 1, 0, 0]]),
                                  (-3, 0, 1))):
         cm = ConeMap.create(QMatrix.from_rows(rows), cone)
-        with pytest.raises(IrrationalCandidateOnlyError) as info:
-            decide_polarization(cm)
+        result = decide_polarization(cm)
+        assert result.status is PolarizationStatus.IRRATIONAL_ONLY
         roots = roots_with_multiplicity(cm.char_poly)
-        assert info.value.candidate_minpoly(roots).coeffs == minpoly
+        assert result.candidate_minpoly(roots).coeffs == minpoly
 
 
 def test_jordan_block_automorphism_is_not_polarized():
@@ -429,9 +428,8 @@ def test_no_elimination_after_the_cone_build(monkeypatch):
         assert all(membership(cone, g) is not Membership.OUTSIDE for g in gens)
         assert membership(cone, cone.interior_sample()) is Membership.INTERIOR
         assert minimal_extremal_face(cone, gens[:1]).generator_indices
-        try:
-            status = decide_polarization(cm).status.value
-        except IrrationalCandidateOnlyError:
+        status = decide_polarization(cm).status.value
+        if status == "irrational_only":
             status = "irrational_candidate_only"
         doc = {"schema_version": "1", "kind": "cone_dynamics",
                "payload": {"matrix": [[str(x) for x in m.row(i)] for i in range(m.rows)],
@@ -730,11 +728,9 @@ def test_one_remainder_sequence_per_analysis(monkeypatch):
         parts.clear()
         orthant = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
         cm = ConeMap.create(QMatrix.from_rows(rows), build_cone(orthant))
-        if status == "polarized":
-            assert decide_polarization(cm).is_polarized
-        else:
-            with pytest.raises(IrrationalCandidateOnlyError):
-                decide_polarization(cm)
+        expected = {"polarized": PolarizationStatus.POLARIZED,
+                    "irrational_candidate_only": PolarizationStatus.IRRATIONAL_ONLY}[status]
+        assert decide_polarization(cm).status is expected
         assert len(starts) == 1
         assert parts and all(part is parts[0] for part in parts)
         starts.clear()

@@ -58,3 +58,9 @@ def test_immutable_values_raise_a_library_attribute_error():
         with pytest.raises(errors.ImmutableValueError) as caught:
             setattr(value, name, ())
         assert isinstance(caught.value, AttributeError)
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_malformed_rational_strings_raise_a_library_error(text):
+    with pytest.raises(errors.PreconditionViolatedError):
+        QPoly([text])

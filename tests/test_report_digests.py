@@ -49,6 +49,17 @@ def _corpus() -> dict[str, dict]:
     docs["psd2"] = _cone_doc([[0, 0, 4], [0, 6, 0], [9, 0, 0]], {"type": "psd", "size": 2})
     docs["proper-span-swap"] = _cone_doc(
         [[0, 2], [2, 0]], {"type": "polyhedral", "generators": [[1, 1]]})
+    # irrational-only on a proper span: t^2 - 3 on the span, t^2 - 2 transverse
+    docs["proper-span-irrational"] = _cone_doc(
+        [[0, 3, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]],
+        {"type": "polyhedral", "generators": [[1, 0, 0, 0], [0, 1, 0, 0]]})
+    # X -> B X B^T with B = [[2, 1], [1, 1]]: irrational-only, t^2 - 7t + 1
+    docs["psd2-irrational"] = _cone_doc(
+        [[4, 4, 1], [2, 3, 1], [1, 2, 1]], {"type": "psd", "size": 2})
+    for name, endo in (("ns-irrational", [[2, 1], [1, 1]]),
+                       ("ns-not-polarized", [[2, 0], [0, 3]])):
+        docs[name] = {"schema_version": "1", "kind": "ns_example",
+                      "payload": {"endomorphism": endo}}
     docs["degree"] = {"schema_version": "1", "kind": "degree_check",
                       "payload": {"dim_x": 2, "deg_f": 36, "dim_y": 1, "deg_g": 6,
                                   "invariant_subvariety_dim": 1}}
@@ -91,8 +102,12 @@ DIGESTS = {
     "generated-17-mismatched": "22b9c1b0a76414413ebf996bd51abedddbf93242dbbf6ab287d5f87637395ea5",
     "generated-18-irrational": "7d9c01b7edad20d268bd0342c33907fb8682565e5f4c195bb0288f85180dc441",
     "generated-19-mismatched": "fb6b8d2d3a357051f375c51c211c2a2edb8477c2da506938f38910d42a704ce9",
+    "ns-irrational": "dfc0b4501d3f20473ed8283566a52db265603338e8dc3b30e5fcd86e8f0d47b2",
+    "ns-not-polarized": "1da3dbcaff2789e94010a2945cae3d40fa75a804b4a7230765dbc0d15b561ec4",
+    "proper-span-irrational": "cc5d4c6d209c159d8104fd78d399fa27c84dd95a4b9f46d789e2ea8b5fb41928",
     "proper-span-swap": "a23651941d89b846991ce9a613addbadb8e3a24a1e011a52b2cd4db1f42a0a3d",
     "psd2": "f5ae83a23bcd10e5ae24f11ad54996d6055f59ac40287039fc6e86d2754cec02",
+    "psd2-irrational": "7ca4799937b72a762d65836e8497ad3711951c949cc80cf285ea5c297d6015ac",
     "tie-sqrt2-near": "c3f2ea5dfa2ac154af3ea929f72d159c18deacebee89ca5a0bed83af3826ed7a",
     "tie-sqrt2-near-point": "57202fb4e031bcf21acb3bb197774b6c088650ee64774cb2bcf931069d0712fe",
     "tie-sqrt2-point": "ae41994646eaa02df653921802c1934541847a8244f189b3b581ab903f3ac6ff",
