@@ -207,8 +207,9 @@ class PolyhedralCone:
     """A pointed cone, full dimensional inside the span of its generators.
 
     `facet_normals` are primitive integer vectors in ambient coordinates;
-    together with membership in the span they cut out exactly the cone. Bit
-    i of `facet_masks[j]` is set exactly when generator i lies on facet j.
+    together with membership in the span they cut out exactly the cone. On a
+    proper span a normal is the local one at the pivot columns, zero elsewhere.
+    Bit i of `facet_masks[j]` is set exactly when generator i lies on facet j.
     """
 
     kind = "polyhedral"
@@ -329,13 +330,10 @@ def build_cone(generators: Sequence[Sequence], *,
     extreme = [r for r in range(len(rays))
                if reduce(and_, (m for m in tight if m >> r & 1), every) == 1 << r]
     facet_masks = tuple(sum(1 << i for i, r in enumerate(ray_of) if m >> r & 1) for m in tight)
-    # lift normals to ambient coordinates: n_amb = E (E^T E)^{-1} n_loc keeps
-    # every sign on the span; a full-dimensional span needs no lift
-    normals = tuple(normals_local)
-    if d < ambient:
-        emb = QMatrix.from_columns([vector(b) for b in span_basis])
-        lift = emb * (emb.transpose() * emb).inverse()
-        normals = tuple(primitive_ints(lift.apply(n)) for n in normals_local)
+    # a point x of the span has local coordinates x[pivots], so a local normal
+    # placed at the pivot columns, zero elsewhere, keeps every sign on the span
+    normals = tuple(normals_local) if d == ambient else tuple(
+        tuple(dict(zip(pivots, n)).get(c, 0) for c in range(ambient)) for n in normals_local)
 
     return PolyhedralCone(
         ambient_dim=ambient,

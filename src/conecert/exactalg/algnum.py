@@ -17,8 +17,8 @@ or 3 left without one is irreducible.
 Roots are isolated once, for the report, to boxes narrower and lower than
 ISOLATION_WIDTH; `roots_with_multiplicity` states their order. The real
 roots of all factors come from one bisection on Sturm counts of their
-product, and the non-real roots of an irreducible quadratic from its
-closed form with an `isqrt` bracket.
+product, down from `_root_bound`, and the non-real roots of an irreducible
+quadratic from its closed form with an `isqrt` bracket.
 sympy is imported only inside `_sympy_factors` (a square-free cofactor of
 degree >= 4), `_sympy_complex_boxes` (the non-real roots of an irreducible
 factor of degree >= 3) and `_count_in_box` (for `refine`). So `import
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt, prod
+from math import isqrt, prod
 from typing import Sequence
 
 from ..errors import InternalCheckError, PreconditionViolatedError, ZeroPolynomialError
@@ -91,23 +91,30 @@ def _simple_roots_mod_prime(g: Sequence[int], dg: Sequence[int]) -> tuple[int, l
             return p, roots
 
 
+def _root_bound(coeffs: Sequence[int]) -> int:
+    """A power of two strictly above every root's modulus, for integer coefficients
+    lowest degree first: Fujiwara's 2 max_k |a_{n-k}/a_n|^(1/k), read from bit lengths."""
+    lead, *lower = reversed(coeffs)
+    d = abs(lead).bit_length() - 1
+    return 2 << max([0, *(-((d - c.bit_length()) // k) for k, c in enumerate(lower, 1))])
+
+
 def rational_roots(p: QPoly) -> list[Fraction]:
     """The distinct rational roots of p, increasing, read from the primitive
     integer form s of its square-free part (lowest degree first).
 
     With n = deg s and lc > 0 its leading coefficient, r is a root of s
     exactly when y = lc r is an integer root of the monic
-    g(y) = lc^(n-1) s(y / lc), and |y| < B = 1 + max |g_i| (Cauchy). Each
-    root of g modulo the first prime l at which all of them are simple
-    lifts uniquely by Newton's iteration to a root mod l^k > 2B; its
-    symmetric residue is the only integer candidate, tested exactly (Loos
-    1983).
+    g(y) = lc^(n-1) s(y / lc), and |y| < B = `_root_bound`(g). Each root
+    of g modulo the first prime l at which all of them are simple lifts
+    uniquely by Newton's iteration to a root mod l^k > 2B; its symmetric
+    residue is the only integer candidate, tested exactly (Loos 1983).
     """
     s = primitive_ints(p.square_free_part().coeffs)
     n, lc = len(s) - 1, s[-1]
     g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     dg = [i * c for i, c in enumerate(g)][1:]
-    bound = 1 + max(abs(c) for c in g)
+    bound = _root_bound(g)
     prime, residues = _simple_roots_mod_prime(g, dg)
     roots = []
     for a in residues:
@@ -294,13 +301,13 @@ def _real_roots(factors: list[tuple[QPoly, int]]) -> list[AlgebraicNumber]:
     the product s of the factors of degree >= 2.
 
     s has no rational root, so no endpoint is ever a root of s. The search
-    splits at 0 first and starts from the dyadic Cauchy bound 2^e > |root|;
-    Sturm counts on s's chain halve an interval until it holds one root,
-    then the sign of s halves it until it is narrower than ISOLATION_WIDTH
-    and no rational root lies strictly inside. The factor that changes sign
-    across a box owns its root. Each such box is a dyadic cell on one side of
-    0, which `PolarizationResult.candidate_minpoly` reads from its lower
-    end.
+    splits at 0 first and starts from `_root_bound` 2^e > |root|, so each
+    box depends on the roots alone. Sturm counts on s's chain halve an
+    interval until it holds one root, then the sign of s halves it until it
+    is narrower than ISOLATION_WIDTH and no rational root lies strictly
+    inside. The factor that changes sign across a box owns its root. Each
+    such box is a dyadic cell on one side of 0, which
+    `PolarizationResult.candidate_minpoly` reads from its lower end.
     """
     rationals = sorted(-fac.coeffs[0] / fac.coeffs[1] for fac, _ in factors if fac.degree == 1)
     irrational = [fac for fac, _ in factors if fac.degree >= 2]
@@ -308,8 +315,7 @@ def _real_roots(factors: list[tuple[QPoly, int]]) -> list[AlgebraicNumber]:
     if not irrational:
         return reals
     s = prod(irrational, start=QPoly.one())
-    cauchy = 1 + max(abs(c) for c in s.coeffs[:-1]) / s.leading
-    top = Fraction(1 << (ceil(cauchy) - 1).bit_length())
+    top = Fraction(_root_bound(primitive_ints(s.coeffs)))
     todo = [(lo, hi, s.count_real_roots(lo, hi)) for lo, hi in ((0, top), (-top, 0))]
     while todo:
         lo, hi, n = todo.pop()
@@ -358,13 +364,10 @@ def roots_with_multiplicity(p: QPoly) -> list[tuple[AlgebraicNumber, int]]:
 def has_positive_irrational_root(p: QPoly) -> bool:
     """Whether the polynomial p with p(0) != 0 has a positive irrational real root.
 
-    A Sturm count of the distinct roots of p in (0, B), on p's own chain,
-    minus the positive rational roots of its square-free part r. B = 1 +
-    max |coefficient| of the monic r is Cauchy's bound, so no root lies at
-    or beyond B.
+    A Sturm count of the distinct roots of p in (0, `_root_bound`(p)), on
+    p's own chain, minus the positive rational roots of p.
     """
-    r = p.square_free_part()
-    positive = p.count_real_roots(0, 1 + max(abs(c) for c in r.coeffs))
+    positive = p.count_real_roots(0, _root_bound(primitive_ints(p.coeffs)))
     return positive > 0 and positive > sum(1 for x in rational_roots(p) if x > 0)
 
 

@@ -46,22 +46,19 @@ def primitive_ints(u: Sequence[Scalar]) -> tuple[int, ...]:
 def integer_nth_root(value: int, n: int) -> Optional[int]:
     """Exact n-th root of a positive integer, or None.
 
-    value < 2^b for b its bit length, so a root lies below 2^ceil(b / n) and
-    no power the search forms is much longer than value.
+    With b the bit length of value, the root is below 2^ceil(b / n), so at
+    n >= b only 1 has one. Newton's iteration falls from there to the floor
+    of the root (Brent and Zimmermann, *Modern Computer Arithmetic*, 1.5).
     """
     if value < 1 or n < 1:
         return None
-    lo, hi = 1, (1 << -(-value.bit_length() // n)) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** n
-        if p == value:
-            return mid
-        if p < value:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    b = value.bit_length()
+    if n >= b:
+        return 1 if value == 1 else None
+    x = 1 << -(-b // n)
+    while (y := ((n - 1) * x + value // x ** (n - 1)) // n) < x:
+        x = y
+    return x if x ** n == value else None
 
 
 def rational_nth_root(x: Scalar, n: int) -> Optional[Fraction]:

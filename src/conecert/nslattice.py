@@ -58,8 +58,10 @@ class SymClass:
 
     @staticmethod
     def from_vector(v: Sequence) -> "SymClass":
-        a, b, c = (int(_frac(x)) for x in v)
-        return SymClass(a, b, c)
+        entries = [_frac(x) for x in v]
+        if any(x.denominator != 1 for x in entries):
+            raise PreconditionViolatedError(f"class entries must be integers: {v}")
+        return SymClass(*(int(x) for x in entries))
 
     def matrix(self) -> QMatrix:
         return QMatrix.from_rows([[self.a, self.b], [self.b, self.c]])

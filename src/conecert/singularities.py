@@ -9,9 +9,9 @@ nontrivial element is a pseudo-reflection (fixes a codimension <= 1 set).
 
 The projective fixed-point tables diagonalize the coordinate m-cycle on
 projective (m-1)-space: the fixed components of the k-th power are the
-projectivized eigenspaces, grouped by eigenvalue class, and the normal
-weights at a component are the residues k(i - j) mod m over eigen-indices i
-outside the component.
+projectivized eigenspaces, one per eigenvalue class, and the normal weights
+at a component j are the residues k(i - j) mod m over eigen-indices i
+outside it: the nonzero values of k d mod m, whatever the component.
 """
 from __future__ import annotations
 
@@ -69,9 +69,9 @@ def projective_cycle_fixed_data(m: int) -> dict[int, list[FixedComponent]]:
     """Fixed-point table of the coordinate m-cycle on projective (m-1)-space.
 
     For each nontrivial power k, the fixed components are indexed by the
-    eigenvalue classes of the k-th power of the cycle; a class c collects
-    the eigen-indices j with j k = c mod m, giving a projective component of
-    dimension gcd(k, m) - 1 with normal residues k (i - j) mod m.
+    eigenvalue classes of the k-th power of the cycle, the multiples c of
+    g = gcd(k, m); each is a projective component of dimension g - 1 whose
+    normal weights are the nonzero residues k d mod m, the same for all.
     """
     if m < 2:
         raise PreconditionViolatedError("need order at least 2")
@@ -80,15 +80,9 @@ def projective_cycle_fixed_data(m: int) -> dict[int, list[FixedComponent]]:
     table: dict[int, list[FixedComponent]] = {}
     for k in range(1, m):
         g = gcd(k, m)
-        components = []
-        for c in sorted({(j * k) % m for j in range(m)}):
-            indices = [j for j in range(m) if (j * k) % m == c]
-            j0 = indices[0]
-            weights = tuple(sorted((k * (i - j0)) % m
-                                   for i in range(m) if i not in indices))
-            components.append(FixedComponent(
-                eigenclass=c, dim=g - 1, weights=weights, age=Fraction(sum(weights), m)))
-        table[k] = components
+        weights = tuple(sorted(w for w in ((k * d) % m for d in range(m)) if w))
+        table[k] = [FixedComponent(eigenclass=c, dim=g - 1, weights=weights,
+                                   age=Fraction(sum(weights), m)) for c in range(0, m, g)]
     return table
 
 

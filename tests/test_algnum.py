@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import floor, isqrt, prod
 
@@ -10,14 +11,17 @@ from conecert.errors import PreconditionViolatedError, ZeroPolynomialError
 from conecert.exactalg import (
     AlgebraicNumber,
     QPoly,
+    char_poly,
     factor_rational,
     has_positive_irrational_root,
     modulus_equals,
+    primitive_ints,
     rational_roots,
     roots_with_multiplicity,
 )
 from conecert.exactalg import algnum
 from conecert.exactalg.algnum import ISOLATION_WIDTH
+from conecert.nslattice import pullback_action
 
 SPECTRUM_POLY = QPoly([-216, -12, 2, 1])  # (t - 6)(t^2 + 8t + 36)
 
@@ -461,6 +465,32 @@ def test_isolation_matches_sympy():
                 seen.add("complex, degree 3")
     assert seen == {"real, degree 2", "real, degree 3", "complex, degree 2",
                     "complex, degree 3"}
+
+
+def test_root_bound_is_a_power_of_two_above_every_box():
+    rng = random.Random(20261019)
+    for p in [_random_spectrum(rng) for _ in range(300)]:
+        bound = algnum._root_bound(primitive_ints(p.coeffs))
+        assert bound >= 2 and bound & (bound - 1) == 0, p
+        for root, _ in roots_with_multiplicity(p):
+            assert all(-bound < side < bound for side in root.box), (p, bound, root)
+
+
+def test_large_entries_take_a_few_sturm_counts(monkeypatch):
+    # the char poly of a 250-digit ns_example action has degree 3 and roots
+    # near 2^1660; the bound from the largest root, not from their product,
+    # leaves the Sturm stage a few counts (a Cauchy start took 1,662)
+    rng = random.Random(7)
+    endo = [[rng.randrange(10 ** 249, 10 ** 250) for _ in range(2)] for _ in range(2)]
+    factors = factor_rational(char_poly(pullback_action(endo).ns_matrix))
+    counts = []
+    count_real_roots = QPoly.count_real_roots
+    monkeypatch.setattr(QPoly, "count_real_roots",
+                        lambda p, lo, hi: counts.append(1) or count_real_roots(p, lo, hi))
+    started = time.perf_counter()
+    reals = algnum._real_roots(factors)
+    assert time.perf_counter() - started < 1
+    assert len(reals) == 3 and len(counts) <= 10, len(counts)
 
 
 def test_modulus_equals_spectrum():

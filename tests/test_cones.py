@@ -163,6 +163,36 @@ def test_span_coordinates_match_the_solve_reference():
     assert full.span_coordinates((Fraction(1, 2), -3)) == (Fraction(1, 2), -3)
 
 
+def test_membership_reads_the_local_normals_on_a_proper_span():
+    """On a proper span a facet normal is the local normal n = E^T n_amb at
+    the pivot columns: membership reads n's signs at a point's span
+    coordinates, and OUTSIDE off the span."""
+    rng = random.Random(20261020)
+    seen = Counter()
+    for cone in _proper_span_cones(rng, 40):
+        emb = QMatrix.from_columns(list(cone.span_basis))
+        local = [emb.transpose().apply(n) for n in cone.facet_normals]
+        pivots = [next(j for j, v in enumerate(b) if v) for b in cone.span_basis]
+        assert all(n[j] == 0 for n in cone.facet_normals
+                   for j in range(cone.ambient_dim) if j not in pivots)
+        inside = [vector(sum(c * b[i] for c, b in zip(coeffs, cone.span_basis))
+                         for i in range(cone.ambient_dim))
+                  for coeffs in ([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                                  for _ in range(cone.dim)] for _ in range(6))]
+        for x in list(cone.generators) + inside + [cone.interior_sample()]:
+            signs = [dot(n, cone.span_coordinates(x)) for n in local]
+            want = (Membership.OUTSIDE if any(v < 0 for v in signs) else
+                    Membership.INTERIOR if all(v > 0 for v in signs) else Membership.BOUNDARY)
+            assert membership(cone, x) is want, (cone, x)
+            seen[want] += 1
+            j = rng.randrange(cone.ambient_dim)
+            off = vec_add(x, vector(int(i == j) for i in range(cone.ambient_dim)))
+            if cone.span_coordinates(off) is None:
+                assert membership(cone, off) is Membership.OUTSIDE, (cone, off)
+                seen["off span"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
 def test_minimal_face_examples(quadrant, octant, square_cone):
     ray = minimal_extremal_face(quadrant, [[1, 0]])
     assert ray.generator_indices == (0,)

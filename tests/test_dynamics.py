@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -657,6 +658,19 @@ def test_integer_nth_root_matches_the_table_of_powers():
             assert integer_nth_root(r ** n, n) == r
             if n > 1:
                 assert integer_nth_root(r ** n + 1, n) is None
+
+
+def test_integer_nth_root_of_long_values():
+    rng = random.Random(20261020)
+    for bits in (2_000, 4_500, 6_000, 9_000, 13_000):
+        r = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert integer_nth_root(r * r, 2) == isqrt(r * r) == r
+        v = rng.getrandbits(2 * bits)
+        assert integer_nth_root(v, 2) == (isqrt(v) if isqrt(v) ** 2 == v else None)
+        for n in range(2, 9):
+            assert integer_nth_root(r ** n, n) == r, (bits, n)
+            assert integer_nth_root(r ** n - 1, n) is None, (bits, n)
+            assert integer_nth_root(r ** n + 1, n) is None, (bits, n)
 
 
 def test_product_formula_matches_the_power_form():

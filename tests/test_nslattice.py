@@ -98,6 +98,13 @@ def test_pullback_rejects_non_integral():
             call()
 
 
+def test_class_from_vector_rejects_non_integer_entries():
+    assert SymClass.from_vector([1, "3/1", -2]) == SymClass(1, 3, -2)
+    for v in (["1/2", "3/2", 0], [1, 2, "-7/3"]):
+        with pytest.raises(PreconditionViolatedError):
+            SymClass.from_vector(v)
+
+
 def test_determinant_cube_identity_seeded():
     rng = random.Random(5)
     for _ in range(60):
