@@ -309,7 +309,7 @@ def build_cone(generators: Sequence[Sequence], *,
     # work inside the rational span; each reduced echelon basis row is 1 at
     # its own pivot and 0 at the others, so local coordinates are the
     # generators' pivot entries (the generators themselves when full dimensional)
-    echelon, pivots, _ = QMatrix.from_rows(gens)._echelon()
+    echelon, pivots = QMatrix.from_rows(gens)._echelon()
     d = len(pivots)
     span_basis = tuple(tuple(echelon[r][c] for c in range(ambient)) for r in range(d))
     # generator i lies on ray ray_of[i]; rays are numbered by first appearance

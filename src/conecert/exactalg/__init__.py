@@ -1,6 +1,6 @@
 """Exact rational linear algebra and certified algebraic-number kernel."""
 
-from .qpoly import QPoly, integer_nth_root, rational_nth_root
+from .qpoly import QPoly, integer_nth_root, rational_nth_root, rational_roots
 from .qmatrix import (
     QMatrix,
     char_poly,
@@ -21,7 +21,6 @@ from .algnum import (
     factor_rational,
     has_positive_irrational_root,
     modulus_equals,
-    rational_roots,
     roots_with_multiplicity,
 )
 

@@ -10,9 +10,9 @@ reduction and a Sturm count). It, `rational_roots`, `factor_rational` and
 `has_positive_irrational_root` take any polynomial and read its square-free
 part from the Sturm chain the polynomial keeps (`QPoly.sturm_chain`), so the
 report, the decision and a refusal on one characteristic polynomial share
-one remainder sequence. `rational_roots` lifts p-adically (Hensel), and
-`factor_rational` splits them off as linear factors: a cofactor of degree 2
-or 3 left without one is irreducible.
+one remainder sequence. `qpoly.rational_roots` lifts p-adically (Hensel)
+once per polynomial, and `factor_rational` splits them off as linear
+factors: a cofactor of degree 2 or 3 left without one is irreducible.
 
 Roots are isolated once, for the report, to boxes narrower and lower than
 ISOLATION_WIDTH; `roots_with_multiplicity` states their order. The real
@@ -34,11 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
-from typing import Sequence
 
 from ..errors import InternalCheckError, PreconditionViolatedError, ZeroPolynomialError
-from .qmatrix import primitive_ints
-from .qpoly import QPoly, _frac
+from .qpoly import QPoly, _frac, _root_bound, primitive_ints, rational_roots
 
 # every isolating box is narrower and lower than this; reports print it as is
 ISOLATION_WIDTH = Fraction(1, 4096)
@@ -65,67 +63,6 @@ def _to_dup(p: QPoly) -> list:
 
 def _from_mpq(x) -> Fraction:
     return Fraction(x.numerator, x.denominator)
-
-
-def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
-    """g(x) mod m for integer coefficients, lowest degree first."""
-    acc = 0
-    for c in reversed(g):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _simple_roots_mod_prime(g: Sequence[int], dg: Sequence[int]) -> tuple[int, list[int]]:
-    """The first prime p at which every root of g mod p is simple, and those roots.
-
-    g is square free, so only primes dividing its discriminant are skipped.
-    """
-    p = 1
-    while True:
-        p += 1
-        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            continue
-        g_p, dg_p = [c % p for c in g], [c % p for c in dg]
-        roots = [a for a in range(p) if _eval_mod(g_p, a, p) == 0]
-        if all(_eval_mod(dg_p, a, p) for a in roots):
-            return p, roots
-
-
-def _root_bound(coeffs: Sequence[int]) -> int:
-    """A power of two strictly above every root's modulus, for integer coefficients
-    lowest degree first: Fujiwara's 2 max_k |a_{n-k}/a_n|^(1/k), read from bit lengths."""
-    lead, *lower = reversed(coeffs)
-    d = abs(lead).bit_length() - 1
-    return 2 << max([0, *(-((d - c.bit_length()) // k) for k, c in enumerate(lower, 1))])
-
-
-def rational_roots(p: QPoly) -> list[Fraction]:
-    """The distinct rational roots of p, increasing, read from the primitive
-    integer form s of its square-free part (lowest degree first).
-
-    With n = deg s and lc > 0 its leading coefficient, r is a root of s
-    exactly when y = lc r is an integer root of the monic
-    g(y) = lc^(n-1) s(y / lc), and |y| < B = `_root_bound`(g). Each root
-    of g modulo the first prime l at which all of them are simple lifts
-    uniquely by Newton's iteration to a root mod l^k > 2B; its symmetric
-    residue is the only integer candidate, tested exactly (Loos 1983).
-    """
-    s = primitive_ints(p.square_free_part().coeffs)
-    n, lc = len(s) - 1, s[-1]
-    g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
-    dg = [i * c for i, c in enumerate(g)][1:]
-    bound = _root_bound(g)
-    prime, residues = _simple_roots_mod_prime(g, dg)
-    roots = []
-    for a in residues:
-        m = prime
-        while m <= 2 * bound:
-            m *= m
-            a = (a - _eval_mod(g, a, m) * pow(_eval_mod(dg, a, m), -1, m)) % m
-        y = a if 2 * a < m else a - m
-        if sum(c * y ** i for i, c in enumerate(g)) == 0:
-            roots.append(Fraction(y, lc))
-    return sorted(roots)
 
 
 def _sympy_factors(p: QPoly) -> list[tuple[QPoly, int]]:

@@ -1,20 +1,20 @@
 """Dense exact rational matrices and the spectral operations built on them.
 
 Dimensions here are desk scale (at most ~10). Entries are `Fraction`s, but
-products, characteristic polynomials (Faddeev-LeVerrier) and polynomial
-evaluation run over integer numerators with one common denominator (`_ints`,
-`_int_product`). Elimination (`_echelon`) stays on `Fraction`: `rank`,
-`det`, `inverse`, `solve` (for `min_poly`) and the cone build call it; no
-decision or query on a built cone does. Ranks of integer vectors are
-fraction free (`independent_rows`). Minimal polynomials come from the first
-linear dependence among matrix powers, and spectral projectors from
-polynomial interpolation on the minimal polynomial (h = 1 at the chosen
-eigenvalue, h = 0 on the complementary factor).
+products, polynomial evaluation and `char_poly` run over integers with one
+common denominator (`_ints`, `_int_product`), and `det`, `inverse` and
+`rank` over rows each scaled by its own (`_row_ints`). One Faddeev-LeVerrier
+pass (`_faddeev`) gives `char_poly`, `det` and `inverse`; ranks are fraction
+free. Only `solve` (for `min_poly`) and the cone build's span eliminate over
+`Fraction` (`_echelon`); no decision or query on a built cone does. Minimal
+polynomials come from the first linear dependence among matrix powers, and
+spectral projectors from polynomial interpolation on the minimal polynomial
+(h = 1 at the chosen eigenvalue, h = 0 on the complementary factor).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -93,6 +93,12 @@ def _ints(entries: Sequence[Fraction]) -> tuple[list[int], int]:
     entry denominators: entries[i] == ints[i] / D."""
     d = lcm(*(e.denominator for e in entries))
     return [e.numerator * (d // e.denominator) for e in entries], d
+
+
+def _row_ints(m: "QMatrix") -> Iterable[tuple]:
+    """The integer rows of R m and the r_i, for R = diag(r_i) with r_i the lcm
+    of row i's denominators."""
+    return zip(*(_ints(m.row(i)) for i in range(m.rows)))
 
 
 def _int_product(a: list[int], b: list[int], inner: int, cols: int) -> list[int]:
@@ -222,25 +228,41 @@ class QMatrix:
     def max_abs_entry(self) -> Fraction:
         return max(abs(e) for e in self.entries)
 
-    # -- elimination-based operations ---------------------------------------------
+    # -- determinant, inverse, rank and elimination ----------------------------------
 
-    def _echelon(self) -> tuple[list[list[Fraction]], list[int], Fraction]:
-        """Row echelon form (fully reduced), pivot column indices, and the
-        product of the pivots signed by the row swaps, which is the
-        determinant when the matrix is square of full rank."""
+    def det(self) -> Fraction:
+        """(-1)^n c_n / (r_1 ... r_n) from `_faddeev` of R self (`_row_ints`)."""
+        if not self.is_square:
+            raise DimensionMismatchError("determinant of a non-square matrix")
+        rows, r = _row_ints(self)
+        c = _faddeev([x for row in rows for x in row], self.rows)[0][-1]
+        return Fraction((-1) ** self.rows * c, prod(r))
+
+    def inverse(self) -> "QMatrix":
+        """-B R / c_n from `_faddeev` of a = R self (`_row_ints`), since a B = -c_n I."""
+        if not self.is_square:
+            raise DimensionMismatchError("inverse of a non-square matrix")
+        rows, r = _row_ints(self)
+        (*_, c), b = _faddeev([x for row in rows for x in row], self.rows)
+        if c == 0:
+            raise SingularMatrixError("matrix is singular")
+        return QMatrix(self.rows, self.rows, [Fraction(-x * s, c) for x, s in zip(b, r * len(r))])
+
+    def rank(self) -> int:
+        rows, _ = _row_ints(self)
+        return len(independent_rows(rows))
+
+    def _echelon(self) -> tuple[list[list[Fraction]], list[int]]:
+        """Reduced row echelon form and its pivot columns, for `solve` and a cone's span."""
         m = self.to_rows()
         pivots: list[int] = []
-        det = Fraction(1)
         r = 0
         for c in range(self.cols):
             pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
             if pivot is None:
                 continue
-            if pivot != r:
-                m[r], m[pivot] = m[pivot], m[r]
-                det = -det
+            m[r], m[pivot] = m[pivot], m[r]
             pv = m[r][c]
-            det *= pv
             m[r] = [x / pv for x in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c] != 0:
@@ -248,30 +270,7 @@ class QMatrix:
                     m[i] = [x - f * y for x, y in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
-            if r == self.rows:
-                break
-        return m, pivots, det
-
-    def rank(self) -> int:
-        return len(self._echelon()[1])
-
-    def det(self) -> Fraction:
-        if not self.is_square:
-            raise DimensionMismatchError("determinant of a non-square matrix")
-        _, pivots, det = self._echelon()
-        return det if len(pivots) == self.rows else Fraction(0)
-
-    def inverse(self) -> "QMatrix":
-        """The right half of the reduced echelon form of [self | I]."""
-        if not self.is_square:
-            raise DimensionMismatchError("inverse of a non-square matrix")
-        n = self.rows
-        eye = QMatrix.identity(n)
-        aug = QMatrix.from_rows([self.row(i) + eye.row(i) for i in range(n)])
-        m, pivots, _ = aug._echelon()
-        if pivots[-1] >= n:
-            raise SingularMatrixError("matrix is singular")
-        return QMatrix(n, n, [m[i][n + j] for i in range(n) for j in range(n)])
+        return m, pivots
 
     def solve(self, b: Sequence[Scalar]):
         """One exact solution of self x = b, or None if inconsistent."""
@@ -279,7 +278,7 @@ class QMatrix:
             raise DimensionMismatchError("rhs length mismatch")
         aug = QMatrix(self.rows, self.cols + 1,
                       [x for i in range(self.rows) for x in (*self.row(i), _frac(b[i]))])
-        m, pivots, _ = aug._echelon()
+        m, pivots = aug._echelon()
         if self.cols in pivots:
             return None
         x = [Fraction(0)] * self.cols
@@ -290,28 +289,29 @@ class QMatrix:
 # -- spectral operations ------------------------------------------------------------
 
 
-def char_poly(m: QMatrix) -> QPoly:
-    """det(tI - m) by the Faddeev-LeVerrier recursion on the integer matrix
-    a = D m (`_ints`), whose char poly has integer coefficients c_k (of
-    t^(n-k)), so each division by k is exact; char(m) has c_k / D^k."""
-    if not m.is_square:
-        raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    a, d = _ints(m.entries)
-    diagonal = range(0, n * n, n + 1)
-    coeffs = [Fraction(1)]  # c_0 = 1, descending powers
-    mk, dk = list(a), 1
+def _faddeev(a: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Faddeev-LeVerrier on the n x n integer matrix a, row major: B_0 = I,
+    c_k = -tr(a B_(k-1)) / k exactly, B_k = a B_(k-1) + c_k I. Returns the
+    c_k (c_0 = 1; det(tI - a) has c_k at t^(n-k)) and B = B_(n-1) row
+    major, with a B = -c_n I by Cayley-Hamilton."""
+    coeffs, b, mk = [1], [1], list(a)   # b = [1] is B_(n-1) = I when n = 1
     for k in range(1, n + 1):
-        ck, rem = divmod(-sum(mk[i] for i in diagonal), k)
+        ck, rem = divmod(-sum(mk[::n + 1]), k)
         if rem:
             raise InternalCheckError(f"Faddeev-LeVerrier trace not divisible by {k}")
-        dk *= d
-        coeffs.append(Fraction(ck, dk))
+        coeffs.append(ck)
         if k < n:
-            for i in diagonal:
-                mk[i] += ck
-            mk = _int_product(a, mk, n, n)
-    return QPoly(list(reversed(coeffs)))
+            mk[::n + 1] = [x + ck for x in mk[::n + 1]]
+            b, mk = mk, _int_product(a, mk, n, n)
+    return coeffs, b
+
+
+def char_poly(m: QMatrix) -> QPoly:
+    """det(tI - m): c_k / D^k at t^(n-k) for the c_k of `_faddeev` of a = D m (`_ints`)."""
+    if not m.is_square:
+        raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
+    a, d = _ints(m.entries)
+    return QPoly([Fraction(c, d ** k) for k, c in enumerate(_faddeev(a, m.rows)[0])][::-1])
 
 
 def min_poly(m: QMatrix) -> QPoly:
@@ -326,9 +326,7 @@ def min_poly(m: QMatrix) -> QPoly:
     powers = [QMatrix.identity(n)]
     for k in range(1, n + 1):
         powers.append(powers[-1] * m)
-        cols = [p.entries for p in powers[:-1]]
-        mat = QMatrix(n * n, k, [cols[j][i] for i in range(n * n) for j in range(k)])
-        sol = mat.solve(powers[-1].entries)
+        sol = QMatrix.from_columns([p.entries for p in powers[:-1]]).solve(powers[-1].entries)
         if sol is not None:
             return QPoly(list(-c for c in sol) + [Fraction(1)])
     raise InternalCheckError("Cayley-Hamilton violated")  # pragma: no cover
@@ -345,14 +343,12 @@ def evaluate_poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
     h = primitive_ints(p.coeffs)
     content = p.leading / h[-1]
     a, d = _ints(m.entries)
-    diagonal = range(0, n * n, n + 1)
     b = [h[-1] if i % (n + 1) == 0 else 0 for i in range(n * n)]
     scale = 1
     for c in reversed(h[:-1]):
         scale *= d
         b = _int_product(b, a, n, n)
-        for i in diagonal:
-            b[i] += c * scale
+        b[::n + 1] = [x + c * scale for x in b[::n + 1]]
     num, den = content.numerator, content.denominator * scale
     return QMatrix(n, n, [Fraction(num * x, den) for x in b])
 

@@ -5,12 +5,14 @@ Coefficients are stored lowest degree first as `fractions.Fraction` values
 with no trailing zeros; the zero polynomial has an empty coefficient tuple.
 All arithmetic is exact. Nothing here ever touches floating point. A
 polynomial keeps its Sturm chain once built, so its square-free part and
-every root count share one remainder sequence.
+every root count share one remainder sequence, and it keeps its rational
+roots (`rational_roots`), so the report and a refusal lift them once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import ImmutableValueError, PreconditionViolatedError, ZeroPolynomialError
@@ -69,12 +71,74 @@ def rational_nth_root(x: Scalar, n: int) -> Optional[Fraction]:
     return None if num is None or den is None else Fraction(num, den)
 
 
+def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
+    """g(x) mod m for integer coefficients, lowest degree first."""
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_roots_mod_prime(g: Sequence[int], dg: Sequence[int]) -> tuple[int, list[int]]:
+    """The first prime p at which every root of g mod p is simple, and those roots.
+
+    g is square free, so only primes dividing its discriminant are skipped.
+    """
+    for p in count(2):
+        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        g_p, dg_p = [c % p for c in g], [c % p for c in dg]
+        roots = [a for a in range(p) if _eval_mod(g_p, a, p) == 0]
+        if all(_eval_mod(dg_p, a, p) for a in roots):
+            return p, roots
+
+
+def _root_bound(coeffs: Sequence[int]) -> int:
+    """A power of two strictly above every root's modulus, for integer coefficients
+    lowest degree first: Fujiwara's 2 max_k |a_{n-k}/a_n|^(1/k), read from bit lengths."""
+    lead, *lower = reversed(coeffs)
+    d = abs(lead).bit_length() - 1
+    return 2 << max([0, *(-((d - c.bit_length()) // k) for k, c in enumerate(lower, 1))])
+
+
+def rational_roots(p: QPoly) -> list[Fraction]:
+    """The distinct rational roots of p, increasing, read from the primitive
+    integer form s of its square-free part (lowest degree first); lifted
+    once per polynomial, kept beside its Sturm chain.
+
+    With n = deg s and lc > 0 its leading coefficient, r is a root of s
+    exactly when y = lc r is an integer root of the monic
+    g(y) = lc^(n-1) s(y / lc), and |y| < B = `_root_bound`(g). Each root
+    of g modulo the first prime l at which all of them are simple lifts
+    uniquely by Newton's iteration to a root mod l^k > 2B; its symmetric
+    residue is the only integer candidate, tested exactly (Loos 1983).
+    """
+    if p._roots is None:
+        s = primitive_ints(p.square_free_part().coeffs)
+        n, lc = len(s) - 1, s[-1]
+        g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+        dg = [i * c for i, c in enumerate(g)][1:]
+        bound = _root_bound(g)
+        prime, residues = _simple_roots_mod_prime(g, dg)
+        roots = []
+        for a in residues:
+            m = prime
+            while m <= 2 * bound:
+                m *= m
+                a = (a - _eval_mod(g, a, m) * pow(_eval_mod(dg, a, m), -1, m)) % m
+            y = a if 2 * a < m else a - m
+            if sum(c * y ** i for i, c in enumerate(g)) == 0:
+                roots.append(Fraction(y, lc))
+        object.__setattr__(p, "_roots", tuple(sorted(roots)))
+    return list(p._roots)
+
+
 class QPoly:
     """A polynomial with rational coefficients, lowest degree first."""
 
-    # _chain, _sqfree: the Sturm chain and the square-free part, built on
-    # first use; not part of the value
-    __slots__ = ("coeffs", "_chain", "_sqfree")
+    # _chain, _sqfree, _roots: the Sturm chain, the square-free part and the
+    # rational roots, built on first use; not part of the value
+    __slots__ = ("coeffs", "_chain", "_sqfree", "_roots")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
@@ -83,6 +147,7 @@ class QPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_chain", None)
         object.__setattr__(self, "_sqfree", None)
+        object.__setattr__(self, "_roots", None)
 
     def __setattr__(self, name, value):
         raise ImmutableValueError("QPoly is immutable")

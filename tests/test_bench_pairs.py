@@ -1,0 +1,39 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+END_TO_END = [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def test_summary_reads_medians_iqr_wins_and_shift():
+    base = [{"ops_per_s": x, "peak_rss_mb": y}
+            for x, y in ((400, 30.0), (430, 31.0), (410, 32.0), (420, 33.0))]
+    change = [{"ops_per_s": x, "peak_rss_mb": y}
+              for x, y in ((500, 31.5), (420, 33.0), (520, 32.0), (510, 34.0))]
+    ops, rss = load_script().summarize(END_TO_END, base, change)
+    # base ops median 415, quartiles 407.5 and 422.5; change median 505,
+    # better in three pairs; 90/415 = 21.7 % better, 0.87 of the 0.25 bound
+    assert ops == ("ops_per_s      base 415  change 505 1/s  base IQR 15  "
+                   "change wins 3/4  shift -21.7% = -0.87 of bound 0.25")
+    # rss: 31.5 -> 32.5 is 3.2 % worse, 0.32 of the 0.1 bound; three pairs
+    # higher and one tie, which is no win
+    assert rss == ("peak_rss_mb    base 31.5  change 32.5 MB  base IQR 1.5  "
+                   "change wins 0/4  shift +3.2% = +0.32 of bound 0.1")
+
+
+def test_summary_of_one_pair_has_no_spread():
+    (ops, _) = load_script().summarize(END_TO_END, [{"ops_per_s": 10, "peak_rss_mb": 20}],
+                                       [{"ops_per_s": 8, "peak_rss_mb": 20}])
+    assert "base IQR 0 " in ops and "change wins 0/1" in ops and "shift +20.0%" in ops

@@ -46,6 +46,7 @@ from conecert.exactalg import (
     min_poly,
     modulus_equals,
     qmatrix,
+    qpoly,
     roots_with_multiplicity,
 )
 from conecert.scenarios import run_scenario
@@ -755,6 +756,28 @@ def test_one_remainder_sequence_per_analysis(monkeypatch):
         assert run_scenario(doc)["verdicts"]["status"] == status
         assert len(starts) == 1
         assert len(parts) > 1 and all(part is parts[0] for part in parts)
+
+
+
+def test_a_refusal_lifts_its_rational_roots_once(monkeypatch):
+    """The report's factorization and the refusal's irrational-root test
+    read one characteristic polynomial, which keeps its rational roots, so
+    the p-adic lift behind `rational_roots` runs once per analysis."""
+    lifts = []
+    simple_roots = qpoly._simple_roots_mod_prime
+    monkeypatch.setattr(qpoly, "_simple_roots_mod_prime",
+                        lambda g, dg: lifts.append(g) or simple_roots(g, dg))
+    quadrant = {"type": "polyhedral", "generators": [[1, 0], [0, 1]]}
+    for doc, verdict in (
+            ({"kind": "cone_dynamics",
+              "payload": {"matrix": [[0, 1], [2, 0]], "cone": quadrant}},
+             ("status", "irrational_candidate_only")),
+            ({"kind": "ns_example", "payload": {"endomorphism": [[2, 1], [1, 1]]}},
+             ("verdict", "inconclusive"))):
+        lifts.clear()
+        report = run_scenario({"schema_version": "1", **doc})
+        assert report["verdicts"][verdict[0]] == verdict[1]
+        assert len(lifts) == 1, doc
 
 
 def test_decision_calls_the_public_modulus_test(monkeypatch, quadrant):

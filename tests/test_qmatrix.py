@@ -1,9 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecert.cones import build_cone
 from conecert.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -19,6 +23,7 @@ from conecert.exactalg import (
     independent_rows,
     min_poly,
     primitive_vector,
+    qmatrix,
     spectral_projector,
 )
 
@@ -63,7 +68,7 @@ def test_min_divides_char_and_both_annihilate(m):
 @settings(max_examples=30, deadline=None)
 def test_det_via_char_poly(m):
     cp = char_poly(m)
-    assert m.det() == cp(0) * (-1) ** 3
+    assert m.det() == cp(0) * (-1) ** 3 == ref_det(m)
 
 
 def test_det_row_swaps_and_singular():
@@ -95,7 +100,7 @@ def test_inverse_round_trip():
 def test_independent_rows_is_the_first_basis(rows):
     """The integer helper picks the pivots of the Fraction echelon form of
     the rows as columns, that is, each row not spanned by the rows before it."""
-    _, pivots, _ = QMatrix.from_columns([tuple(r) for r in rows])._echelon()
+    _, pivots = QMatrix.from_columns([tuple(r) for r in rows])._echelon()
     assert independent_rows(rows) == pivots
 
 
@@ -167,6 +172,33 @@ def ref_char_poly(m: QMatrix) -> QPoly:
     return QPoly(list(reversed(coeffs)))
 
 
+def ref_det(m: QMatrix) -> Fraction:
+    """The Leibniz sum over permutations, each signed by its inversions."""
+    n = m.rows
+    return sum((prod((m.entry(i, j) for i, j in enumerate(perm)), start=Fraction(1))
+                * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                for perm in itertools.permutations(range(n))), Fraction(0))
+
+
+def ref_inverse(m: QMatrix):
+    """The right half of the reduced row echelon form of [m | I] by
+    Gauss-Jordan over `Fraction`, or None when m is singular."""
+    n = m.rows
+    rows = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        pv = rows[c][c]
+        rows[c] = [x / pv for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return QMatrix(n, n, [x for row in rows for x in row[n:]])
+
+
 def ref_evaluate(p: QPoly, m: QMatrix) -> QMatrix:
     out = QMatrix.zeros(m.rows, m.rows)
     for c in reversed(p.coeffs):
@@ -229,3 +261,93 @@ def test_constructor_preconditions_raise_library_errors():
         QMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(EmptyInputError, match="no rows"):
         QMatrix.from_rows([])
+
+
+def hundred_digit_matrix(rng: random.Random, n: int) -> QMatrix:
+    """Entries with numerators and denominators of up to 100 digits, some of
+    them zero or small, so that zero pivots force row swaps."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.15:
+            return 0
+        if kind < 0.3:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-10 ** 100, 10 ** 100), rng.randint(1, 10 ** 100))
+    return QMatrix(n, n, [entry() for _ in range(n * n)])
+
+
+def test_det_and_inverse_match_leibniz_and_gauss_jordan():
+    rng = random.Random(20261020)
+    cases = [QMatrix.zeros(1, 1), QMatrix.identity(1), QMatrix(1, 1, [Fraction(-7, 3)])]
+    for n in range(1, 6):
+        for _ in range(4):
+            m = hundred_digit_matrix(rng, n)
+            cases += [m, singular(m)]
+    m = hundred_digit_matrix(rng, 6)
+    cases += [m, singular(m)]
+    for m in cases:
+        if m.rows <= 5:
+            assert m.det() == ref_det(m), m
+        expected = ref_inverse(m)
+        if expected is None:
+            assert m.det() == 0
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            assert m.inverse() == expected
+            assert m * expected == QMatrix.identity(m.rows)
+    assert sum(ref_inverse(m) is None for m in cases) >= 15
+
+
+def test_elimination_runs_only_for_the_span(monkeypatch):
+    """A full-dimensional cone build eliminates over `Fraction` once, for its
+    span; the basis inverse of the double description, and every `det`,
+    `inverse` and `rank`, read the integer passes instead."""
+    calls = []
+    echelon = QMatrix._echelon
+    monkeypatch.setattr(QMatrix, "_echelon", lambda self: calls.append(self) or echelon(self))
+    for gens in ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]],
+                 [[1, 0], [1, 1]],
+                 [[1, 2, 0, 1], [0, 1, 3, 1], [2, 0, 1, 1], [1, 1, 1, 3], [0, 0, 1, 2]]):
+        calls.clear()
+        cone = build_cone(gens)
+        assert cone.dim == cone.ambient_dim
+        assert len(calls) == 1
+        assert calls[0] == QMatrix.from_rows(gens)
+    calls.clear()
+    rng = random.Random(7)
+    for n in range(1, 6):
+        m = hundred_digit_matrix(rng, n)
+        for x in (m, singular(m)):
+            x.det()
+            x.rank()
+            if x.det() != 0:
+                x.inverse()
+        QMatrix.from_rows([list(m.row(0)) + [1]]).rank()
+    assert calls == []
+
+
+def test_det_and_inverse_scale_each_row_by_its_own_denominators(monkeypatch):
+    """On entries over unrelated large denominators, the pass behind `det`
+    and `inverse` sees each row times the lcm r_i of its own denominators,
+    so its c_n = +-det(R m) stays within Hadamard's bound for R m; one common
+    denominator D would make it D^n / (r_1 ... r_n) times larger."""
+    calls = []
+    faddeev = qmatrix._faddeev
+    monkeypatch.setattr(qmatrix, "_faddeev",
+                        lambda a, n: calls.append(faddeev(a, n)) or calls[-1])
+    rng = random.Random(20261021)
+    for n in (2, 5, 8):
+        m = QMatrix(n, n, [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 21))
+                           for _ in range(n * n)])
+        scaled = []
+        for i in range(n):
+            r = lcm(*(x.denominator for x in m.row(i)))
+            scaled.append([x * r for x in m.row(i)])
+        hadamard_squared = prod(sum(x * x for x in row) for row in scaled)
+        calls.clear()
+        det, inverse = m.det(), m.inverse()
+        assert len(calls) == 2
+        assert all(coeffs[-1] ** 2 <= hadamard_squared for coeffs, _ in calls)
+        assert inverse == ref_inverse(m)
+        assert det * inverse.det() == 1
