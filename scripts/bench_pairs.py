@@ -14,7 +14,9 @@ tree, uncommitted edits included.
 For each end-to-end metric of BENCHMARK.json it prints the base and change
 medians, the interquartile range of the base runs, the pairs the change
 won, and the shift of the medians as a share of the base median and of the
-metric's bound (positive is worse). It exits 1 if any run reports
+metric's bound (positive is worse), and then the medians of the operations
+each run attempted and their shift, since a run that attempts more keeps
+more per-operation records and so reads a higher `peak_rss_mb`. It exits 1 if any run reports
 `correct: false` or prints no result, and it removes its temporary tree.
 """
 import argparse
@@ -62,6 +64,15 @@ def summarize(end_to_end: list[dict], base: list[dict], change: list[dict]) -> l
     return out
 
 
+def attempted_summary(base: list[dict], change: list[dict]) -> str:
+    """The base and change medians of the operations the runs attempted, and
+    the shift of the medians as a share of the base median."""
+    mb = statistics.median(run["attempted"] for run in base)
+    mc = statistics.median(run["attempted"] for run in change)
+    shift = (mc - mb) / mb if mb else 0.0
+    return f"{'attempted':<14} base {mb:.6g}  change {mc:.6g}  shift {shift:+.1%}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="commit to compare against, exported with git archive")
@@ -101,6 +112,7 @@ def main(argv=None) -> int:
           f"{spec['run_seconds']} s each")
     for line in summarize(spec["end_to_end"], *values):
         print(line)
+    print(attempted_summary(base, change))
     return 0
 
 

@@ -10,10 +10,11 @@ ray's zero set as an int bitmask, updated as each constraint is added, for
 the combinatorial adjacency test. `build_cone` maps the generators to their
 distinct primitive rays once, runs the double description on those rays and
 checks the facets it yields with an integer certificate on the facet-ridge
-graph (`_certify_facets`); ranks of integer vectors use fraction-free
-elimination. The certified ray masks decide extremality and are expanded to
-generator masks at the end, so the cone keeps the integer facet normals and
-each facet's generator bitmask, and face queries are AND and subset tests.
+graph (`_certify_facets`); ranks and the span's reduced echelon basis come
+from fraction-free elimination and the integer inverse. The certified ray
+masks decide extremality and are expanded to generator masks at the end, so
+the cone keeps the integer facet normals and each facet's generator
+bitmask, and face queries are AND and subset tests.
 
 `PolyhedralCone` and `PsdCone` (the cone of positive semidefinite matrices,
 which has no finite facet description) answer the same questions:
@@ -255,7 +256,9 @@ class PolyhedralCone:
         pointed cone is generated by its extreme rays, so exactly when m
         permutes them."""
         rays = [self.generators[i] for i in self.extreme_ray_indices]
-        return {primitive_ints(m.apply(g)) for g in rays} == {primitive_ints(g) for g in rays}
+        images = m * QMatrix.from_columns(rays)
+        return ({primitive_ints(images.column(j)) for j in range(len(rays))}
+                == {primitive_ints(g) for g in rays})
 
 
 @dataclass(frozen=True)
@@ -306,16 +309,21 @@ def build_cone(generators: Sequence[Sequence], *,
     if len(gens) > MAX_GENERATORS:
         raise CapExceededError(f"{len(gens)} generators exceed cap {MAX_GENERATORS}")
 
-    # work inside the rational span; each reduced echelon basis row is 1 at
-    # its own pivot and 0 at the others, so local coordinates are the
-    # generators' pivot entries (the generators themselves when full dimensional)
-    echelon, pivots = QMatrix.from_rows(gens)._echelon()
+    # work inside the rational span: with B the first independent generators and
+    # C the first independent columns of B (the pivot columns), the reduced echelon
+    # basis B_C^-1 B is 1 at each row's own pivot and 0 at the others, so local
+    # coordinates are the generators' pivot entries (all of them when full dimensional)
+    ints = [primitive_ints(g) for g in gens]
+    basis = [ints[i] for i in independent_rows(ints)]
+    pivots = independent_rows(zip(*basis))
     d = len(pivots)
-    span_basis = tuple(tuple(echelon[r][c] for c in range(ambient)) for r in range(d))
+    block = QMatrix.from_rows([[b[c] for c in pivots] for b in basis])
+    echelon = block.inverse() * QMatrix.from_rows(basis)
+    span_basis = tuple(echelon.row(r) for r in range(d))
     # generator i lies on ray ray_of[i]; rays are numbered by first appearance
     index: dict[tuple[int, ...], int] = {}
     ray_of = [index.setdefault(primitive_ints([g[c] for c in pivots]), len(index))
-              for g in gens]
+              for g in ints]
     rays = list(index)
 
     normals_local = _dual_extreme_rays(rays, d)

@@ -304,6 +304,8 @@ def has_positive_irrational_root(p: QPoly) -> bool:
     A Sturm count of the distinct roots of p in (0, `_root_bound`(p)), on
     p's own chain, minus the positive rational roots of p.
     """
+    if p.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
     positive = p.count_real_roots(0, _root_bound(primitive_ints(p.coeffs)))
     return positive > 0 and positive > sum(1 for x in rational_roots(p) if x > 0)
 

@@ -4,12 +4,11 @@ Dimensions here are desk scale (at most ~10). Entries are `Fraction`s, but
 products, polynomial evaluation and `char_poly` run over integers with one
 common denominator (`_ints`, `_int_product`), and `det`, `inverse` and
 `rank` over rows each scaled by its own (`_row_ints`). One Faddeev-LeVerrier
-pass (`_faddeev`) gives `char_poly`, `det` and `inverse`; ranks are fraction
-free. Only `solve` (for `min_poly`) and the cone build's span eliminate over
-`Fraction` (`_echelon`); no decision or query on a built cone does. Minimal
-polynomials come from the first linear dependence among matrix powers, and
-spectral projectors from polynomial interpolation on the minimal polynomial
-(h = 1 at the chosen eigenvalue, h = 0 on the complementary factor).
+pass (`_faddeev`) gives `char_poly`, `det` and `inverse`, and the fraction-free
+`independent_rows` gives ranks and the pivot block `solve` inverts; nothing
+eliminates over `Fraction`. Minimal polynomials come from the first linear
+dependence among matrix powers, and spectral projectors from interpolation on
+the minimal polynomial (h = 1 at the eigenvalue, h = 0 on the other factor).
 """
 from __future__ import annotations
 
@@ -108,6 +107,13 @@ def _int_product(a: list[int], b: list[int], inner: int, cols: int) -> list[int]
             for i in range(0, len(a), inner) for col in b_cols]
 
 
+def _index(k: int, n: int) -> int:
+    """k, if it indexes one of n rows or columns."""
+    if not 0 <= k < n:
+        raise DimensionMismatchError(f"index {k} outside 0..{n - 1}")
+    return k
+
+
 class QMatrix:
     """An immutable rows x cols matrix of exact rationals, row major."""
 
@@ -148,19 +154,19 @@ class QMatrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Vector]) -> "QMatrix":
-        n = len(cols[0])
-        return QMatrix(n, len(cols), [cols[j][i] for i in range(n) for j in range(len(cols))])
+        return QMatrix.from_rows(cols).transpose()
 
     # -- access -------------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return self.entries[_index(i, self.rows) * self.cols + _index(j, self.cols)]
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        start = _index(i, self.rows) * self.cols
+        return self.entries[start:start + self.cols]
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[_index(j, self.cols)::self.cols]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -223,7 +229,7 @@ class QMatrix:
 
     def transpose(self) -> "QMatrix":
         return QMatrix(self.cols, self.rows,
-                       [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
+                       [x for j in range(self.cols) for x in self.column(j)])
 
     def max_abs_entry(self) -> Fraction:
         return max(abs(e) for e in self.entries)
@@ -252,39 +258,21 @@ class QMatrix:
         rows, _ = _row_ints(self)
         return len(independent_rows(rows))
 
-    def _echelon(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form and its pivot columns, for `solve` and a cone's span."""
-        m = self.to_rows()
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return m, pivots
-
     def solve(self, b: Sequence[Scalar]):
-        """One exact solution of self x = b, or None if inconsistent."""
+        """One exact solution of self x = b, or None if inconsistent: with R the
+        first independent rows of self and C the first independent columns of
+        self[R], x_C = self[R, C]^-1 b_R and x is zero elsewhere."""
         if len(b) != self.rows:
             raise DimensionMismatchError("rhs length mismatch")
-        aug = QMatrix(self.rows, self.cols + 1,
-                      [x for i in range(self.rows) for x in (*self.row(i), _frac(b[i]))])
-        m, pivots = aug._echelon()
-        if self.cols in pivots:
-            return None
+        rows, _ = _row_ints(self)
+        picked = independent_rows(rows)
         x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = m[r][self.cols]
-        return tuple(x)
+        if picked:
+            cols = independent_rows(zip(*(rows[i] for i in picked)))
+            block = QMatrix.from_rows([[self.entry(i, j) for j in cols] for i in picked])
+            for j, v in zip(cols, block.inverse().apply([b[i] for i in picked])):
+                x[j] = v
+        return tuple(x) if self.apply(x) == vector(b) else None
 
 # -- spectral operations ------------------------------------------------------------
 

@@ -37,3 +37,11 @@ def test_summary_of_one_pair_has_no_spread():
     (ops, _) = load_script().summarize(END_TO_END, [{"ops_per_s": 10, "peak_rss_mb": 20}],
                                        [{"ops_per_s": 8, "peak_rss_mb": 20}])
     assert "base IQR 0 " in ops and "change wins 0/1" in ops and "shift +20.0%" in ops
+
+
+def test_attempted_medians_and_shift():
+    base = [{"attempted": x} for x in (179000, 180200, 179600)]
+    change = [{"attempted": x} for x in (198100, 197000, 199500)]
+    # medians 179600 and 198100: 18500 more operations, 10.3 % of the base
+    assert load_script().attempted_summary(base, change) == (
+        "attempted      base 179600  change 198100  shift +10.3%")

@@ -35,6 +35,7 @@ from conecert.exactalg import (
     vec_scale,
     vector,
 )
+from test_qmatrix import ref_solve
 
 
 @pytest.fixture
@@ -109,8 +110,8 @@ def test_membership_relative_to_span():
 
 def _solve_coordinates(cone, x):
     """The reference: one exact solution of E c = x, E the span basis as
-    columns, or None."""
-    return QMatrix.from_columns(list(cone.span_basis)).solve(x)
+    columns, or None, by `Fraction` Gauss-Jordan."""
+    return ref_solve(QMatrix.from_columns(list(cone.span_basis)), x)
 
 
 def _proper_span_cones(rng, count):
@@ -747,7 +748,7 @@ def _reference_extreme_rays(cone):
     """First index of each ray the old round trip gave: the double
     description run again from the facets, in span coordinates."""
     emb = QMatrix.from_columns(list(cone.span_basis))
-    local = [primitive_ints(emb.solve(g)) for g in cone.generators]
+    local = [primitive_ints(ref_solve(emb, g)) for g in cone.generators]
     normals = [emb.transpose().apply(n) for n in cone.facet_normals]
     return tuple(sorted(local.index(r) for r in cones._dual_extreme_rays(normals, cone.dim)))
 
@@ -815,3 +816,18 @@ def test_each_non_simplicial_face_is_certified_once(monkeypatch):
     build_cone([(1,) + c for c in itertools.product((-1, 1), repeat=4)])
     assert len(calls) == 1 + 8 + 24
     assert len(set(map(tuple, calls))) == len(calls)
+
+
+def test_automorphism_maps_every_extreme_ray_in_one_product(monkeypatch):
+    """The rotation of order 6 permutes the six rays of the hexagonal cone;
+    diag(1, 2, 1) does not. Each answer takes one matrix product."""
+    products = []
+    mul = QMatrix.__mul__
+    monkeypatch.setattr(QMatrix, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    hexagon = build_cone([(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)])
+    assert len(hexagon.extreme_ray_indices) == 6
+    for m, expected in ((QMatrix.from_rows([[1, -1, 0], [1, 0, 0], [0, 0, 1]]), True),
+                        (QMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 1]]), False)):
+        products.clear()
+        assert hexagon.is_automorphism(m) is expected
+        assert len(products) == 1

@@ -398,16 +398,17 @@ def _proper_span_maps(rng, count):
 
 def test_no_elimination_after_the_cone_build(monkeypatch):
     """Span coordinates are read at the pivot columns, so on proper-span
-    cones no decision and no cone query runs an elimination once
-    `build_cone` has returned."""
+    cones no decision and no cone query runs an elimination (`independent_rows`,
+    `inverse` or `solve`) once `build_cone` has returned."""
     calls, armed = [], []
-    echelon, solve, build = QMatrix._echelon, QMatrix.solve, scenarios.build_cone
+    rows, inverse, solve = qmatrix.independent_rows, QMatrix.inverse, QMatrix.solve
+    build = scenarios.build_cone
 
     def spy(name, method):
-        def counting(self, *args):
+        def counting(*args):
             if armed:
                 calls.append(name)
-            return method(self, *args)
+            return method(*args)
         return counting
 
     def building(*args, **kwargs):
@@ -416,7 +417,9 @@ def test_no_elimination_after_the_cone_build(monkeypatch):
         armed.append(True)
         return cone
 
-    monkeypatch.setattr(QMatrix, "_echelon", spy("_echelon", echelon))
+    for module in (cones, qmatrix):
+        monkeypatch.setattr(module, "independent_rows", spy("independent_rows", rows))
+    monkeypatch.setattr(QMatrix, "inverse", spy("inverse", inverse))
     monkeypatch.setattr(QMatrix, "solve", spy("solve", solve))
     monkeypatch.setattr(scenarios, "build_cone", building)
     seen = set()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conecert import errors
-from conecert.exactalg import QMatrix, QPoly
+from conecert.exactalg import QMatrix, QPoly, has_positive_irrational_root
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conecert"
 LIBRARY_ERRORS = {name for name, obj in vars(errors).items()
@@ -64,3 +64,24 @@ def test_immutable_values_raise_a_library_attribute_error():
 def test_malformed_rational_strings_raise_a_library_error(text):
     with pytest.raises(errors.PreconditionViolatedError):
         QPoly([text])
+
+
+def test_roots_of_the_zero_polynomial_raise_a_library_error():
+    with pytest.raises(errors.ZeroPolynomialError):
+        has_positive_irrational_root(QPoly.zero())
+
+
+def test_empty_columns_raise_a_library_error():
+    with pytest.raises(errors.EmptyInputError):
+        QMatrix.from_columns([])
+
+
+@pytest.mark.parametrize("read", [lambda m: m.entry(0, 2), lambda m: m.entry(2, 0),
+                                  lambda m: m.entry(-1, 0), lambda m: m.row(2),
+                                  lambda m: m.row(-1), lambda m: m.column(2),
+                                  lambda m: m.column(-1)])
+def test_an_index_outside_the_matrix_raises_a_library_error(read):
+    m = QMatrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(errors.DimensionMismatchError):
+        read(m)
+    assert (m.entry(1, 0), m.row(1), m.column(1)) == (3, (3, 4), (2, 4))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecert import cones
 from conecert.cones import build_cone
 from conecert.errors import (
+    ContainsLineError,
     DimensionMismatchError,
     EmptyInputError,
     NonSemisimpleAtQError,
@@ -100,7 +103,7 @@ def test_inverse_round_trip():
 def test_independent_rows_is_the_first_basis(rows):
     """The integer helper picks the pivots of the Fraction echelon form of
     the rows as columns, that is, each row not spanned by the rows before it."""
-    _, pivots = QMatrix.from_columns([tuple(r) for r in rows])._echelon()
+    _, pivots = ref_echelon(QMatrix.from_columns([tuple(r) for r in rows]))
     assert independent_rows(rows) == pivots
 
 
@@ -180,23 +183,51 @@ def ref_det(m: QMatrix) -> Fraction:
                 for perm in itertools.permutations(range(n))), Fraction(0))
 
 
-def ref_inverse(m: QMatrix):
-    """The right half of the reduced row echelon form of [m | I] by
-    Gauss-Jordan over `Fraction`, or None when m is singular."""
-    n = m.rows
-    rows = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+def ref_echelon(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of m and its pivot columns, by Gauss-Jordan
+    over `Fraction`."""
+    rows = m.to_rows()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
         if pivot is None:
-            return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        pv = rows[c][c]
-        rows[c] = [x / pv for x in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def ref_inverse(m: QMatrix):
+    """The right half of the reduced row echelon form of [m | I], or None
+    when m is singular."""
+    n = m.rows
+    rows, pivots = ref_echelon(QMatrix(n, 2 * n, [x for i in range(n) for x in (
+        *m.row(i), *(int(i == j) for j in range(n)))]))
+    if pivots[:n] != list(range(n)):
+        return None
     return QMatrix(n, n, [x for row in rows for x in row[n:]])
+
+
+def ref_solve(m: QMatrix, b):
+    """One solution of m x = b from the reduced echelon form of [m | b]:
+    each pivot row's last entry at its pivot column, zero elsewhere; None
+    when b's column holds a pivot."""
+    rows, pivots = ref_echelon(QMatrix(m.rows, m.cols + 1, [x for i in range(m.rows)
+                                                            for x in (*m.row(i), b[i])]))
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][m.cols]
+    return tuple(x)
 
 
 def ref_evaluate(p: QPoly, m: QMatrix) -> QMatrix:
@@ -300,21 +331,37 @@ def test_det_and_inverse_match_leibniz_and_gauss_jordan():
 
 
 def test_elimination_runs_only_for_the_span(monkeypatch):
-    """A full-dimensional cone build eliminates over `Fraction` once, for its
-    span; the basis inverse of the double description, and every `det`,
-    `inverse` and `rank`, read the integer passes instead."""
-    calls = []
-    echelon = QMatrix._echelon
-    monkeypatch.setattr(QMatrix, "_echelon", lambda self: calls.append(self) or echelon(self))
+    """A full-dimensional cone build eliminates over integers only: its span
+    reads `independent_rows` on the primitive generators and inverts their
+    integer pivot block, and nothing solves; the basis inverse of the double
+    description, and every `det`, `inverse` and `rank`, read the integer
+    passes too."""
+    rows_seen, inverted, solved = [], [], []
+
+    def rows_spy(rows):
+        rows_seen.append([tuple(r) for r in rows])
+        return independent_rows(rows_seen[-1])
+
+    inverse, solve = QMatrix.inverse, QMatrix.solve
+    monkeypatch.setattr(cones, "independent_rows", rows_spy)
+    monkeypatch.setattr(qmatrix, "independent_rows", rows_spy)
+    monkeypatch.setattr(QMatrix, "inverse", lambda self: inverted.append(self) or inverse(self))
+    monkeypatch.setattr(QMatrix, "solve", lambda self, b: solved.append(self) or solve(self, b))
     for gens in ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]],
                  [[1, 0], [1, 1]],
                  [[1, 2, 0, 1], [0, 1, 3, 1], [2, 0, 1, 1], [1, 1, 1, 3], [0, 0, 1, 2]]):
-        calls.clear()
+        rows_seen.clear()
+        inverted.clear()
         cone = build_cone(gens)
         assert cone.dim == cone.ambient_dim
-        assert len(calls) == 1
-        assert calls[0] == QMatrix.from_rows(gens)
-    calls.clear()
+        assert solved == []
+        # the span: independent generators, then their independent columns,
+        # then the pivot block; the double description inverts the same block
+        block = gens[:cone.dim]
+        assert rows_seen[:2] == [[tuple(g) for g in gens], list(zip(*block))]
+        assert inverted == [QMatrix.from_rows(block)] * 2
+        assert all(type(x) is int for rows in rows_seen for row in rows for x in row)
+    rows_seen.clear()
     rng = random.Random(7)
     for n in range(1, 6):
         m = hundred_digit_matrix(rng, n)
@@ -324,7 +371,58 @@ def test_elimination_runs_only_for_the_span(monkeypatch):
             if x.det() != 0:
                 x.inverse()
         QMatrix.from_rows([list(m.row(0)) + [1]]).rank()
-    assert calls == []
+    assert solved == []
+    assert rows_seen and all(type(x) is int for rows in rows_seen for row in rows for x in row)
+
+
+def test_span_and_solve_match_the_fraction_reference():
+    """A cone's span basis is the nonzero part of the `Fraction` echelon
+    form of its generators, on proper spans in Q^2 to Q^8 with rational
+    entries of up to 30 digits over 30 digits; `solve` gives the reference
+    solution on full, rank-deficient and all-zero matrices, with right-hand
+    sides in the column space and random ones."""
+    rng = random.Random(20261022)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.2:
+            return Fraction(0)
+        if kind < 0.5:
+            return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30))
+
+    built = Counter()
+    while sum(built.values()) < 60:
+        ambient = rng.randint(2, 8)
+        span = rng.randint(1, ambient - 1)
+        basis = [[entry() for _ in range(ambient)] for _ in range(span)]
+        gens = [[sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(ambient)]
+                for coeffs in ([rng.randint(1, 2)] + [rng.randint(-1, 1) for _ in range(span - 1)]
+                               for _ in range(rng.randint(1, 8)))]
+        try:
+            cone = build_cone(gens)
+        except (EmptyInputError, ContainsLineError):
+            continue
+        rows, pivots = ref_echelon(QMatrix.from_rows(gens))
+        assert cone.span_basis == tuple(tuple(row) for row in rows[:len(pivots)])
+        built[cone.dim < cone.ambient_dim, cone.dim > 1] += 1
+    assert built[True, True] >= 20 and built[True, False] >= 5
+
+    solved = Counter()
+    for _ in range(300):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(["full", "deficient", "zero"])
+        m = QMatrix(r, c, [0 if kind == "zero" else entry() for _ in range(r * c)])
+        if kind == "deficient":
+            m = singular(m)
+        for rhs in ("image", "random"):
+            b = m.apply([entry() for _ in range(c)]) if rhs == "image" else \
+                [entry() for _ in range(r)]
+            expected = ref_solve(m, b)
+            assert m.solve(b) == expected, (m, b)
+            solved[kind, rhs, expected is None] += 1
+    assert all(solved[kind, "image", False] >= 20 and solved[kind, "image", True] == 0
+               and solved[kind, "random", True] >= 10 for kind in ("full", "deficient", "zero"))
 
 
 def test_det_and_inverse_scale_each_row_by_its_own_denominators(monkeypatch):
