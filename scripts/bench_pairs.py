@@ -16,7 +16,10 @@ medians, the interquartile range of the base runs, the pairs the change
 won, and the shift of the medians as a share of the base median and of the
 metric's bound (positive is worse), and then the medians of the operations
 each run attempted and their shift, since a run that attempts more keeps
-more per-operation records and so reads a higher `peak_rss_mb`. It exits 1 if any run reports
+more per-operation records and so reads a higher `peak_rss_mb`. Last, for
+each side, the least-squares line of `peak_rss_mb` against the operations
+attempted: its slope is the memory each record costs, and its intercept
+what the code keeps whatever the count. It exits 1 if any run reports
 `correct: false` or prints no result, and it removes its temporary tree.
 """
 import argparse
@@ -73,6 +76,22 @@ def attempted_summary(base: list[dict], change: list[dict]) -> str:
     return f"{'attempted':<14} base {mb:.6g}  change {mc:.6g}  shift {shift:+.1%}"
 
 
+def memory_fit(base: list[dict], change: list[dict]) -> str:
+    """For each side, the least-squares slope (bytes per operation attempted)
+    and intercept (MB) of `peak_rss_mb` against `attempted`; none for a side
+    whose runs all attempted the same count."""
+    sides = []
+    for side, runs in (("base", base), ("change", change)):
+        x = [run["attempted"] for run in runs]
+        if len(set(x)) < 2:
+            sides.append(f"{side} no fit")
+            continue
+        rss = [run["metrics"]["peak_rss_mb"]["value"] for run in runs]
+        slope, intercept = statistics.linear_regression(x, rss)
+        sides.append(f"{side} {slope * 2 ** 20:.0f} B/op + {intercept:.2f} MB")
+    return f"{'memory fit':<14} " + "  ".join(sides)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="commit to compare against, exported with git archive")
@@ -113,6 +132,7 @@ def main(argv=None) -> int:
     for line in summarize(spec["end_to_end"], *values):
         print(line)
     print(attempted_summary(base, change))
+    print(memory_fit(base, change))
     return 0
 
 

@@ -6,13 +6,14 @@ float enters any decision path; floats appear only in the convenience
 `approx` accessor.
 
 `modulus_equals` works on the polynomial alone (Kronecker's trace-polynomial
-reduction and a Sturm count). It, `rational_roots`, `factor_rational` and
-`has_positive_irrational_root` take any polynomial and read its square-free
-part from the Sturm chain the polynomial keeps (`QPoly.sturm_chain`), so the
-report, the decision and a refusal on one characteristic polynomial share
-one remainder sequence. `qpoly.rational_roots` lifts p-adically (Hensel)
-once per polynomial, and `factor_rational` splits them off as linear
-factors: a cofactor of degree 2 or 3 left without one is irreducible.
+reduction and a Sturm count, in integers). It, `rational_roots`,
+`factor_rational` and `has_positive_irrational_root` take any polynomial
+and read its square-free part from the primitive integer Sturm chain it
+keeps (`qpoly._sturm`, signs by integer Horner), so the report, the
+decision and a refusal on one characteristic polynomial share one chain.
+`qpoly.rational_roots` lifts p-adically (Hensel) once per polynomial, and
+`factor_rational` splits them off as linear factors: a cofactor of degree 2
+or 3 left without one is irreducible.
 
 Roots are isolated once, for the report, to boxes narrower and lower than
 ISOLATION_WIDTH; `roots_with_multiplicity` states their order. The real
@@ -36,7 +37,8 @@ from fractions import Fraction
 from math import isqrt, prod
 
 from ..errors import InternalCheckError, PreconditionViolatedError, ZeroPolynomialError
-from .qpoly import QPoly, _frac, _root_bound, primitive_ints, rational_roots
+from .qpoly import (QPoly, _count, _frac, _quotient, _root_bound, _sign, _sturm,
+                    primitive_ints, rational_roots)
 
 # every isolating box is narrower and lower than this; reports print it as is
 ISOLATION_WIDTH = Fraction(1, 4096)
@@ -242,17 +244,19 @@ def _real_roots(factors: list[tuple[QPoly, int]]) -> list[AlgebraicNumber]:
     box depends on the roots alone. Sturm counts on s's chain halve an
     interval until it holds one root, then the sign of s halves it until it
     is narrower than ISOLATION_WIDTH and no rational root lies strictly
-    inside. The factor that changes sign across a box owns its root. Each
+    inside. The factor that changes sign across a box owns its root. Every
+    sign is read by `_sign` on primitive integer coefficients. Each
     such box is a dyadic cell on one side of 0, which
     `PolarizationResult.candidate_minpoly` reads from its lower end.
     """
     rationals = sorted(-fac.coeffs[0] / fac.coeffs[1] for fac, _ in factors if fac.degree == 1)
-    irrational = [fac for fac, _ in factors if fac.degree >= 2]
+    irrational = [(fac, primitive_ints(fac.coeffs)) for fac, _ in factors if fac.degree >= 2]
     reals = [AlgebraicNumber.from_rational(r) for r in rationals]
     if not irrational:
         return reals
-    s = prod(irrational, start=QPoly.one())
-    top = Fraction(_root_bound(primitive_ints(s.coeffs)))
+    s = prod((fac for fac, _ in irrational), start=QPoly.one())
+    s_ints = primitive_ints(s.coeffs)
+    top = Fraction(_root_bound(s_ints))
     todo = [(lo, hi, s.count_real_roots(lo, hi)) for lo, hi in ((0, top), (-top, 0))]
     while todo:
         lo, hi, n = todo.pop()
@@ -261,14 +265,14 @@ def _real_roots(factors: list[tuple[QPoly, int]]) -> list[AlgebraicNumber]:
             left = s.count_real_roots(lo, mid)
             todo += [(mid, hi, n - left), (lo, mid, left)]
         elif n == 1:
-            positive_lo = s(lo) > 0
+            sign_lo = _sign(s_ints, lo)
             while hi - lo >= ISOLATION_WIDTH or any(lo < r < hi for r in rationals):
                 mid = (lo + hi) / 2
-                if (s(mid) > 0) != positive_lo:
+                if _sign(s_ints, mid) != sign_lo:
                     hi = mid
                 else:
                     lo = mid
-            owner = next(fac for fac in irrational if (fac(lo) > 0) != (fac(hi) > 0))
+            owner = next(fac for fac, f in irrational if _sign(f, lo) != _sign(f, hi))
             reals.append(AlgebraicNumber(owner, (lo, hi, 0, 0), True))
     return sorted(reals, key=lambda root: root.box[:2])
 
@@ -316,31 +320,33 @@ def has_positive_irrational_root(p: QPoly) -> bool:
 def modulus_equals(p: QPoly, q) -> bool:
     """Decide exactly whether every root of the nonzero polynomial p has modulus q > 0.
 
-    Kronecker's reduction on the square-free part r of p: divide out t - q
-    and t + q. Every root of the rest r, of degree 2m, lies on |t| = q
-    exactly when r is q-reciprocal (a_{m-j} = q^{2j} a_{m+j}, so r(t) =
-    t^m h(t + q^2/t)) and the trace polynomial h has m distinct real roots
-    in (-2q, 2q): each such root s gives the conjugate pair of
-    t^2 - s t + q^2, of modulus q.
+    Kronecker's reduction on the primitive integer square-free part r of p,
+    with q = a/b: divide out bt - a and bt + a. Every root of the rest r, of
+    degree 2m, lies on |t| = q exactly when r is q-reciprocal (r_{m-j} b^{2j}
+    = a^{2j} r_{m+j}, so r(t) = t^m h(t + q^2/t)) and h, with m distinct
+    real roots in (-2q, 2q), gives conjugate pairs t^2 - s t + q^2. With
+    D_j(t + q^2/t) = t^j + (q^2/t)^j, h = r_m + sum_j r_{m+j} D_j, counted as
+    H(u) = b^m h(u/b) on (-2a, 2a): E_j(u) = b^j D_j(u/b) has E_0 = 2,
+    E_1 = u and E_(j+1) = u E_j - a^2 E_(j-1).
     """
     q = _frac(q)
     if q <= 0:
         raise PreconditionViolatedError("modulus test requires q > 0")
-    r = p.square_free_part()
-    for root in (q, -q):
-        if r(root) == 0:
-            r = r.exact_div(QPoly.linear_root(root))
-    if r.degree % 2:
+    r = primitive_ints(p.square_free_part().coeffs)
+    a, b = q.numerator, q.denominator
+    for root in (a, -a):
+        if not _sign(r, Fraction(root, b)):
+            r = _quotient(r, (-root, b))
+    if len(r) % 2 == 0:
         return False
-    m = r.degree // 2
-    a = r.coeffs
-    if any(a[m - j] != q ** (2 * j) * a[m + j] for j in range(1, m + 1)):
+    m = len(r) // 2
+    if any(r[m - j] * b ** (2 * j) != a ** (2 * j) * r[m + j] for j in range(1, m + 1)):
         return False
-    # h = a_m + sum_j a_{m+j} D_j(s) with t^j + (q^2/t)^j = D_j(t + q^2/t)
-    s = QPoly.x()
-    h = QPoly.constant(a[m])
-    d_prev, d = QPoly.constant(2), s
+    h = [r[m] * b ** m] + [0] * m
+    e_prev, e = [2], [0, 1]
     for j in range(1, m + 1):
-        h = h + d.scale(a[m + j])
-        d_prev, d = d, s * d - d_prev.scale(q * q)
-    return h.count_real_roots(-2 * q, 2 * q) == m
+        for i, c in enumerate(e):
+            h[i] += r[m + j] * b ** (m - j) * c
+        e_prev, e = e, [x - a * a * y for x, y in zip([0, *e], [*e_prev, 0, 0])]
+    return _count(_sturm(h, primitive_ints([i * c for i, c in enumerate(h)][1:])),
+                  -2 * a, 2 * a) == m

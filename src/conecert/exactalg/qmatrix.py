@@ -26,7 +26,7 @@ from ..errors import (
     NotAnEigenvalueError,
     SingularMatrixError,
 )
-from .qpoly import QPoly, _frac, primitive_ints
+from .qpoly import QPoly, _frac, _ratio, primitive_ints
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -218,7 +218,7 @@ class QMatrix:
         b, db = _ints(other.entries)
         d = da * db
         return QMatrix(self.rows, other.cols,
-                       [Fraction(x, d) for x in _int_product(a, b, self.cols, other.cols)])
+                       [_ratio(x, d) for x in _int_product(a, b, self.cols, other.cols)])
 
     __rmul__ = __mul__
 
@@ -252,7 +252,7 @@ class QMatrix:
         (*_, c), b = _faddeev([x for row in rows for x in row], self.rows)
         if c == 0:
             raise SingularMatrixError("matrix is singular")
-        return QMatrix(self.rows, self.rows, [Fraction(-x * s, c) for x, s in zip(b, r * len(r))])
+        return QMatrix(self.rows, self.rows, [_ratio(-x * s, c) for x, s in zip(b, r * len(r))])
 
     def rank(self) -> int:
         rows, _ = _row_ints(self)

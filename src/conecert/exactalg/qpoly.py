@@ -4,9 +4,10 @@ rational n-th roots.
 Coefficients are stored lowest degree first as `fractions.Fraction` values
 with no trailing zeros; the zero polynomial has an empty coefficient tuple.
 All arithmetic is exact. Nothing here ever touches floating point. A
-polynomial keeps its Sturm chain once built, so its square-free part and
-every root count share one remainder sequence, and it keeps its rational
-roots (`rational_roots`), so the report and a refusal lift them once.
+polynomial keeps its Sturm chain, a primitive integer remainder sequence
+(`_sturm`) read by integer Horner (`_sign`), so its square-free part and
+every root count share it; it keeps its rational roots (`rational_roots`)
+too, so the report and a refusal lift them once.
 """
 from __future__ import annotations
 
@@ -35,6 +36,11 @@ def _frac(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise PreconditionViolatedError(f"{x!r} is not an exact rational") from None
     raise PreconditionViolatedError(f"cannot use {type(x).__name__} as an exact rational")
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """n / d, as the shared instance when it is a small integer."""
+    return _frac(n // d) if n % d == 0 else Fraction(n, d)
 
 
 def primitive_ints(u: Sequence[Scalar]) -> tuple[int, ...]:
@@ -68,7 +74,69 @@ def rational_nth_root(x: Scalar, n: int) -> Optional[Fraction]:
     x = _frac(x)
     num = integer_nth_root(x.numerator, n)
     den = integer_nth_root(x.denominator, n)
-    return None if num is None or den is None else Fraction(num, den)
+    return None if num is None or den is None else _ratio(num, den)
+
+
+def _sign(f: Sequence[int], x: Scalar) -> int:
+    """The sign of f(a/b), b > 0, by integer Horner on b^deg f(a/b)."""
+    a, b = x.numerator, x.denominator
+    acc, w = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * w
+        w *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f / g for integer polynomials, g primitive and dividing f, so that the
+    quotient is integral (Gauss's lemma)."""
+    r, n = list(f), len(g) - 1
+    quot = [0] * (len(f) - n)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = r[k + n] // g[-1]
+        for i, y in enumerate(g, k):
+            r[i] -= c * y
+    return quot
+
+
+def _sturm(f: Sequence[int], df: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The Sturm chain of the integer polynomial f from df, a primitive
+    positive multiple of f', as a primitive remainder sequence (Collins
+    1967; Brown and Traub 1971), ending in gcd(f, f') up to a constant.
+    Each step scales the remainder by u = lc(b) / gcd(lc(b), top), so the
+    next term, divided by its content and by the sign of the product of
+    the u's, is a positive multiple of Euclid's -(a mod b)."""
+    chain = [tuple(f), tuple(df)] if df else [tuple(f)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r, n, sign = list(a), len(b) - 1, -1
+        while len(r) > n:
+            if c := r.pop():
+                g = gcd(b[-1], c)
+                u, v = b[-1] // g, c // g
+                if u != 1:
+                    r, sign = [u * x for x in r], sign if u > 0 else -sign
+                for i, y in enumerate(b[:-1], len(r) - n):
+                    r[i] -= v * y
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        g = gcd(*r) * sign
+        chain.append(tuple(x // g for x in r))
+    return tuple(chain)
+
+
+def _count(chain: Sequence[Sequence[int]], lo: Scalar, hi: Scalar) -> int:
+    """Distinct real roots of chain[0], which must not vanish at lo or hi, in (lo, hi)."""
+    def variations(x: Scalar) -> int:
+        signs = [_sign(f, x) for f in chain]
+        if not signs[0]:
+            raise PreconditionViolatedError("endpoint is a root; shrink the interval first")
+        signs = [v for v in signs if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi) if lo < hi else 0
 
 
 def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
@@ -136,8 +204,8 @@ def rational_roots(p: QPoly) -> list[Fraction]:
 class QPoly:
     """A polynomial with rational coefficients, lowest degree first."""
 
-    # _chain, _sqfree, _roots: the Sturm chain, the square-free part and the
-    # rational roots, built on first use; not part of the value
+    # _chain, _sqfree, _roots: the integer Sturm chain, the square-free part
+    # and the rational roots, built on first use; not part of the value
     __slots__ = ("coeffs", "_chain", "_sqfree", "_roots")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
@@ -161,14 +229,6 @@ class QPoly:
     @staticmethod
     def one() -> "QPoly":
         return QPoly((1,))
-
-    @staticmethod
-    def x() -> "QPoly":
-        return QPoly((0, 1))
-
-    @staticmethod
-    def constant(c: Scalar) -> "QPoly":
-        return QPoly((c,))
 
     @staticmethod
     def linear_root(r: Scalar) -> "QPoly":
@@ -256,22 +316,13 @@ class QPoly:
     def __divmod__(self, other: "QPoly"):
         if other.is_zero:
             raise ZeroPolynomialError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return QPoly(q), QPoly(rem)
+        rem, d = list(self.coeffs), other.degree
+        q = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in reversed(range(len(q))):
+            f = q[k] = rem[k + d] / other.leading
+            for i, c in enumerate(other.coeffs, k):
+                rem[i] -= f * c
+        return QPoly(q), QPoly(rem[:d])
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[1]
@@ -309,23 +360,17 @@ class QPoly:
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no square-free part")
         if self._sqfree is None:
-            g = self.sturm_chain()[-1]
-            object.__setattr__(self, "_sqfree",
-                               (self if g.degree <= 0 else self.exact_div(g)).monic())
+            chain = self._sturm_chain()
+            object.__setattr__(self, "_sqfree", QPoly(_quotient(chain[0], chain[-1])).monic())
         return self._sqfree
 
     # -- real root counting -----------------------------------------------------
 
-    def sturm_chain(self) -> tuple["QPoly", ...]:
-        """p, p' and the negated remainders of Euclid's algorithm, ending in
-        gcd(p, p') up to a constant; built once per polynomial."""
+    def _sturm_chain(self) -> tuple[tuple[int, ...], ...]:
+        """The primitive integer Sturm chain (`_sturm`) of p; built once."""
         if self._chain is None:
-            chain = [self, self.derivative()]
-            while not chain[-1].is_zero and chain[-1].degree > 0:
-                chain.append(-(chain[-2] % chain[-1]))
-            if chain[-1].is_zero:
-                chain.pop()
-            object.__setattr__(self, "_chain", tuple(chain))
+            object.__setattr__(self, "_chain", _sturm(primitive_ints(self.coeffs),
+                                                      primitive_ints(self.derivative().coeffs)))
         return self._chain
 
     def count_real_roots(self, lo: Scalar, hi: Scalar) -> int:
@@ -334,18 +379,7 @@ class QPoly:
         Requires nonzero values at both endpoints, where the chain's common
         factor gcd(p, p') is nonzero too, so p need not be square free.
         """
-        lo, hi = _frac(lo), _frac(hi)
-        if lo >= hi:
-            return 0
-        if self(lo) == 0 or self(hi) == 0:
-            raise PreconditionViolatedError("endpoint is a root; shrink the interval first")
-        chain = self.sturm_chain()
-
-        def variations(x: Fraction) -> int:
-            signs = [v for v in (p(x) for p in chain) if v != 0]
-            return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-        return variations(lo) - variations(hi)
+        return _count(self._sturm_chain(), _frac(lo), _frac(hi))
 
     # -- resultants ---------------------------------------------------------------
 

@@ -45,3 +45,17 @@ def test_attempted_medians_and_shift():
     # medians 179600 and 198100: 18500 more operations, 10.3 % of the base
     assert load_script().attempted_summary(base, change) == (
         "attempted      base 179600  change 198100  shift +10.3%")
+
+
+def test_memory_fit_reads_bytes_per_operation_and_intercept():
+    # base: 20 MB plus 128 B per operation; change: 21 MB plus 96 B
+    def run(n, rss):
+        return {"attempted": n, "metrics": {"peak_rss_mb": {"value": rss}}}
+
+    mb = 2 ** 20
+    base = [run(n, 20 + 128 * n / mb) for n in (30000, 40000, 50000)]
+    change = [run(n, 21 + 96 * n / mb) for n in (45000, 42000, 48000)]
+    assert load_script().memory_fit(base, change) == (
+        "memory fit     base 128 B/op + 20.00 MB  change 96 B/op + 21.00 MB")
+    same = [run(100, 20.0)] * 2
+    assert load_script().memory_fit(same, change).startswith("memory fit     base no fit  ")
