@@ -16,11 +16,13 @@ medians, the interquartile range of the base runs, the pairs the change
 won, and the shift of the medians as a share of the base median and of the
 metric's bound (positive is worse), and then the medians of the operations
 each run attempted and their shift, since a run that attempts more keeps
-more per-operation records and so reads a higher `peak_rss_mb`. Last, for
-each side, the least-squares line of `peak_rss_mb` against the operations
-attempted: its slope is the memory each record costs, and its intercept
-what the code keeps whatever the count. It exits 1 if any run reports
-`correct: false` or prints no result, and it removes its temporary tree.
+more per-operation records and so reads a higher `peak_rss_mb`. Last, the
+least-squares fit of `peak_rss_mb` against the operations attempted, with
+one slope for both sides (the memory each record costs) and an intercept
+for each: their difference is what the change's code keeps more or less
+than the base's at an equal operation count. It exits 1 if any run
+reports `correct: false` or prints no result, and it removes its
+temporary tree.
 """
 import argparse
 import json
@@ -77,19 +79,23 @@ def attempted_summary(base: list[dict], change: list[dict]) -> str:
 
 
 def memory_fit(base: list[dict], change: list[dict]) -> str:
-    """For each side, the least-squares slope (bytes per operation attempted)
-    and intercept (MB) of `peak_rss_mb` against `attempted`; none for a side
-    whose runs all attempted the same count."""
-    sides = []
-    for side, runs in (("base", base), ("change", change)):
-        x = [run["attempted"] for run in runs]
-        if len(set(x)) < 2:
-            sides.append(f"{side} no fit")
-            continue
-        rss = [run["metrics"]["peak_rss_mb"]["value"] for run in runs]
-        slope, intercept = statistics.linear_regression(x, rss)
-        sides.append(f"{side} {slope * 2 ** 20:.0f} B/op + {intercept:.2f} MB")
-    return f"{'memory fit':<14} " + "  ".join(sides)
+    """The least-squares fit of `peak_rss_mb` against `attempted` with one
+    slope (bytes per operation attempted) shared by both sides and an
+    intercept for each, and the change's intercept shift: its RSS less the
+    base's at an equal operation count, in MB and as a share of the base's
+    mean RSS. No fit when each side's runs all attempted one count."""
+    sides = [([run["attempted"] for run in runs],
+              [run["metrics"]["peak_rss_mb"]["value"] for run in runs]) for runs in (base, change)]
+    means = [(statistics.fmean(x), statistics.fmean(y)) for x, y in sides]
+    sxx = sum((a - mx) ** 2 for (x, _), (mx, _) in zip(sides, means) for a in x)
+    if not sxx:
+        return f"{'memory fit':<14} no fit: each side attempted one count"
+    slope = sum((a - mx) * (b - my) for (x, y), (mx, my) in zip(sides, means)
+                for a, b in zip(x, y)) / sxx
+    (bx, by), (cx, cy) = means
+    shift = (cy - slope * cx) - (by - slope * bx)
+    return (f"{'memory fit':<14} shared {slope * 2 ** 20:.0f} B/op  change "
+            f"{shift:+.2f} MB = {shift / by:+.1%} at equal operations")
 
 
 def main(argv=None) -> int:

@@ -10,11 +10,11 @@ ray's zero set as an int bitmask, updated as each constraint is added, for
 the combinatorial adjacency test. `build_cone` maps the generators to their
 distinct primitive rays once, runs the double description on those rays and
 checks the facets it yields with an integer certificate on the facet-ridge
-graph (`_certify_facets`); ranks and the span's reduced echelon basis come
-from fraction-free elimination and the integer inverse. The certified ray
-masks decide extremality and are expanded to generator masks at the end, so
-the cone keeps the integer facet normals and each facet's generator
-bitmask, and face queries are AND and subset tests.
+graph (`_certify_facets`); ranks and a proper span's echelon basis come from
+fraction-free elimination and the integer inverse (a full span's is a shared
+identity). The certified ray masks decide extremality and are expanded to
+generator masks at the end, so the cone keeps the integer facet normals and
+each facet's generator bitmask, and face queries are AND and subset tests.
 
 `PolyhedralCone` and `PsdCone` (the cone of positive semidefinite matrices,
 which has no finite facet description) answer the same questions:
@@ -30,7 +30,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import and_
 from typing import Callable, Optional, Sequence, Union
 
@@ -88,7 +88,7 @@ def _dual_extreme_rays(constraints: Sequence[Sequence], dim: int) -> list[tuple[
     if len(basis_idx) < dim:
         raise InternalCheckError("constraints do not span the space")
     binv = QMatrix.from_rows([cons[i] for i in basis_idx]).inverse()
-    rays = [primitive_ints(binv.column(j)) for j in range(dim)]
+    rays = [primitive_ints(binv.nums[j::dim]) for j in range(dim)]
     basis_bits = sum(1 << i for i in basis_idx)
     # bit i of masks[k] is set when rays[k] is tight on processed constraint i
     masks = [basis_bits & ~(1 << i) for i in basis_idx]
@@ -203,7 +203,7 @@ def _bits(mask: int):
 # -- cone types --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolyhedralCone:
     """A pointed cone, full dimensional inside the span of its generators.
 
@@ -255,13 +255,13 @@ class PolyhedralCone:
         """Whether the invertible map m carries the cone onto itself: a
         pointed cone is generated by its extreme rays, so exactly when m
         permutes them."""
-        rays = [self.generators[i] for i in self.extreme_ray_indices]
-        images = m * QMatrix.from_columns(rays)
-        return ({primitive_ints(images.column(j)) for j in range(len(rays))}
-                == {primitive_ints(g) for g in rays})
+        rays = [primitive_ints(self.generators[i]) for i in self.extreme_ray_indices]
+        k = len(rays)
+        images = m * QMatrix._of(self.ambient_dim, k, [x for row in zip(*rays) for x in row])
+        return {primitive_ints(images.nums[j::k]) for j in range(k)} == set(rays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """A face of a polyhedral cone, recorded by generators and active facets.
 
@@ -283,6 +283,12 @@ class Face:
 
 
 # -- construction ---------------------------------------------------------------------
+
+
+@cache
+def _identity_basis(d: int) -> tuple[Vector, ...]:
+    """The reduced echelon basis of a full span, I, shared by every cone in Q^d."""
+    return tuple(QMatrix.identity(d).row(r) for r in range(d))
 
 
 def build_cone(generators: Sequence[Sequence], *,
@@ -317,9 +323,12 @@ def build_cone(generators: Sequence[Sequence], *,
     basis = [ints[i] for i in independent_rows(ints)]
     pivots = independent_rows(zip(*basis))
     d = len(pivots)
-    block = QMatrix.from_rows([[b[c] for c in pivots] for b in basis])
-    echelon = block.inverse() * QMatrix.from_rows(basis)
-    span_basis = tuple(echelon.row(r) for r in range(d))
+    if d < ambient:
+        block = QMatrix.from_rows([[b[c] for c in pivots] for b in basis])
+        echelon = block.inverse() * QMatrix.from_rows(basis)
+        span_basis = tuple(echelon.row(r) for r in range(d))
+    else:
+        span_basis = _identity_basis(d)
     # generator i lies on ray ray_of[i]; rays are numbered by first appearance
     index: dict[tuple[int, ...], int] = {}
     ray_of = [index.setdefault(primitive_ints([g[c] for c in pivots]), len(index))
@@ -527,7 +536,7 @@ def _is_psd_congruence(n: int, m: QMatrix) -> bool:
                for i, j in pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PsdCone:
     """The cone of positive semidefinite symmetric n x n rational matrices.
 

@@ -115,7 +115,7 @@ def is_power_bounded(m: QMatrix, q) -> bool:
     if cp.coeffs[0] == 0:
         raise SingularMatrixError("power boundedness needs an invertible map")
     return modulus_equals(cp, q) and not any(
-        evaluate_poly_at_matrix(cp.square_free_part(), m).entries)
+        evaluate_poly_at_matrix(cp.square_free_part(), m).nums)
 
 
 def _bounded_projector(m: QMatrix, cp: QPoly, q: Fraction) -> Optional[QMatrix]:

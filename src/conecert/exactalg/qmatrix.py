@@ -1,14 +1,17 @@
 """Dense exact rational matrices and the spectral operations built on them.
 
-Dimensions here are desk scale (at most ~10). Entries are `Fraction`s, but
-products, polynomial evaluation and `char_poly` run over integers with one
-common denominator (`_ints`, `_int_product`), and `det`, `inverse` and
-`rank` over rows each scaled by its own (`_row_ints`). One Faddeev-LeVerrier
-pass (`_faddeev`) gives `char_poly`, `det` and `inverse`, and the fraction-free
-`independent_rows` gives ranks and the pivot block `solve` inverts; nothing
-eliminates over `Fraction`. Minimal polynomials come from the first linear
-dependence among matrix powers, and spectral projectors from interpolation on
-the minimal polynomial (h = 1 at the eigenvalue, h = 0 on the other factor).
+Dimensions here are desk scale (at most ~10). A `QMatrix` stores integer
+numerators `nums` over one denominator `den`, so products, scalings, sums,
+transposes, equality tests, `char_poly` and polynomial evaluation run over
+integers and build no `Fraction`; `entries`, `entry`, `row`, `column` and
+`to_rows` are `Fraction` views built on request. `det`, `inverse` and `rank`
+read rows each scaled by its own denominator (`_row_ints`). One
+Faddeev-LeVerrier pass (`_faddeev`) gives `char_poly`, `det` and `inverse`,
+and the fraction-free `independent_rows` gives ranks and the pivot block
+`solve` inverts; nothing eliminates over `Fraction`. Minimal polynomials come
+from the first linear dependence among matrix powers, and spectral projectors
+from interpolation on the minimal polynomial (h = 1 at the eigenvalue, h = 0
+on the other factor).
 """
 from __future__ import annotations
 
@@ -87,17 +90,12 @@ def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
     return picked
 
 
-def _ints(entries: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator D, the lcm of the
-    entry denominators: entries[i] == ints[i] / D."""
-    d = lcm(*(e.denominator for e in entries))
-    return [e.numerator * (d // e.denominator) for e in entries], d
-
-
-def _row_ints(m: "QMatrix") -> Iterable[tuple]:
-    """The integer rows of R m and the r_i, for R = diag(r_i) with r_i the lcm
-    of row i's denominators."""
-    return zip(*(_ints(m.row(i)) for i in range(m.rows)))
+def _row_ints(m: "QMatrix") -> tuple[list[list[int]], list[int]]:
+    """The integer rows of R m and the r_i, for R = diag(r_i) with r_i the
+    least denominator of row i: den over its gcd with the row's numerators."""
+    rows = [m.nums[k:k + m.cols] for k in range(0, len(m.nums), m.cols)]
+    gs = [gcd(m.den, *row) for row in rows]
+    return [[x // g for x in row] for row, g in zip(rows, gs)], [m.den // g for g in gs]
 
 
 def _int_product(a: list[int], b: list[int], inner: int, cols: int) -> list[int]:
@@ -115,19 +113,34 @@ def _index(k: int, n: int) -> int:
 
 
 class QMatrix:
-    """An immutable rows x cols matrix of exact rationals, row major."""
+    """An immutable rows x cols matrix of exact rationals: the integers `nums`,
+    row major, over the positive denominator `den`, with gcd(den, *nums) = 1,
+    so that equal matrices have equal `nums` and `den`."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
-        entries = tuple(_frac(e) for e in entries)
+        entries = [_frac(e) for e in entries]
         if rows <= 0 or cols <= 0:
             raise DimensionMismatchError("matrix dimensions must be positive")
         if len(entries) != rows * cols:
             raise DimensionMismatchError("entry count does not match dimensions")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        # gcd(d, *nums) = 1 over this lcm; an entry over d itself lends its numerator
+        d = lcm(*(e.denominator for e in entries))
+        self._set(rows, cols, tuple(e.numerator if e.denominator == d else
+                                    e.numerator * (d // e.denominator) for e in entries), d)
+
+    def _set(self, rows: int, cols: int, nums: tuple, den: int) -> None:
+        for name, value in zip(self.__slots__, (rows, cols, nums, den)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _of(rows: int, cols: int, nums: Sequence[int], den: int = 1) -> "QMatrix":
+        """The matrix nums / den for den > 0, reduced by gcd(den, *nums)."""
+        g = gcd(den, *nums) if den != 1 else 1
+        m = object.__new__(QMatrix)
+        m._set(rows, cols, tuple(x // g for x in nums) if g != 1 else tuple(nums), den // g)
+        return m
 
     def __setattr__(self, name, value):
         raise ImmutableValueError("QMatrix is immutable")
@@ -156,17 +169,22 @@ class QMatrix:
     def from_columns(cols: Sequence[Vector]) -> "QMatrix":
         return QMatrix.from_rows(cols).transpose()
 
-    # -- access -------------------------------------------------------------------
+    # -- access: Fraction views -------------------------------------------------------
+
+    @property
+    def entries(self) -> Vector:
+        return tuple(_ratio(x, self.den) for x in self.nums)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[_index(i, self.rows) * self.cols + _index(j, self.cols)]
+        return _ratio(self.nums[_index(i, self.rows) * self.cols + _index(j, self.cols)],
+                      self.den)
 
     def row(self, i: int) -> Vector:
         start = _index(i, self.rows) * self.cols
-        return self.entries[start:start + self.cols]
+        return tuple(_ratio(x, self.den) for x in self.nums[start:start + self.cols])
 
     def column(self, j: int) -> Vector:
-        return self.entries[_index(j, self.cols)::self.cols]
+        return tuple(_ratio(x, self.den) for x in self.nums[_index(j, self.cols)::self.cols])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -177,14 +195,15 @@ class QMatrix:
 
     @property
     def is_integer(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
+        return self.den == 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"QMatrix({self.to_rows()!r})"
@@ -194,18 +213,19 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("shape mismatch")
-        return QMatrix(self.rows, self.cols,
-                       [a + b for a, b in zip(self.entries, other.entries)])
+        d = lcm(self.den, other.den)
+        a, b = d // self.den, d // other.den
+        return QMatrix._of(self.rows, self.cols,
+                           [a * x + b * y for x, y in zip(self.nums, other.nums)], d)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("shape mismatch")
-        return QMatrix(self.rows, self.cols,
-                       [a - b for a, b in zip(self.entries, other.entries)])
+        return self + other.scale(-1)
 
     def scale(self, c: Scalar) -> "QMatrix":
         c = _frac(c)
-        return QMatrix(self.rows, self.cols, [c * e for e in self.entries])
+        k = c.numerator
+        return QMatrix._of(self.rows, self.cols, [k * x for x in self.nums],
+                           self.den * c.denominator)
 
     def __mul__(self, other) -> "QMatrix":
         if isinstance(other, (int, Fraction)):
@@ -214,25 +234,23 @@ class QMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatchError("shape mismatch in product")
-        a, da = _ints(self.entries)
-        b, db = _ints(other.entries)
-        d = da * db
-        return QMatrix(self.rows, other.cols,
-                       [_ratio(x, d) for x in _int_product(a, b, self.cols, other.cols)])
+        return QMatrix._of(self.rows, other.cols,
+                           _int_product(self.nums, other.nums, self.cols, other.cols),
+                           self.den * other.den)
 
     __rmul__ = __mul__
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length mismatch")
-        return (self * QMatrix(self.cols, 1, v)).entries
+        return (self * QMatrix(self.cols, 1, v)).column(0)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       [x for j in range(self.cols) for x in self.column(j)])
+        c = self.cols
+        return QMatrix._of(c, self.rows, [x for j in range(c) for x in self.nums[j::c]], self.den)
 
     def max_abs_entry(self) -> Fraction:
-        return max(abs(e) for e in self.entries)
+        return _ratio(max(map(abs, self.nums)), self.den)
 
     # -- determinant, inverse, rank and elimination ----------------------------------
 
@@ -252,7 +270,9 @@ class QMatrix:
         (*_, c), b = _faddeev([x for row in rows for x in row], self.rows)
         if c == 0:
             raise SingularMatrixError("matrix is singular")
-        return QMatrix(self.rows, self.rows, [_ratio(-x * s, c) for x, s in zip(b, r * len(r))])
+        k = -1 if c > 0 else 1
+        return QMatrix._of(self.rows, self.rows,
+                           [k * x * s for x, s in zip(b, r * len(r))], abs(c))
 
     def rank(self) -> int:
         rows, _ = _row_ints(self)
@@ -295,11 +315,12 @@ def _faddeev(a: list[int], n: int) -> tuple[list[int], list[int]]:
 
 
 def char_poly(m: QMatrix) -> QPoly:
-    """det(tI - m): c_k / D^k at t^(n-k) for the c_k of `_faddeev` of a = D m (`_ints`)."""
+    """det(tI - m): c_k / D^k at t^(n-k) for the c_k of `_faddeev` of a = D m,
+    with a = m.nums and D = m.den."""
     if not m.is_square:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
-    a, d = _ints(m.entries)
-    return QPoly([Fraction(c, d ** k) for k, c in enumerate(_faddeev(a, m.rows)[0])][::-1])
+    d = m.den
+    return QPoly([Fraction(c, d ** k) for k, c in enumerate(_faddeev(m.nums, m.rows)[0])][::-1])
 
 
 def min_poly(m: QMatrix) -> QPoly:
@@ -321,7 +342,7 @@ def min_poly(m: QMatrix) -> QPoly:
 
 
 def evaluate_poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
-    """p(m), with p = content h for h primitive and m = a / D (`_ints`):
+    """p(m), with p = content h for h primitive and m = a / D (`nums`, `den`):
     integer Horner, b <- b a + h_i D^(deg - i) I, gives D^deg h(m)."""
     if not m.is_square:
         raise DimensionMismatchError("polynomial of a non-square matrix")
@@ -330,15 +351,15 @@ def evaluate_poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
         return QMatrix.zeros(n, n)
     h = primitive_ints(p.coeffs)
     content = p.leading / h[-1]
-    a, d = _ints(m.entries)
+    a, d = m.nums, m.den
     b = [h[-1] if i % (n + 1) == 0 else 0 for i in range(n * n)]
     scale = 1
     for c in reversed(h[:-1]):
         scale *= d
         b = _int_product(b, a, n, n)
         b[::n + 1] = [x + c * scale for x in b[::n + 1]]
-    num, den = content.numerator, content.denominator * scale
-    return QMatrix(n, n, [Fraction(num * x, den) for x in b])
+    num = content.numerator
+    return QMatrix._of(n, n, [num * x for x in b], content.denominator * scale)
 
 
 def spectral_projector(m: QMatrix, q: Scalar) -> QMatrix:

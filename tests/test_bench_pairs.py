@@ -47,15 +47,37 @@ def test_attempted_medians_and_shift():
         "attempted      base 179600  change 198100  shift +10.3%")
 
 
-def test_memory_fit_reads_bytes_per_operation_and_intercept():
-    # base: 20 MB plus 128 B per operation; change: 21 MB plus 96 B
-    def run(n, rss):
-        return {"attempted": n, "metrics": {"peak_rss_mb": {"value": rss}}}
+def run(n, rss):
+    return {"attempted": n, "metrics": {"peak_rss_mb": {"value": rss}}}
 
+
+def test_memory_fit_reads_bytes_per_operation_and_intercept():
+    # base: 20 MB plus 128 B per operation; change: 21 MB plus the same; the
+    # base's mean RSS is 20 + 128 * 40000 / 2^20 = 24.88 MB, and 1 / 24.88 = 4.0 %
     mb = 2 ** 20
     base = [run(n, 20 + 128 * n / mb) for n in (30000, 40000, 50000)]
-    change = [run(n, 21 + 96 * n / mb) for n in (45000, 42000, 48000)]
+    change = [run(n, 21 + 128 * n / mb) for n in (45000, 42000, 48000)]
     assert load_script().memory_fit(base, change) == (
-        "memory fit     base 128 B/op + 20.00 MB  change 96 B/op + 21.00 MB")
+        "memory fit     shared 128 B/op  change +1.00 MB = +4.0% at equal operations")
+
+
+def test_memory_fit_compares_at_an_equal_count_not_at_zero():
+    # within each side RSS rises 1 MB per 10,000 operations (base) and 2 MB
+    # (change): pooled sxx = 4 * 5000^2 = 1e8 and sxy = 5000 + 10000, so the
+    # shared slope is 1.5e-4 MB = 157 B per operation. Means (15000, 30.5)
+    # and (45000, 31.5): intercepts 28.25 and 24.75, so the change reads
+    # 1 MB more but keeps 3.5 MB less at an equal count, 11.5 % of 30.5
+    base = [run(10000, 30.0), run(20000, 31.0)]
+    change = [run(40000, 30.5), run(50000, 32.5)]
+    assert load_script().memory_fit(base, change) == (
+        "memory fit     shared 157 B/op  change -3.50 MB = -11.5% at equal operations")
+
+
+def test_memory_fit_needs_a_spread_of_counts_on_one_side():
     same = [run(100, 20.0)] * 2
-    assert load_script().memory_fit(same, change).startswith("memory fit     base no fit  ")
+    assert load_script().memory_fit(same, [run(200, 21.0)]) == (
+        "memory fit     no fit: each side attempted one count")
+    # one side's spread is enough for the shared slope: 10 MB per 100 ops,
+    # so the change's 21 MB at 200 ops is 9 MB under the base line there
+    assert load_script().memory_fit(same + [run(200, 30.0)], [run(200, 21.0)]).startswith(
+        "memory fit     shared 104858 B/op  change -9.00 MB")

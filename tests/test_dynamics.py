@@ -50,7 +50,7 @@ from conecert.exactalg import (
     roots_with_multiplicity,
 )
 from conecert.scenarios import run_scenario
-from conecert.selftest import CaseOutcome, run_projector_identities
+from conecert.selftest import CaseOutcome, generate_cone_instance, run_projector_identities
 from test_qpoly import euclid_gcd
 
 PULLBACK_3X3 = QMatrix.from_rows([[1, 2, 1], [-5, -4, 1], [25, -10, 1]])
@@ -180,6 +180,24 @@ def test_polyhedral_cone_map_needs_no_determinant(quadrant, monkeypatch):
     with pytest.raises(SingularMatrixError, match="cone map must be invertible"):
         ConeMap.create(QMatrix.from_rows([[1, 1], [1, 1]]), quadrant)
     assert calls == []
+
+
+def test_decisions_read_no_fraction_view_of_a_matrix(monkeypatch):
+    """Creating and deciding a cone map reads every matrix as integers over
+    one denominator: on 40 seeded simplicial maps of every planned kind, the
+    `entries` view of no `QMatrix` is built."""
+    reads = []
+    view = QMatrix.entries
+    monkeypatch.setattr(QMatrix, "entries", property(lambda m: reads.append(m) or view.fget(m)))
+    rng = random.Random(20261022)
+    statuses = set()
+    for k in range(40):
+        inst = generate_cone_instance(rng, 2 + k % 4)
+        statuses.add(decide_polarization(ConeMap.create(inst.matrix, inst.cone)).status)
+    assert reads == []
+    assert statuses == set(PolarizationStatus)
+    QMatrix.identity(2).entries
+    assert len(reads) == 1
 
 
 def test_power_boundedness():

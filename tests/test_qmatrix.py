@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -148,14 +148,13 @@ def test_spectral_projector_errors():
 # -- differential tests: the integer kernels against plain Fraction loops ------------
 
 
-def ref_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    out = [Fraction(0)] * (a.rows * b.cols)
-    for i in range(a.rows):
-        for k in range(a.cols):
-            x = a.entry(i, k)
-            for j in range(b.cols):
-                out[i * b.cols + j] += x * b.entry(k, j)
-    return QMatrix(a.rows, b.cols, out)
+# the references read and return lists of `Fraction` rows, so no QMatrix
+# arithmetic enters them
+
+
+def ref_mul(a: list, b: list) -> list:
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
 
 
 def ref_apply(m: QMatrix, v) -> tuple:
@@ -163,16 +162,17 @@ def ref_apply(m: QMatrix, v) -> tuple:
                  for i in range(m.rows))
 
 
-def ref_char_poly(m: QMatrix) -> QPoly:
-    n = m.rows
-    coeffs = [Fraction(1)]
-    mk = m
+def plus_identity(a: list, c: Fraction) -> list:
+    return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def ref_char_poly(a: list) -> QPoly:
+    """det(tI - a) by Faddeev-LeVerrier over `Fraction`."""
+    n, coeffs, mk = len(a), [Fraction(1)], a
     for k in range(1, n + 1):
-        ck = -sum((mk.entry(i, i) for i in range(n)), Fraction(0)) / k
-        coeffs.append(ck)
-        if k < n:
-            mk = ref_mul(m, mk + QMatrix.identity(n).scale(ck))
-    return QPoly(list(reversed(coeffs)))
+        coeffs.append(-sum((mk[i][i] for i in range(n)), Fraction(0)) / k)
+        mk = ref_mul(a, plus_identity(mk, coeffs[-1]))
+    return QPoly(coeffs[::-1])
 
 
 def ref_det(m: QMatrix) -> Fraction:
@@ -183,26 +183,30 @@ def ref_det(m: QMatrix) -> Fraction:
                 for perm in itertools.permutations(range(n))), Fraction(0))
 
 
-def ref_echelon(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of m and its pivot columns, by Gauss-Jordan
-    over `Fraction`."""
-    rows = m.to_rows()
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of the rows and its pivot columns, by
+    Gauss-Jordan over `Fraction`."""
+    rows = [list(row) for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
         rows[r] = [x / pv for x in rows[r]]
-        for i in range(m.rows):
+        for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def ref_echelon(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    return rref(m.to_rows())
 
 
 def ref_inverse(m: QMatrix):
@@ -230,10 +234,10 @@ def ref_solve(m: QMatrix, b):
     return tuple(x)
 
 
-def ref_evaluate(p: QPoly, m: QMatrix) -> QMatrix:
-    out = QMatrix.zeros(m.rows, m.rows)
+def ref_evaluate(p: QPoly, a: list) -> list:
+    out = [[Fraction(0)] * len(a) for _ in a]
     for c in reversed(p.coeffs):
-        out = ref_mul(out, m) + QMatrix.identity(m.rows).scale(c)
+        out = plus_identity(ref_mul(out, a), c)
     return out
 
 
@@ -263,14 +267,14 @@ POLY = st.lists(ENTRY, max_size=5).map(QPoly)
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_char_poly_matches_fraction_loop_and_annihilates(m):
     cp = char_poly(m)
-    assert cp == ref_char_poly(m)
+    assert cp == ref_char_poly(m.to_rows())
     assert evaluate_poly_at_matrix(cp, m) == QMatrix.zeros(m.rows, m.rows)
 
 
 @given(SQUARE, POLY)
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_evaluate_poly_matches_fraction_loop(m, p):
-    assert evaluate_poly_at_matrix(p, m) == ref_evaluate(p, m)
+    assert evaluate_poly_at_matrix(p, m).to_rows() == ref_evaluate(p, m.to_rows())
 
 
 @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)).flatmap(
@@ -279,7 +283,7 @@ def test_evaluate_poly_matches_fraction_loop(m, p):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_product_and_apply_match_fraction_loops(args):
     a, b, v = args
-    assert a * b == ref_mul(a, b)
+    assert (a * b).to_rows() == ref_mul(a.to_rows(), b.to_rows())
     assert a.apply(v) == ref_apply(a, v)
 
 
@@ -332,10 +336,10 @@ def test_det_and_inverse_match_leibniz_and_gauss_jordan():
 
 def test_elimination_runs_only_for_the_span(monkeypatch):
     """A full-dimensional cone build eliminates over integers only: its span
-    reads `independent_rows` on the primitive generators and inverts their
-    integer pivot block, and nothing solves; the basis inverse of the double
-    description, and every `det`, `inverse` and `rank`, read the integer
-    passes too."""
+    reads `independent_rows` on the primitive generators and their columns,
+    and its echelon basis is the shared identity, so nothing solves and only
+    the double description inverts the pivot block; every `det`, `inverse`
+    and `rank` reads the integer passes too."""
     rows_seen, inverted, solved = [], [], []
 
     def rows_spy(rows):
@@ -355,11 +359,13 @@ def test_elimination_runs_only_for_the_span(monkeypatch):
         cone = build_cone(gens)
         assert cone.dim == cone.ambient_dim
         assert solved == []
-        # the span: independent generators, then their independent columns,
-        # then the pivot block; the double description inverts the same block
+        # the span: independent generators, then their independent columns;
+        # the double description inverts the pivot block, the span does not
         block = gens[:cone.dim]
         assert rows_seen[:2] == [[tuple(g) for g in gens], list(zip(*block))]
-        assert inverted == [QMatrix.from_rows(block)] * 2
+        assert inverted == [QMatrix.from_rows(block)]
+        assert cone.span_basis is build_cone(gens).span_basis
+        assert QMatrix.from_rows(cone.span_basis) == QMatrix.identity(cone.dim)
         assert all(type(x) is int for rows in rows_seen for row in rows for x in row)
     rows_seen.clear()
     rng = random.Random(7)
@@ -449,3 +455,122 @@ def test_det_and_inverse_scale_each_row_by_its_own_denominators(monkeypatch):
         assert all(coeffs[-1] ** 2 <= hadamard_squared for coeffs, _ in calls)
         assert inverse == ref_inverse(m)
         assert det * inverse.det() == 1
+
+
+def is_reduced(m: QMatrix) -> bool:
+    return m.den > 0 and gcd(m.den, *m.nums) == 1 and all(type(x) is int for x in m.nums)
+
+
+def test_representation_is_reduced_and_one_per_value():
+    """`nums` over `den` is reduced with den > 0, the zero matrix has den 1,
+    and equal values reached by different routes compare and hash equal."""
+    m = QMatrix.from_rows([[Fraction(1, 2), Fraction(-3, 4)], [Fraction(5, 6), 0]])
+    assert (m.nums, m.den) == ((6, -9, 10, 0), 12)
+    for zero in (QMatrix.zeros(2, 2), m - m, m.scale(0), m * QMatrix.zeros(2, 2)):
+        assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+    routes = [
+        QMatrix.from_rows([["1/2", "-3/4"], ["10/12", 0]]),
+        QMatrix.from_columns([(Fraction(1, 2), Fraction(5, 6)), (Fraction(-3, 4), 0)]),
+        QMatrix.identity(2).scale(Fraction(1, 3)) * m.scale(3),
+        QMatrix.from_rows([[0, 1], [1, 0]]) * (QMatrix.from_rows([[0, 1], [1, 0]]) * m),
+        m.scale(Fraction(-1, 2)).scale(-2),
+        m.transpose().transpose(),
+        (m + m) - m,
+        m - QMatrix.zeros(2, 2) + QMatrix.zeros(2, 2),
+        m.inverse().inverse(),
+    ]
+    for other in routes:
+        assert is_reduced(other)
+        assert other == m and hash(other) == hash(m)
+        assert (other.nums, other.den) == (m.nums, m.den)
+    assert m != m.scale(2) and m != m.transpose() and m != QMatrix(1, 4, m.entries)
+    assert QMatrix.from_rows([[2, 4]]).scale(Fraction(1, 2)).is_integer
+    assert not QMatrix.from_rows([[2, 3]]).scale(Fraction(1, 2)).is_integer
+    assert m.max_abs_entry() == Fraction(5, 6)
+
+
+def large_fraction_rows(rng: random.Random, r: int, c: int, deficient: bool) -> list:
+    """r x c rows of zeros, small integers and 30-digit numerators over
+    20-digit denominators; a deficient matrix's last row is a rational
+    combination of the others (zero when r = 1)."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.15:
+            return Fraction(0)
+        if kind < 0.3:
+            return Fraction(rng.randint(-3, 3))
+        return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(10 ** 19, 10 ** 20))
+
+    rows = [[entry() for _ in range(c)] for _ in range(r)]
+    if deficient:
+        ks = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(r - 1)]
+        rows[-1] = [sum((k * row[j] for k, row in zip(ks, rows)), Fraction(0)) for j in range(c)]
+    return rows
+
+
+def ref_gauss_det(a: list) -> Fraction:
+    """Gaussian elimination with row swaps over `Fraction`."""
+    rows, det = [list(row) for row in a], Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def test_operations_match_a_fraction_reference_on_large_entries():
+    """`*`, `scale`, `+`, `-`, `transpose`, `char_poly`, polynomial
+    evaluation, `det`, `inverse`, `rank` and `solve` against `Fraction`
+    references on lists of rows, over 300 seeded 1x1 to 6x6 matrices of
+    30-digit numerators over 20-digit denominators, a third of them rank
+    deficient; every result is reduced."""
+    rng = random.Random(20261023)
+    singular_seen = 0
+    for k in range(300):
+        n, c = 1 + k % 6, rng.randint(1, 6)
+        a = large_fraction_rows(rng, n, n, deficient=k % 3 == 0)
+        b, o = large_fraction_rows(rng, n, c, False), large_fraction_rows(rng, n, n, False)
+        m, mb, mo = QMatrix.from_rows(a), QMatrix.from_rows(b), QMatrix.from_rows(o)
+        s = Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 10))
+        p = QPoly([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+                   for _ in range(rng.randint(1, 4))])
+        results = {
+            "*": (m * mb, ref_mul(a, b)),
+            "scale": (m.scale(s), [[s * x for x in row] for row in a]),
+            "+": (m + mo, [[x + y for x, y in zip(u, v)] for u, v in zip(a, o)]),
+            "-": (m - mo, [[x - y for x, y in zip(u, v)] for u, v in zip(a, o)]),
+            "transpose": (mb.transpose(), [list(col) for col in zip(*b)]),
+            "evaluate": (evaluate_poly_at_matrix(p, m), ref_evaluate(p, a)),
+        }
+        for name, (got, expected) in results.items():
+            assert is_reduced(got), name
+            assert got.to_rows() == expected, name
+        assert char_poly(m) == ref_char_poly(a)
+        det = ref_gauss_det(a)
+        assert m.det() == det
+        _, pivots = rref(a)
+        assert m.rank() == len(pivots)
+        if det:
+            identity = plus_identity([[Fraction(0)] * n for _ in a], Fraction(1))
+            inverse = rref([row + unit for row, unit in zip(a, identity)])[0]
+            assert is_reduced(m.inverse())
+            assert m.inverse().to_rows() == [row[n:] for row in inverse]
+        else:
+            singular_seen += 1
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        for rhs in ([sum(x for x in row) for row in a], [row[0] for row in o]):
+            aug, aug_pivots = rref([row + [y] for row, y in zip(a, rhs)])
+            x = m.solve(rhs)
+            if n in aug_pivots:
+                assert x is None
+            else:
+                assert list(x) == [next((aug[i][n] for i, q in enumerate(aug_pivots) if q == j),
+                                        Fraction(0)) for j in range(n)]
+    assert singular_seen >= 100
