@@ -54,7 +54,6 @@ from .exactalg import (
     primitive_vector,
     rational_nth_root,
     vec_add,
-    vec_scale,
     vector,
 )
 
@@ -505,35 +504,36 @@ def _is_psd_congruence(n: int, m: QMatrix) -> bool:
     The maps carrying the PSD cone onto itself are exactly the congruences
     X -> A X A^T with A invertible (Schneider, Positive operators and an
     inertia theorem, 1965), and a rational m forces A = sqrt(c) B. So B is
-    recovered from m: the image of E_ii must be u_i u_i^T / d_i, c = 1 / d_0
-    and b_i = +-sqrt(d_0 / d_i) u_i, the sign read off the image of
-    E_0i + E_i0. If d_0 / d_i is no rational square, or the recovered
-    congruence misses any column of m, m is no automorphism.
+    recovered from the integer columns of den m (`nums`), which only
+    rescale c: the image of E_ii must be u_i u_i^T / d_i, c = 1 / d_0 and
+    b_i = +-(p_i / q_i) u_i with p_i / q_i = sqrt(d_0 / d_i), the sign read
+    off the image of E_0i + E_i0. If d_0 / d_i is no rational square, or
+    d_0 q_i q_j column(i, j) = p_i p_j (u_i u_j^T + u_j u_i^T), halved on
+    the diagonal, fails for any column, m is no automorphism.
     """
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    column = dict(zip(pairs, (m.column(k) for k in range(len(pairs)))))
+    column = {ij: m.nums[k::m.cols] for k, ij in enumerate(pairs)}
+    at = {ij: k for k, (i, j) in enumerate(pairs) for ij in ((i, j), (j, i))}
 
-    def congruence(bi: Vector, bj: Vector, scale: Fraction) -> Vector:
-        # scale * (bi bj^T + bj bi^T), flattened
-        return tuple(scale * (bi[a] * bj[b] + bj[a] * bi[b]) for a, b in pairs)
+    def matches(i: int, j: int) -> bool:
+        (pi, qi, ui), (pj, qj, uj), h = b[i], b[j], 2 if i == j else 1
+        return all(h * d0 * qi * qj * x == pi * pj * (ui[a] * uj[e] + uj[a] * ui[e])
+                   for x, (a, e) in zip(column[i, j], pairs))
 
-    b: list[Vector] = []
-    d0 = None
+    b, d0 = [], None   # b_i as (+-p_i, q_i, u_i)
     for i in range(n):
-        image = _sym_from_vector(n, column[i, i])
-        k = next((k for k in range(n) if image.entry(k, k) > 0), None)
+        image = column[i, i]
+        k = next((k for k in range(n) if image[at[k, k]] > 0), None)
         if k is None:
             return False
-        d0 = d0 or image.entry(k, k)
-        s = rational_nth_root(d0 / image.entry(k, k), 2)
+        d0 = d0 or image[at[k, k]]
+        s = rational_nth_root(Fraction(d0, image[at[k, k]]), 2)
         if s is None:
             return False
-        bi = vec_scale(image.column(k), s)
-        if i > 0 and column[0, i] != congruence(b[0], bi, 1 / d0):
-            bi = vec_scale(bi, -1)
-        b.append(bi)
-    return all(column[i, j] == congruence(b[i], b[j], 1 / d0 if i < j else 1 / (2 * d0))
-               for i, j in pairs)
+        b.append((s.numerator, s.denominator, [image[at[a, k]] for a in range(n)]))
+        if i > 0 and not matches(0, i):
+            b[i] = (-s.numerator, *b[i][1:])
+    return all(matches(i, j) for i, j in pairs)
 
 
 @dataclass(frozen=True, slots=True)

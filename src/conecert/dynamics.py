@@ -88,7 +88,7 @@ class ConeMap:
             raise DimensionMismatchError("map and cone dimensions differ")
         # the constant term is +-det, so no separate elimination is needed
         cp = char_poly(matrix)
-        if cp.coeffs[0] == 0:
+        if not cp.ints[0]:
             raise SingularMatrixError("cone map must be invertible")
         label = cone.invariance if cone.is_automorphism(matrix) else None
         return ConeMap(matrix, cone, label, cp)
@@ -112,7 +112,7 @@ def is_power_bounded(m: QMatrix, q) -> bool:
     if q <= 0:
         raise PreconditionViolatedError("q must be positive")
     cp = char_poly(m)
-    if cp.coeffs[0] == 0:
+    if not cp.ints[0]:
         raise SingularMatrixError("power boundedness needs an invertible map")
     return modulus_equals(cp, q) and not any(
         evaluate_poly_at_matrix(cp.square_free_part(), m).nums)
@@ -255,7 +255,7 @@ def decide_polarization(cm: ConeMap) -> PolarizationResult:
         raise InvarianceNotVerifiedError("cone invariance has not been verified")
 
     m_eff, cp, transverse = _effective_map(cm)
-    q = rational_nth_root(abs(cp.coeffs[0]), cp.degree)
+    q = rational_nth_root(abs(cp.coeff(0)), cp.degree)
     projector = None if q is None else _bounded_projector(m_eff, cp, q)
     if projector is None:
         if has_positive_irrational_root(cp):

@@ -5,12 +5,14 @@ The representation is fully exact: rectangles have rational corners. No
 float enters any decision path; floats appear only in the convenience
 `approx` accessor.
 
-`modulus_equals` works on the polynomial alone (Kronecker's trace-polynomial
-reduction and a Sturm count, in integers). It, `rational_roots`,
+`modulus_equals` works on the polynomial alone: Kronecker's reduction
+divides out t -+ q by `qpoly._pdivmod` and counts the trace polynomial on
+its own Sturm chain, all in integers. It, `rational_roots`,
 `factor_rational` and `has_positive_irrational_root` take any polynomial
-and read its square-free part from the primitive integer Sturm chain it
-keeps (`qpoly._sturm`, signs by integer Horner), so the report, the
-decision and a refusal on one characteristic polynomial share one chain.
+and read its `ints` and its square-free part, the quotient of the primitive
+integer Sturm chain it keeps (`qpoly._sturm`, signs by `qpoly._horner`), so
+the report, the decision and a refusal on one characteristic polynomial
+share one chain.
 `qpoly.rational_roots` lifts p-adically (Hensel) once per polynomial, and
 `factor_rational` splits them off as linear factors: a cofactor of degree 2
 or 3 left without one is irreducible.
@@ -37,8 +39,7 @@ from fractions import Fraction
 from math import isqrt, prod
 
 from ..errors import InternalCheckError, PreconditionViolatedError, ZeroPolynomialError
-from .qpoly import (QPoly, _count, _frac, _quotient, _root_bound, _sign, _sturm,
-                    primitive_ints, rational_roots)
+from .qpoly import QPoly, _frac, _pdivmod, _root_bound, _sign, rational_roots
 
 # every isolating box is narrower and lower than this; reports print it as is
 ISOLATION_WIDTH = Fraction(1, 4096)
@@ -105,7 +106,7 @@ def factor_rational(p: QPoly) -> list[tuple[QPoly, int]]:
         out.append((s.content_normalized(), p.degree // s.degree))
     elif s.degree >= 4:
         out += _sympy_factors(p)
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].ints))
     return out
 
 
@@ -146,7 +147,7 @@ class AlgebraicNumber:
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise PreconditionViolatedError("not a rational number")
-        return -self.minpoly.coeffs[0] / self.minpoly.coeffs[1]
+        return Fraction(-self.minpoly.ints[0], self.minpoly.ints[1])
 
     def approx(self) -> complex:
         a, b, c, d = self.box
@@ -216,7 +217,7 @@ def _quadratic_complex_boxes(fac: QPoly) -> list[tuple[Fraction, ...]]:
     (m -+ 1)/2^k, which holds the root strictly; k starts at 14 and grows
     until m >= 2, so the conjugate boxes are disjoint.
     """
-    c, b, a = (x.numerator for x in fac.coeffs)
+    c, b, a = fac.ints
     re, half = Fraction(-b, 2 * a), Fraction(1, 1 << _HALF_SIDE_BITS)
     k = _HALF_SIDE_BITS
     while (m := isqrt((4 * a * c - b * b) << 2 * k) // (2 * a)) < 2:
@@ -249,13 +250,13 @@ def _real_roots(factors: list[tuple[QPoly, int]]) -> list[AlgebraicNumber]:
     such box is a dyadic cell on one side of 0, which
     `PolarizationResult.candidate_minpoly` reads from its lower end.
     """
-    rationals = sorted(-fac.coeffs[0] / fac.coeffs[1] for fac, _ in factors if fac.degree == 1)
-    irrational = [(fac, primitive_ints(fac.coeffs)) for fac, _ in factors if fac.degree >= 2]
+    rationals = sorted(Fraction(-f.ints[0], f.ints[1]) for f, _ in factors if f.degree == 1)
+    irrational = [(fac, fac.ints) for fac, _ in factors if fac.degree >= 2]
     reals = [AlgebraicNumber.from_rational(r) for r in rationals]
     if not irrational:
         return reals
     s = prod((fac for fac, _ in irrational), start=QPoly.one())
-    s_ints = primitive_ints(s.coeffs)
+    s_ints = s.ints
     top = Fraction(_root_bound(s_ints))
     todo = [(lo, hi, s.count_real_roots(lo, hi)) for lo, hi in ((0, top), (-top, 0))]
     while todo:
@@ -310,7 +311,7 @@ def has_positive_irrational_root(p: QPoly) -> bool:
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
-    positive = p.count_real_roots(0, _root_bound(primitive_ints(p.coeffs)))
+    positive = p.count_real_roots(0, _root_bound(p.ints))
     return positive > 0 and positive > sum(1 for x in rational_roots(p) if x > 0)
 
 
@@ -332,11 +333,11 @@ def modulus_equals(p: QPoly, q) -> bool:
     q = _frac(q)
     if q <= 0:
         raise PreconditionViolatedError("modulus test requires q > 0")
-    r = primitive_ints(p.square_free_part().coeffs)
+    r = list(p.square_free_part().ints)
     a, b = q.numerator, q.denominator
     for root in (a, -a):
         if not _sign(r, Fraction(root, b)):
-            r = _quotient(r, (-root, b))
+            r = _pdivmod(r, (-root, b))[1]
     if len(r) % 2 == 0:
         return False
     m = len(r) // 2
@@ -348,5 +349,4 @@ def modulus_equals(p: QPoly, q) -> bool:
         for i, c in enumerate(e):
             h[i] += r[m + j] * b ** (m - j) * c
         e_prev, e = e, [x - a * a * y for x, y in zip([0, *e], [*e_prev, 0, 0])]
-    return _count(_sturm(h, primitive_ints([i * c for i, c in enumerate(h)][1:])),
-                  -2 * a, 2 * a) == m
+    return QPoly._of(h).count_real_roots(-2 * a, 2 * a) == m

@@ -2,8 +2,9 @@
 
 Dimensions here are desk scale (at most ~10). A `QMatrix` stores integer
 numerators `nums` over one denominator `den`, so products, scalings, sums,
-transposes, equality tests, `char_poly` and polynomial evaluation run over
-integers and build no `Fraction`; `entries`, `entry`, `row`, `column` and
+transposes, equality tests, `char_poly` (a `QPoly` made from integers) and
+evaluation of a polynomial's `ints` and `content` run over integers and
+build no `Fraction`; `entries`, `entry`, `row`, `column` and
 `to_rows` are `Fraction` views built on request. `det`, `inverse` and `rank`
 read rows each scaled by its own denominator (`_row_ints`). One
 Faddeev-LeVerrier pass (`_faddeev`) gives `char_poly`, `det` and `inverse`,
@@ -319,8 +320,9 @@ def char_poly(m: QMatrix) -> QPoly:
     with a = m.nums and D = m.den."""
     if not m.is_square:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
-    d = m.den
-    return QPoly([Fraction(c, d ** k) for k, c in enumerate(_faddeev(m.nums, m.rows)[0])][::-1])
+    d, n = m.den, m.rows
+    return QPoly._of([c * d ** (n - k) for k, c in enumerate(_faddeev(m.nums, n)[0])][::-1],
+                     Fraction(1, d ** n))
 
 
 def min_poly(m: QMatrix) -> QPoly:
@@ -342,15 +344,14 @@ def min_poly(m: QMatrix) -> QPoly:
 
 
 def evaluate_poly_at_matrix(p: QPoly, m: QMatrix) -> QMatrix:
-    """p(m), with p = content h for h primitive and m = a / D (`nums`, `den`):
-    integer Horner, b <- b a + h_i D^(deg - i) I, gives D^deg h(m)."""
+    """p(m), with p = content h (`content`, `ints`) and m = a / D (`nums`,
+    `den`): integer Horner, b <- b a + h_i D^(deg - i) I, gives D^deg h(m)."""
     if not m.is_square:
         raise DimensionMismatchError("polynomial of a non-square matrix")
     n = m.rows
     if p.is_zero:
         return QMatrix.zeros(n, n)
-    h = primitive_ints(p.coeffs)
-    content = p.leading / h[-1]
+    h, content = p.ints, p.content
     a, d = m.nums, m.den
     b = [h[-1] if i % (n + 1) == 0 else 0 for i in range(n * n)]
     scale = 1

@@ -1,13 +1,15 @@
 """Exact univariate polynomials over the rationals, and exact integer and
 rational n-th roots.
 
-Coefficients are stored lowest degree first as `fractions.Fraction` values
-with no trailing zeros; the zero polynomial has an empty coefficient tuple.
-All arithmetic is exact. Nothing here ever touches floating point. A
-polynomial keeps its Sturm chain, a primitive integer remainder sequence
-(`_sturm`) read by integer Horner (`_sign`), so its square-free part and
-every root count share it; it keeps its rational roots (`rational_roots`)
-too, so the report and a refusal lift them once.
+A polynomial is stored lowest degree first as the primitive integers `ints`,
+with a positive leading entry, times one rational `content` (the zero
+polynomial is () with content 0); its `Fraction` coefficients `coeffs` are
+a view built on request. One integer pseudo-division (`_pdivmod`) serves
+divmod, exact division and the Sturm chain, and one integer Horner
+(`_horner`) every evaluation and sign; nothing touches floating point. A
+polynomial keeps its Sturm chain, a primitive remainder sequence (`_sturm`),
+which its square-free part and every root count share, and its rational
+roots (`rational_roots`), which the report and a refusal lift once.
 """
 from __future__ import annotations
 
@@ -77,52 +79,59 @@ def rational_nth_root(x: Scalar, n: int) -> Optional[Fraction]:
     return None if num is None or den is None else _ratio(num, den)
 
 
-def _sign(f: Sequence[int], x: Scalar) -> int:
-    """The sign of f(a/b), b > 0, by integer Horner on b^deg f(a/b)."""
+def _horner(f: Sequence[int], x: Scalar) -> int:
+    """b^deg f(a/b) for x = a/b, b > 0, by integer Horner; f is integer,
+    lowest degree first."""
     a, b = x.numerator, x.denominator
     acc, w = 0, 1
     for c in reversed(f):
         acc = acc * a + c * w
         w *= b
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
-def _quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """f / g for integer polynomials, g primitive and dividing f, so that the
-    quotient is integral (Gauss's lemma)."""
-    r, n = list(f), len(g) - 1
-    quot = [0] * (len(f) - n)
+def _sign(f: Sequence[int], x: Scalar) -> int:
+    """The sign of f(a/b), b > 0, read from `_horner`."""
+    v = _horner(f, x)
+    return (v > 0) - (v < 0)
+
+
+def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division of integer polynomials, lowest degree first, b nonzero
+    with no trailing zero: (u, quot, rem) with u a = quot b + rem and deg rem
+    < deg b (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R). Each step scales by
+    lc(b) / gcd(lc(b), top) for the top coefficient it cancels, so u = 1
+    when b is primitive with lc(b) > 0 and divides a, and then quot is
+    integral (Gauss's lemma)."""
+    r, n, lead = list(a), len(b) - 1, b[-1]
+    quot, u = [0] * max(len(r) - n, 0), 1
     for k in reversed(range(len(quot))):
-        c = quot[k] = r[k + n] // g[-1]
-        for i, y in enumerate(g, k):
-            r[i] -= c * y
-    return quot
+        if top := r.pop():
+            g = gcd(lead, top)
+            s, v = lead // g, top // g
+            if s != 1:
+                r, quot, u = [s * x for x in r], [s * x for x in quot], u * s
+            quot[k] = v
+            for i, y in enumerate(b[:-1], k):
+                r[i] -= v * y
+    while r and not r[-1]:
+        r.pop()
+    return u, quot, r
 
 
 def _sturm(f: Sequence[int], df: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The Sturm chain of the integer polynomial f from df, a primitive
     positive multiple of f', as a primitive remainder sequence (Collins
     1967; Brown and Traub 1971), ending in gcd(f, f') up to a constant.
-    Each step scales the remainder by u = lc(b) / gcd(lc(b), top), so the
-    next term, divided by its content and by the sign of the product of
-    the u's, is a positive multiple of Euclid's -(a mod b)."""
+    Each step is one `_pdivmod`, so u a = quot b + rem, and the next term,
+    rem divided by its content and by -sign(u), is a positive multiple of
+    Euclid's -(a mod b)."""
     chain = [tuple(f), tuple(df)] if df else [tuple(f)]
     while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r, n, sign = list(a), len(b) - 1, -1
-        while len(r) > n:
-            if c := r.pop():
-                g = gcd(b[-1], c)
-                u, v = b[-1] // g, c // g
-                if u != 1:
-                    r, sign = [u * x for x in r], sign if u > 0 else -sign
-                for i, y in enumerate(b[:-1], len(r) - n):
-                    r[i] -= v * y
-        while r and not r[-1]:
-            r.pop()
+        u, _, r = _pdivmod(chain[-2], chain[-1])
         if not r:
             break
-        g = gcd(*r) * sign
+        g = gcd(*r) if u < 0 else -gcd(*r)
         chain.append(tuple(x // g for x in r))
     return tuple(chain)
 
@@ -139,14 +148,6 @@ def _count(chain: Sequence[Sequence[int]], lo: Scalar, hi: Scalar) -> int:
     return variations(lo) - variations(hi) if lo < hi else 0
 
 
-def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
-    """g(x) mod m for integer coefficients, lowest degree first."""
-    acc = 0
-    for c in reversed(g):
-        acc = (acc * x + c) % m
-    return acc
-
-
 def _simple_roots_mod_prime(g: Sequence[int], dg: Sequence[int]) -> tuple[int, list[int]]:
     """The first prime p at which every root of g mod p is simple, and those roots.
 
@@ -156,8 +157,8 @@ def _simple_roots_mod_prime(g: Sequence[int], dg: Sequence[int]) -> tuple[int, l
         if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             continue
         g_p, dg_p = [c % p for c in g], [c % p for c in dg]
-        roots = [a for a in range(p) if _eval_mod(g_p, a, p) == 0]
-        if all(_eval_mod(dg_p, a, p) for a in roots):
+        roots = [a for a in range(p) if _horner(g_p, a) % p == 0]
+        if all(_horner(dg_p, a) % p for a in roots):
             return p, roots
 
 
@@ -182,7 +183,7 @@ def rational_roots(p: QPoly) -> list[Fraction]:
     residue is the only integer candidate, tested exactly (Loos 1983).
     """
     if p._roots is None:
-        s = primitive_ints(p.square_free_part().coeffs)
+        s = p.square_free_part().ints
         n, lc = len(s) - 1, s[-1]
         g = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
         dg = [i * c for i, c in enumerate(g)][1:]
@@ -193,38 +194,51 @@ def rational_roots(p: QPoly) -> list[Fraction]:
             m = prime
             while m <= 2 * bound:
                 m *= m
-                a = (a - _eval_mod(g, a, m) * pow(_eval_mod(dg, a, m), -1, m)) % m
+                a = (a - _horner(g, a) * pow(_horner(dg, a), -1, m)) % m
             y = a if 2 * a < m else a - m
-            if sum(c * y ** i for i, c in enumerate(g)) == 0:
+            if _horner(g, y) == 0:
                 roots.append(Fraction(y, lc))
         object.__setattr__(p, "_roots", tuple(sorted(roots)))
     return list(p._roots)
 
 
 class QPoly:
-    """A polynomial with rational coefficients, lowest degree first."""
+    """A polynomial with rational coefficients, lowest degree first: the
+    primitive integers `ints`, with a positive leading entry, times the
+    rational `content`; the zero polynomial is () with content 0, so equal
+    polynomials have equal `ints` and `content`."""
 
     # _chain, _sqfree, _roots: the integer Sturm chain, the square-free part
     # and the rational roots, built on first use; not part of the value
-    __slots__ = ("coeffs", "_chain", "_sqfree", "_roots")
+    __slots__ = ("ints", "content", "_chain", "_sqfree", "_roots")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_chain", None)
-        object.__setattr__(self, "_sqfree", None)
-        object.__setattr__(self, "_roots", None)
+        d = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (d // c.denominator) for c in cs], _ratio(1, d))
+
+    def _set(self, nums: list[int], scale: Fraction) -> None:
+        """Store scale times the integers nums, lowest degree first."""
+        if not scale:
+            nums = []
+        while nums and not nums[-1]:
+            nums.pop()
+        g = -gcd(*nums) if nums and nums[-1] < 0 else gcd(*nums)
+        ints = tuple(nums) if g in (0, 1) else tuple(x // g for x in nums)
+        for name, value in zip(self.__slots__, (ints, scale * g, None, None, None)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _of(nums: Iterable[int], scale: Scalar = 1) -> "QPoly":
+        """The polynomial scale times the integers nums, lowest degree first."""
+        p = object.__new__(QPoly)
+        p._set(list(nums), _frac(scale))
+        return p
 
     def __setattr__(self, name, value):
         raise ImmutableValueError("QPoly is immutable")
 
     # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "QPoly":
-        return QPoly(())
 
     @staticmethod
     def one() -> "QPoly":
@@ -235,71 +249,60 @@ class QPoly:
         """t - r."""
         return QPoly((-_frac(r), 1))
 
-    # -- basic queries ---------------------------------------------------------
+    # -- basic queries: Fraction views -------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        n, d = self.content.numerator, self.content.denominator
+        return tuple(_ratio(n * x, d) for x in self.ints)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.content * self.ints[k] if 0 <= k < len(self.ints) else _frac(0)
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, QPoly) and self.content == other.content
+                and self.ints == other.ints)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.content, self.ints))
 
     # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
+        a, b = self.ints, other.ints
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return QPoly._of(out, self.content * other.content)
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "QPoly":
-        c = _frac(c)
-        return QPoly(tuple(a * c for a in self.coeffs))
+        return QPoly._of(self.ints, self.content * _frac(c))
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
@@ -314,15 +317,12 @@ class QPoly:
         return out
 
     def __divmod__(self, other: "QPoly"):
+        """(quot / u, rem / u) over the contents, from `_pdivmod` of the ints."""
         if other.is_zero:
             raise ZeroPolynomialError("polynomial division by zero")
-        rem, d = list(self.coeffs), other.degree
-        q = [Fraction(0)] * max(len(rem) - d, 0)
-        for k in reversed(range(len(q))):
-            f = q[k] = rem[k + d] / other.leading
-            for i, c in enumerate(other.coeffs, k):
-                rem[i] -= f * c
-        return QPoly(q), QPoly(rem[:d])
+        u, quot, rem = _pdivmod(self.ints, other.ints)
+        c = self.content / u
+        return QPoly._of(quot, c / other.content), QPoly._of(rem, c)
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[1]
@@ -334,26 +334,22 @@ class QPoly:
         return q
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """content `_horner`(ints, x) / b^deg for x = a/b."""
+        x, c = _frac(x), self.content
+        return _ratio(c.numerator * _horner(self.ints, x),
+                      c.denominator * x.denominator ** max(self.degree, 0))
 
     def derivative(self) -> "QPoly":
-        return QPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i > 0))
+        return QPoly._of([i * c for i, c in enumerate(self.ints)][1:], self.content)
 
     # -- normal forms -----------------------------------------------------------
 
     def monic(self) -> "QPoly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
+        return QPoly._of(self.ints, Fraction(1, self.ints[-1])) if self.ints else self
 
     def content_normalized(self) -> "QPoly":
         """Primitive integer-coefficient form with positive leading coefficient."""
-        ints = primitive_ints(self.coeffs)
-        return QPoly(-v for v in ints) if ints and ints[-1] < 0 else QPoly(ints)
+        return QPoly._of(self.ints)
 
     def square_free_part(self) -> "QPoly":
         """p / gcd(p, p'), monic, built once; the gcd ends the Sturm chain."""
@@ -361,7 +357,8 @@ class QPoly:
             raise ZeroPolynomialError("zero polynomial has no square-free part")
         if self._sqfree is None:
             chain = self._sturm_chain()
-            object.__setattr__(self, "_sqfree", QPoly(_quotient(chain[0], chain[-1])).monic())
+            object.__setattr__(self, "_sqfree",
+                               QPoly._of(_pdivmod(chain[0], chain[-1])[1]).monic())
         return self._sqfree
 
     # -- real root counting -----------------------------------------------------
@@ -369,8 +366,7 @@ class QPoly:
     def _sturm_chain(self) -> tuple[tuple[int, ...], ...]:
         """The primitive integer Sturm chain (`_sturm`) of p; built once."""
         if self._chain is None:
-            object.__setattr__(self, "_chain", _sturm(primitive_ints(self.coeffs),
-                                                      primitive_ints(self.derivative().coeffs)))
+            object.__setattr__(self, "_chain", _sturm(self.ints, self.derivative().ints))
         return self._chain
 
     def count_real_roots(self, lo: Scalar, hi: Scalar) -> int:

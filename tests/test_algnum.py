@@ -318,7 +318,8 @@ def _near_tie(rng: random.Random) -> tuple[QPoly, list[QPoly]]:
         return prod(factors, start=QPoly.one()), factors
     k = rng.choice([n for n in range(2, 60) if isqrt(n) ** 2 != n])
     base = QPoly([-k, 0, 1])
-    cubic = base * QPoly.linear_root(rng.randint(-3, 1)) + QPoly([Fraction(1, 10 ** 9)])
+    c0, *rest = (base * QPoly.linear_root(rng.randint(-3, 1))).coeffs
+    cubic = QPoly([c0 + Fraction(1, 10 ** 9), *rest])
     neighbours = [QPoly([-(k * 10 ** 8 + 1), 0, 10 ** 8]), cubic,
                   QPoly.linear_root(Fraction(isqrt(k * 10 ** 12), 10 ** 6))]
     factors = [base] + rng.sample(neighbours, rng.randint(1, 2))

@@ -31,6 +31,7 @@ from conecert.exactalg import (
     dot,
     is_zero_vector,
     primitive_ints,
+    rational_nth_root,
     vec_add,
     vec_scale,
     vector,
@@ -430,6 +431,71 @@ def test_membership_dimension_mismatch(quadrant):
         membership(quadrant, [Fraction(1, 2)])
     with pytest.raises(DimensionMismatchError):
         membership(build_cone([[1, 2, 3]]), [1, 2])
+
+
+def reference_psd_congruence(n: int, m: QMatrix) -> bool:
+    """The `Fraction` form of `cones._is_psd_congruence`: B is recovered
+    from the `Fraction` columns of m, and every congruence image is built in
+    `Fraction`."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    column = dict(zip(pairs, (m.column(k) for k in range(len(pairs)))))
+
+    def congruence(bi, bj, scale):
+        # scale * (bi bj^T + bj bi^T), flattened
+        return tuple(scale * (bi[a] * bj[b] + bj[a] * bi[b]) for a, b in pairs)
+
+    b = []
+    d0 = None
+    for i in range(n):
+        image = cones._sym_from_vector(n, column[i, i])
+        k = next((k for k in range(n) if image.entry(k, k) > 0), None)
+        if k is None:
+            return False
+        d0 = d0 or image.entry(k, k)
+        s = rational_nth_root(d0 / image.entry(k, k), 2)
+        if s is None:
+            return False
+        bi = vec_scale(image.column(k), s)
+        if i > 0 and column[0, i] != congruence(b[0], bi, 1 / d0):
+            bi = vec_scale(bi, -1)
+        b.append(bi)
+    return all(column[i, j] == congruence(b[i], b[j], 1 / d0 if i < j else 1 / (2 * d0))
+               for i, j in pairs)
+
+
+def _congruence_map(b: list[list[Fraction]], c: Fraction) -> QMatrix:
+    """X -> c B X B^T on upper triangles, row major, with off-diagonal
+    coordinates against e_i e_j^T + e_j e_i^T."""
+    n = len(b)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return QMatrix.from_columns(
+        [[c * (b[a][i] * b[e][j] + (b[a][j] * b[e][i] if i != j else 0)) for a, e in pairs]
+         for i, j in pairs])
+
+
+def test_integer_psd_congruence_matches_the_fraction_reference():
+    rng = random.Random(20261022)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        b = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+             for _ in range(n)]
+        c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        kind = rng.choice(["congruence", "column sign", "negative c", "perturbed"])
+        if kind == "column sign":
+            j = rng.randrange(n)
+            b = [[-x if k == j else x for k, x in enumerate(row)] for row in b]
+        m = _congruence_map(b, -c if kind == "negative c" else c)
+        if kind == "perturbed":
+            entries = list(m.entries)
+            entries[rng.randrange(len(entries))] += Fraction(rng.choice([-1, 1]),
+                                                             rng.randint(1, 3))
+            m = QMatrix(m.rows, m.cols, entries)
+        want = reference_psd_congruence(n, m)
+        assert cones._is_psd_congruence(n, m) is want, (n, m)
+        seen[kind, want] += 1
+    assert min(seen["congruence", True], seen["column sign", True],
+               seen["negative c", False], seen["perturbed", False]) > 20, seen
 
 
 def test_psd_oracle_size_one():

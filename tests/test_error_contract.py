@@ -68,7 +68,7 @@ def test_malformed_rational_strings_raise_a_library_error(text):
 
 def test_roots_of_the_zero_polynomial_raise_a_library_error():
     with pytest.raises(errors.ZeroPolynomialError):
-        has_positive_irrational_root(QPoly.zero())
+        has_positive_irrational_root(QPoly([]))
 
 
 def test_empty_columns_raise_a_library_error():

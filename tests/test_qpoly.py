@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,22 +26,27 @@ def test_str_rendering():
     assert str(QPoly([Fraction(1, 2)])) == "1/2"
 
 
-@given(polys, polys)
-def test_addition_commutes(p, q):
-    assert p + q == q + p
+def coeff_sum(*ps: QPoly) -> list[Fraction]:
+    """The coefficient list of the sum of the ps, lowest degree first, with
+    no trailing zero."""
+    out = [sum((p.coeff(k) for p in ps), Fraction(0))
+           for k in range(max(p.degree for p in ps) + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 @given(polys, polys, polys)
 @settings(max_examples=50)
 def test_multiplication_distributes(p, q, r):
-    assert p * (q + r) == p * q + p * r
+    assert list((p * QPoly(coeff_sum(q, r))).coeffs) == coeff_sum(p * q, p * r)
 
 
 @given(polys, nonzero_polys)
 @settings(max_examples=60)
 def test_divmod_reconstructs(p, d):
     q, r = divmod(p, d)
-    assert q * d + r == p
+    assert coeff_sum(q * d, r) == list(p.coeffs)
     assert r.is_zero or r.degree < d.degree
 
 
@@ -57,7 +63,7 @@ def euclid_count(p: QPoly, lo: Fraction, hi: Fraction) -> int:
     the primitive integer chain."""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append((chain[-2] % chain[-1]).scale(-1))
     if chain[-1].is_zero:
         chain.pop()
 
@@ -88,8 +94,8 @@ def euclid_modulus_equals(p: QPoly, q: Fraction) -> bool:
     s = QPoly([0, 1])
     h, d_prev, d = QPoly([a[m]]), QPoly([2]), s
     for j in range(1, m + 1):
-        h = h + d.scale(a[m + j])
-        d_prev, d = d, s * d - d_prev.scale(q * q)
+        h = QPoly(coeff_sum(h, d.scale(a[m + j])))
+        d_prev, d = d, QPoly(coeff_sum(s * d, d_prev.scale(-q * q)))
     return euclid_count(h, -2 * q, 2 * q) == m
 
 
@@ -173,6 +179,167 @@ def test_sturm_counts_read_no_fraction_evaluation(monkeypatch):
     assert modulus_equals(QPoly([16, 0, 0, 0, 1]) ** 2 * QPoly([2, 1]), 2)
     assert len(algnum._real_roots(factors)) == 3
     assert calls == []
+
+
+def _normal(p: QPoly) -> bool:
+    """ints primitive with a positive leading entry and content nonzero, or
+    the zero polynomial as () with content 0."""
+    if p.is_zero:
+        return p.ints == () and p.content == 0
+    return gcd(*p.ints) == 1 and p.ints[-1] > 0 and p.content != 0
+
+
+@given(polys, nonzero_polys)
+@settings(max_examples=80)
+def test_representation_is_primitive_and_unique(p, d):
+    routes = [QPoly(p.coeffs), QPoly(str(c) for c in p.coeffs), p * QPoly.one(),
+              p.scale(Fraction(-1, 2)).scale(-2), QPoly._of(p.ints, p.content),
+              (p * d).exact_div(d), divmod(p * d, d)[0]]
+    if not p.is_zero:
+        routes.append(p.monic().scale(p.leading))
+    for other in routes:
+        assert _normal(other), other
+        assert other == p and hash(other) == hash(p), (p, other)
+    assert _normal(p * d) and _normal(p.derivative()) and _normal(divmod(p, d)[1])
+
+
+def test_zero_polynomial_has_content_zero():
+    for zero in (QPoly([]), QPoly([0, Fraction(0)]), QPoly([1, 2]).scale(0),
+                 QPoly([3]).derivative(), QPoly._of([0, 0], 5), divmod(QPoly([1, 1]),
+                                                                      QPoly([1, 1]))[1]):
+        assert zero.ints == () and zero.content == 0 and zero.degree == -1, zero
+        assert zero == QPoly([]) and hash(zero) == hash(QPoly([]))
+    assert QPoly([Fraction(-4, 3), 0, Fraction(-2, 9)]).ints == (6, 0, 1)
+    assert QPoly([Fraction(-4, 3), 0, Fraction(-2, 9)]).content == Fraction(-2, 9)
+
+
+# -- a Fraction reference on coefficient lists, lowest degree first ---------------
+
+
+def ref_trim(a: list) -> list[Fraction]:
+    a = [Fraction(x) for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def ref_mul(a: list, b: list) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a: list, b: list) -> tuple[list[Fraction], list[Fraction]]:
+    rem, n = list(a), len(b) - 1
+    quot = [Fraction(0)] * max(len(rem) - n, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = rem[k + n] / b[-1]
+        for i, y in enumerate(b, k):
+            rem[i] -= c * y
+    return ref_trim(quot), ref_trim(rem[:n])
+
+
+def ref_eval(a: list, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_derivative(a: list) -> list[Fraction]:
+    return ref_trim([i * c for i, c in enumerate(a)][1:])
+
+
+def ref_monic(a: list) -> list[Fraction]:
+    return [c / a[-1] for c in a]
+
+
+def ref_content_normalized(a: list) -> list[Fraction]:
+    if not a:
+        return []
+    d = lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (d // c.denominator) for c in a]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return [Fraction(x // g) for x in ints]
+
+
+def ref_square_free(a: list) -> list[Fraction]:
+    f, g = a, ref_derivative(a)
+    while g:
+        f, g = g, ref_divmod(f, g)[1]
+    return ref_monic(ref_divmod(a, f)[0])
+
+
+def ref_count(a: list, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in (lo, hi) from Euclid's Sturm chain of a."""
+    chain = [a, ref_derivative(a)]
+    while chain[-1]:
+        chain.append([-c for c in ref_divmod(chain[-2], chain[-1])[1]])
+    signs = [[v for v in (ref_eval(f, x) for f in chain[:-1]) if v] for x in (lo, hi)]
+    lo_var, hi_var = (sum((u > 0) != (v > 0) for u, v in zip(s, s[1:])) for s in signs)
+    return lo_var - hi_var
+
+
+def _reference_poly(rng: random.Random, degree: int) -> list[Fraction]:
+    """Coefficients with 30-digit numerators over 20-digit denominators,
+    small ones and, in one polynomial of three, many zeros, and a leading
+    coefficient of either sign."""
+    zeros = rng.choice([0.15, 0.15, 0.7])
+
+    def coeff() -> Fraction:
+        u = rng.random()
+        if u < zeros:
+            return Fraction(0)
+        if u < zeros + 0.3:
+            return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.choice([1, 30])),
+                    rng.randint(1, 10 ** rng.choice([1, 20])))
+    return [coeff() for _ in range(degree)] + [lead]
+
+
+def test_operations_match_a_fraction_reference():
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(300):
+        u = rng.random()
+        if u < 0.05:
+            a = []
+        elif u < 0.3:
+            # a repeated factor, for the square-free part
+            f, g = _reference_poly(rng, rng.randint(0, 4)), _reference_poly(rng, rng.randint(1, 4))
+            a = ref_mul(f, ref_mul(g, g))
+        else:
+            a = _reference_poly(rng, rng.randint(0, 12))
+        b = _reference_poly(rng, rng.randint(0, 6))
+        p, d = QPoly(a), QPoly(b)
+        x = Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+        c = rng.choice([Fraction(0), Fraction(-3, 7), x])
+        assert list(p.coeffs) == ref_trim(a) and QPoly(p.coeffs) == p, a
+        assert list((p * d).coeffs) == ref_mul(a, b)
+        assert list(p.scale(c).coeffs) == ref_trim([y * c for y in a])
+        assert tuple(list(part.coeffs) for part in divmod(p, d)) == ref_divmod(a, b)
+        assert (p * d).exact_div(d) == p
+        if ref_divmod(a, b)[1]:
+            with pytest.raises(PreconditionViolatedError):
+                p.exact_div(d)
+        assert p(x) == ref_eval(a, x) and p(c) == ref_eval(a, c)
+        assert list(p.derivative().coeffs) == ref_derivative(a)
+        assert list(p.content_normalized().coeffs) == ref_content_normalized(a)
+        if a:
+            assert list(p.monic().coeffs) == ref_monic(a)
+            assert list(p.square_free_part().coeffs) == ref_square_free(a), a
+            lo, hi = sorted((x, -x / 3))
+            if ref_eval(a, lo) and ref_eval(a, hi):
+                assert p.count_real_roots(lo, hi) == ref_count(a, lo, hi), (a, lo, hi)
+            seen.add("negative" if a[-1] < 0 else "positive")
+            seen.add("repeated" if p.square_free_part().degree < p.degree else "square free")
+        seen.add(("degree", min(p.degree, 6)))
+        seen.add("inexact" if ref_divmod(a, b)[1] else "exact")
+    assert seen >= {"negative", "positive", "repeated", "square free", "inexact", "exact",
+                    ("degree", -1), ("degree", 0), ("degree", 6)}
 
 
 def test_square_free_part():

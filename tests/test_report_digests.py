@@ -1,11 +1,14 @@
-"""Pinned report bytes: the sha256 of each canonical report on a fixed corpus.
+"""Pinned report bytes: the sha256 of each canonical report on a fixed corpus,
+and of the records of `scripts/answers.py` on its fast corpora.
 
 A refactor that means to leave every report as it was keeps these digests;
 one that changes a report on purpose recomputes the digest it names.
 """
 import hashlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +129,22 @@ def test_corpus_covers_every_generated_kind():
 def test_report_digest(name):
     report = dumps_canonical(run_scenario(CORPUS[name], seed=3))
     assert hashlib.sha256(report.encode()).hexdigest() == DIGESTS[name], name
+
+
+ANSWERS = Path(__file__).resolve().parent.parent / "scripts" / "answers.py"
+
+# sha256 of the records of `scripts/answers.py` on its corpora that run in
+# well under 2 s; its `decide` corpus (about 4 s) is checked by the script
+CORPUS_DIGESTS = {
+    "builtins": "ba6309712c66513aa4c2b9ec969e4b8ae00a0c7739f46180c8c9ec301bdea87a",
+    "cones": "20de5631ac472ba33b76db3c24d0ae2cba8336dcc67def0d68f90c40ee9f5797",
+    "psd": "1e29a726b8d6f89106d6cb3c3533fda58bcf19295c2d5c4323253f9b1226e488",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_DIGESTS))
+def test_answer_corpus_digest(name):
+    spec = importlib.util.spec_from_file_location("answers", ANSWERS)
+    answers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(answers)
+    assert answers.corpus_sha256(answers.CORPORA[name]()) == CORPUS_DIGESTS[name], name
